@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -94,9 +95,12 @@ def _csv_output(command: str, config: dict, header: list[str], rows, seed=None) 
 def _emit(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _add_space_args(p: argparse.ArgumentParser, metric_required: bool = True) -> None:
@@ -133,7 +137,25 @@ def _family_from(args) -> CodeFamilySpec:
 
 
 def _frac(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+
+
+@contextlib.contextmanager
+def _exact_int_output():
+    """Let exact integers print in full: lift the int-to-str digit limit
+    (Python >= 3.10.7 caps it at 4300 digits) and restore it afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +508,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_exact_int_output()
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    guards = Guards.from_env()
     try:
+        guards = Guards.from_env()
         if args.command == "qbinom":
             return _cmd_qbinom(args)
         if args.command == "volume":

@@ -28,7 +28,13 @@ class Guards:
         raw = os.environ.get(ENV_GUARD)
         if raw is None:
             return Guards()
-        return Guards(enumeration=int(raw))
+        try:
+            limit = int(raw)
+        except ValueError:
+            limit = -1
+        if limit < 0:
+            raise ValueError(f"{ENV_GUARD} must be a nonnegative integer, got {raw!r}")
+        return Guards(enumeration=limit)
 
 
 class GuardExceeded(Exception):

@@ -7,6 +7,12 @@ workers and a report is reproducible from (seed, trials, scenario) alone.
 Confidence intervals are exact Clopper-Pearson bounds obtained by bisecting a
 dyadic rational grid of width 2^-21 (< 10^-6) with exact integer binomial
 tail comparisons, rounded outward so coverage is never understated.
+
+Exhaustive linear histograms and linear Monte Carlo trials share one exact
+scorer: bases are stacked into numpy integer arrays, every codeword of each
+code is expanded, and its weight is read from a precomputed table.  The
+tests check the scorer against ``metrics.min_distance`` and the table
+against ``metrics.weight``.
 """
 
 from __future__ import annotations
@@ -17,7 +23,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable, Iterator
 
+import numpy as np
 from numpy.random import Generator, Philox
 
 from .bounds import (
@@ -29,6 +37,7 @@ from .classifier import Scenario, instantiate, ratio_probe
 from .combinat import binom, qbinom
 from .fields import (
     FieldTower,
+    SubspaceBasis,
     build_tower,
     codeword_from_int,
     enumerate_subspaces,
@@ -49,12 +58,15 @@ from .metrics import (
 
 DEFAULT_SEED = 1729
 _CP_BITS = 21  # dyadic grid of width 2^-21 < 10^-6
-_MASK64 = (1 << 64) - 1
+_SEED_LIMIT = 1 << 64  # seeds are Philox key words
+# Most codeword entries the linear-code scorer expands at once: a chunk of B
+# bases of dimension k over F_{p^ell} holds B * p^(k*ell) codewords.
+_CHUNK_WORDS = 1 << 13
 
 
 def trial_generator(seed: int, trial: int) -> Generator:
     """Counter-based stream for one trial; splittable by construction."""
-    return Generator(Philox(key=[seed & _MASK64, trial & _MASK64]))
+    return Generator(Philox(key=np.array([seed, trial], dtype=np.uint64)))
 
 
 def _rat(x: Fraction) -> str:
@@ -73,72 +85,128 @@ def space_tower(space: AmbientSpace, ell: int, guards: Guards | None = None) -> 
     return build_tower(space.q, ell, space.m // ell, guards or Guards())
 
 
-def _flat_weight_table(space: AmbientSpace, tower: FieldTower):
-    """Weight of every vector of F_{q^ell}^(n*s) keyed by a packed encoding.
-    For q = 2 the packing is bitwise, so vector addition is XOR of keys."""
-    ns = space.n * tower.s
-    q_mid = tower.subfield_order
-    if space.q == 2:
-        bits = tower.ell
-        pack = _pack_pow2(bits)
-        table = [0] * (q_mid**ns)
-        for vec in itertools.product(range(q_mid), repeat=ns):
-            table[pack(vec)] = weight(space, tower.unflatten(vec, space.n))
-        return table, pack
-    table = {
-        vec: weight(space, tower.unflatten(vec, space.n))
-        for vec in itertools.product(range(q_mid), repeat=ns)
-    }
-    return table, None
+def _fp_span(gens: np.ndarray, p: int) -> np.ndarray:
+    """Every F_p-combination of G generators, for each of B rows at once.
+
+    Vectors over F_p are packed bit masks of shape (B, G) when p = 2 and
+    digit arrays of shape (B, G, D) otherwise.  The combination
+    sum_g c_g * gens[:, g] lands at index sum_g c_g * p^g of axis 1.  It is
+    built by doubling: XOR for p = 2, digitwise addition mod p otherwise.
+    """
+    out = np.zeros_like(gens[:, :1])
+    for g in range(gens.shape[1]):
+        gen = gens[:, g : g + 1]
+        if p == 2:
+            out = np.concatenate((out, out ^ gen), axis=1)
+        else:
+            out = np.concatenate([(out + c * gen) % p for c in range(p)], axis=1)
+    return out
 
 
-def _pack_pow2(bits: int):
-    def pack(vec: tuple[int, ...]) -> int:
-        enc = 0
-        for i, v in enumerate(vec):
-            enc |= v << (i * bits)
-        return enc
-
-    return pack
+def _digit_dtype(p: int) -> np.dtype:
+    return np.min_scalar_type(p * p)  # holds a digit plus a product of two digits
 
 
-def _subspace_min_weight(basis, tower: FieldTower, table, pack) -> int:
-    """Minimum metric weight over one representative per projective class."""
-    k = basis.dim
-    q_mid = tower.subfield_order
-    best = None
-    if pack is not None:
-        rows_enc = [pack(row) for row in basis.rows]
-        mults = [
-            [pack(tuple(tower.k_mul(c, v) for v in row)) for c in range(q_mid)]
-            for row in basis.rows
-        ]
-        for lead in range(k):
-            tail = mults[lead + 1 :]
-            for combo in itertools.product(range(q_mid), repeat=k - 1 - lead):
-                enc = rows_enc[lead]
-                for mult, c in zip(tail, combo):
-                    if c:
-                        enc ^= mult[c]
-                w = table[enc]
-                if best is None or w < best:
-                    best = w
-                    if best <= 1:
-                        return best
-        return best
-    for lead in range(k):
-        tail_rows = basis.rows[lead + 1 :]
-        for combo in itertools.product(range(q_mid), repeat=k - 1 - lead):
-            vec = list(basis.rows[lead])
-            for row, c in zip(tail_rows, combo):
-                if c:
-                    vec = [tower.k_add(v, tower.k_mul(c, r)) for v, r in zip(vec, row)]
-            w = table[tuple(vec)]
-            if best is None or w < best:
-                best = w
-                if best <= 1:
-                    return best
-    return best
+def _fp_ranks(cols: list[np.ndarray], p: int) -> np.ndarray:
+    """Rank over F_p of N matrices at once, given by their columns: packed
+    bit masks of shape (N,) for p = 2, digit arrays of shape (N, m) otherwise.
+    For p = 2 this is the XOR-basis elimination of ``metrics._fp_rank`` run
+    elementwise; for odd p each column is reduced against an echelon basis."""
+    if p == 2:
+        basis: list[np.ndarray] = []
+        for col in cols:
+            for b in basis:
+                col = np.minimum(col, col ^ b)
+            basis.append(col)
+        return sum((b != 0).astype(np.uint8) for b in basis)
+    inv = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=cols[0].dtype)
+    n_mats, m = cols[0].shape
+    # basis[:, c] is zero or the reduced column whose first nonzero digit, a 1, is digit c
+    basis = np.zeros((n_mats, m, m), dtype=cols[0].dtype)
+    for col in cols:
+        v = col.copy()
+        for c in range(m):
+            v = (v + (p - v[:, c : c + 1]) * basis[:, c]) % p
+            lead = v[:, c]
+            new = lead != 0  # digits before c are zero, and no basis column leads at c
+            basis[new, c] = v[new] * inv[lead[new], None] % p
+            v[new] = 0
+    return basis.any(axis=2).sum(axis=1)
+
+
+def _flat_weight_table(space: AmbientSpace, tower: FieldTower) -> np.ndarray:
+    """Weight of every vector of F_{p^ell}^(n*s), as a uint8 array indexed by
+    the packed F_p-coordinate encoding sum_i vec[i] * p^(ell*i).
+
+    ``tower.unflatten`` is F_p-linear, so the codewords of all p^(ell*n*s)
+    vectors follow by doubling from the images of the ell*n*s F_p-unit
+    vectors; the weights are then computed over the whole array.
+    """
+    p, m, n = tower.p, tower.m, space.n
+    ns = n * tower.s
+    units = []
+    for i in range(ns):
+        for u in range(tower.ell):
+            vec = [0] * ns
+            vec[i] = p**u
+            units.append(tower.unflatten(tuple(vec), n))
+    if p == 2:
+        packed = [sum(x << (j * m) for j, x in enumerate(word)) for word in units]
+        words = _fp_span(np.array([packed], dtype=np.min_scalar_type((1 << n * m) - 1)), p)[0]
+        col_dtype = np.min_scalar_type((1 << m) - 1)
+        cols = [(words >> (j * m) & ((1 << m) - 1)).astype(col_dtype) for j in range(n)]
+        nonzero = [col != 0 for col in cols]
+    else:
+        digits = [[d for x in word for d in tower.digits(x)] for word in units]
+        words = _fp_span(np.array([digits], dtype=_digit_dtype(p)), p)[0].reshape(-1, n, m)
+        cols = [words[:, j] for j in range(n)]
+        nonzero = [col.any(axis=1) for col in cols]
+    if space.metric == HAMMING:
+        weights = sum(nz.astype(np.uint8) for nz in nonzero)
+    elif space.metric == RANK:
+        weights = _fp_ranks(cols, p)
+    else:
+        eta = space.eta
+        weights = sum(_fp_ranks(cols[b * eta : (b + 1) * eta], p) for b in range(space.t))
+    return np.asarray(weights, dtype=np.uint8)
+
+
+def _min_weights(
+    bases: np.ndarray, tower: FieldTower, table: np.ndarray, unit_mul: np.ndarray
+) -> np.ndarray:
+    """Minimum weight over the nonzero codewords of each code spanned by a
+    (B, k, ns) stack of middle-field bases.
+
+    ``unit_mul[u, x]`` is the index of kappa_u * x, where kappa_u (index p^u)
+    runs over the F_p-basis of the middle field.  The k*ell vectors
+    kappa_u * row_r span each code over F_p; all p^(k*ell) of their
+    combinations are expanded and their weights gathered from ``table``.
+    """
+    p, ell = tower.p, tower.ell
+    n_codes, k, ns = bases.shape
+    scaled = unit_mul[:, bases].transpose(1, 2, 0, 3)  # (B, k, ell, ns)
+    if p == 2:
+        gens = (scaled << (np.arange(ns) * ell)).sum(axis=-1)
+        words = _fp_span(gens.reshape(n_codes, k * ell), p)
+    else:
+        digits = np.arange(tower.subfield_order)[:, None] // p ** np.arange(ell) % p
+        gens = digits.astype(_digit_dtype(p))[scaled].reshape(n_codes, k * ell, ns * ell)
+        words = _fp_span(gens, p) @ p ** np.arange(ns * ell, dtype=np.int64)
+    return table[words[:, 1:]].min(axis=1)
+
+
+def _code_min_weights(
+    space: AmbientSpace, tower: FieldTower, k: int, bases: Iterable[SubspaceBasis]
+) -> Iterator[np.ndarray]:
+    """Minimum weights of the k-dimensional codes ``bases`` span, scored in
+    chunks of at most _CHUNK_WORDS codewords; bases are consumed lazily."""
+    table = _flat_weight_table(space, tower)
+    units = [tower.p**u for u in range(tower.ell)]
+    unit_mul = np.array([[tower.k_mul(c, x) for x in range(tower.subfield_order)] for c in units])
+    per_chunk = max(1, _CHUNK_WORDS // tower.p ** (k * tower.ell))
+    bases = iter(bases)
+    while chunk := [basis.rows for basis in itertools.islice(bases, per_chunk)]:
+        yield _min_weights(np.array(chunk, dtype=np.int64), tower, table, unit_mul)
 
 
 @lru_cache(maxsize=64)
@@ -147,16 +215,18 @@ def linear_distance_histogram(
 ) -> tuple[tuple[int, int], ...]:
     """(min_distance, count) pairs over all dimension-k middle-field-linear
     codes in the space; one enumeration serves every distance target."""
+    if k < 1:
+        raise ValueError("minimum distance needs a nonzero code (k >= 1)")
     tower = space_tower(space, ell, guards)
     ns = space.n * tower.s
     total = qbinom(ns, k, tower.subfield_order)
     if total > guards.enumeration:
         raise GuardExceeded("linear code enumeration", total, guards.enumeration)
-    table, pack = _flat_weight_table(space, tower)
-    hist: Counter[int] = Counter()
-    for basis in enumerate_subspaces(k, tower, space.n, guards):
-        hist[_subspace_min_weight(basis, tower, table, pack)] += 1
-    return tuple(sorted(hist.items()))
+    counts = np.zeros(space.diameter + 1, dtype=np.int64)
+    bases = enumerate_subspaces(k, tower, space.n, guards)
+    for weights in _code_min_weights(space, tower, k, bases):
+        counts += np.bincount(weights, minlength=counts.size)
+    return tuple((w, int(c)) for w, c in enumerate(counts) if c)
 
 
 @lru_cache(maxsize=64)
@@ -345,6 +415,8 @@ def estimate_density(
         raise ValueError("trials must be >= 1")
     if worker_streams < 1:
         raise ValueError("worker_streams must be >= 1")
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     spec.validate_for(space)
     d = spec.d
     if spec.linearity == 0:
@@ -368,16 +440,17 @@ def estimate_density(
                         break
             return best >= d
 
+        successes = sum(1 for i in range(trials) if run_trial(i))
     else:
         tower = space_tower(space, spec.linearity, guards)
-        table, pack = _flat_weight_table(space, tower)
-
-        def run_trial(i: int) -> bool:
-            gen = trial_generator(seed, i)
-            basis = sample_subspace(gen, spec.dim, tower, space.n)
-            return _subspace_min_weight(basis, tower, table, pack) >= d
-
-    successes = sum(1 for i in range(trials) if run_trial(i))
+        bases = (
+            sample_subspace(trial_generator(seed, i), spec.dim, tower, space.n)
+            for i in range(trials)
+        )
+        successes = sum(
+            int(np.count_nonzero(weights >= d))
+            for weights in _code_min_weights(space, tower, spec.dim, bases)
+        )
     lower, upper = clopper_pearson(successes, trials, level)
     return SampleReport(
         trials=trials,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -192,3 +193,63 @@ def test_output_to_file(tmp_path, capsys):
     assert code == 0 and out == ""
     text = target.read_text()
     assert "t,eta,verdict" in text
+
+
+_ESTIMATE = (
+    "estimate", "--metric", "hamming", "--q", "2", "--ell", "1", "--s", "2",
+    "--n", "2", "--k", "1", "--d", "2", "--trials", "50",
+)
+
+
+@pytest.mark.parametrize("seed", [str(2**64 + 1), "-1"])
+def test_estimate_seed_outside_64_bits_exits_two(capsys, seed):
+    code, out, err = run_cli(capsys, *_ESTIMATE, "--seed", seed)
+    assert code == 2 and out == ""
+    assert "seed must lie in [0, 2^64)" in err
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_estimate_seed_at_64_bit_edges_runs(capsys, seed):
+    code, out, _ = run_cli(capsys, *_ESTIMATE, "--seed", str(seed))
+    assert code == 0
+    assert json.loads(out)["seed"] == seed
+
+
+def test_level_zero_denominator_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*_ESTIMATE, "--level", "1/0"])
+    assert exc.value.code == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["many", "-5"])
+def test_bad_guard_environment_exits_two(capsys, monkeypatch, raw):
+    monkeypatch.setenv(ENV_GUARD, raw)
+    code, out, err = run_cli(capsys, "qbinom", "4", "2", "2")
+    assert code == 2 and out == ""
+    assert f"{ENV_GUARD} must be a nonnegative integer" in err
+
+
+def test_output_to_directory_exits_two(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "qbinom", "4", "2", "2", "-o", str(tmp_path))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {tmp_path}")
+
+
+def test_qbinom_prints_integers_of_any_size(capsys):
+    from codedensity.combinat import qbinom
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    code, out, _ = run_cli(capsys, "qbinom", "400", "200", "256")
+    assert code == 0
+    assert limit() == before  # the CLI restores the interpreter's digit limit
+    expected = qbinom(400, 200, 256)
+    digits = out.strip()
+    assert len(digits) > 4300 and digits.isdigit()
+    # parse in short pieces, so the check itself stays under the digit limit
+    value = 0
+    for i in range(0, len(digits), 1000):
+        piece = digits[i : i + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    assert value == expected

@@ -3,8 +3,10 @@ verification suites."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from codedensity.bounds import CodeFamilySpec, nonlinear_bracket
@@ -99,6 +101,25 @@ def test_estimate_density_stream_invariance():
     assert json.dumps(one.payload(), sort_keys=True) == json.dumps(four.payload(), sort_keys=True)
 
 
+def test_estimate_density_rejects_seeds_outside_64_bits():
+    space = AmbientSpace(2, 1, 2, 2, "hamming")
+    spec = CodeFamilySpec(1, 2, dim=1)
+    for seed in (2**64 + 1, 2**64, -1):
+        with pytest.raises(ValueError, match="seed"):
+            estimate_density(space, spec, trials=10, seed=seed)
+    # a valid seed keeps the draws it had before the range check existed
+    assert estimate_density(space, spec, trials=200, seed=1).successes == 118
+
+
+def test_trial_streams_distinct_across_the_64_bit_seed_range():
+    # seeds at and above 2^63 must not collapse onto each other or onto 0
+    from codedensity.harness import trial_generator
+
+    seeds = (0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1)
+    draws = {tuple(trial_generator(s, 3).integers(0, 2**32, 4)) for s in seeds}
+    assert len(draws) == len(seeds)
+
+
 def test_estimate_density_nonlinear_path():
     space = AmbientSpace(3, 1, 1, 2, "hamming")
     spec = CodeFamilySpec(0, 2, size=3)
@@ -166,10 +187,10 @@ def test_convergence_experiment_trivial_distance():
 
 
 def test_fast_min_weight_agrees_with_public_min_distance():
-    # the packed-table scorer used for enumeration must agree with the
-    # straightforward projective-class walk on every subspace
+    # the batched scorer used for enumeration and sampling must agree with
+    # the straightforward projective-class walk on every subspace
     from codedensity.fields import enumerate_subspaces
-    from codedensity.harness import _flat_weight_table, _subspace_min_weight, space_tower
+    from codedensity.harness import _code_min_weights, space_tower
     from codedensity.metrics import min_distance
 
     for space, ell in (
@@ -177,15 +198,68 @@ def test_fast_min_weight_agrees_with_public_min_distance():
         (AmbientSpace(2, 2, 1, 2, "hamming"), 2),
         (AmbientSpace(3, 1, 1, 3, "hamming"), 1),
         (AmbientSpace(2, 1, 2, 4, "sumrank", t=2), 1),
+        (AmbientSpace(3, 1, 2, 2, "rank"), 1),
+        (AmbientSpace(3, 1, 2, 2, "sumrank", t=2), 1),
+        (AmbientSpace(3, 2, 1, 2, "rank"), 2),
     ):
         tower = space_tower(space, ell)
-        table, pack = _flat_weight_table(space, tower)
         ns = space.n * tower.s
         for k in range(1, min(ns, 3) + 1):
-            for basis in enumerate_subspaces(k, tower, space.n):
-                fast = _subspace_min_weight(basis, tower, table, pack)
-                slow = min_distance(basis, space, tower=tower)
-                assert fast == slow, (space, k, basis)
+            bases = list(enumerate_subspaces(k, tower, space.n))
+            fast = np.concatenate(list(_code_min_weights(space, tower, k, bases)))
+            assert len(fast) == len(bases)
+            for basis, got in zip(bases, fast):
+                assert got == min_distance(basis, space, tower=tower), (space, k, basis)
+
+
+def test_scorer_needs_no_middle_field_tables(monkeypatch):
+    # above fields._K_TABLE_LIMIT a tower has no index multiplication table;
+    # the scorer only needs the products with the F_p-basis units
+    from codedensity import fields
+    from codedensity.harness import linear_distance_histogram
+
+    spaces = (AmbientSpace(2, 2, 1, 2, "hamming"), AmbientSpace(3, 2, 1, 2, "rank"))
+    expected = [linear_distance_histogram.__wrapped__(space, 2, 1) for space in spaces]
+    monkeypatch.setattr(fields, "_K_TABLE_LIMIT", 1)
+    for space, want in zip(spaces, expected):
+        assert fields.build_tower(space.q, 2, 1)._k_mul_table is None
+        assert linear_distance_histogram.__wrapped__(space, 2, 1) == want
+    with pytest.raises(ValueError, match="nonzero code"):
+        linear_distance_histogram.__wrapped__(spaces[0], 2, 0)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("metric,t", [("hamming", 1), ("rank", 1), ("sumrank", 2)])
+def test_weight_table_matches_metric_weight(q, metric, t):
+    from codedensity.harness import _flat_weight_table, space_tower
+    from codedensity.metrics import weight
+
+    for ell, s in ((1, 2), (2, 1)):
+        space = AmbientSpace(q, ell, s, 2, metric, t=t)
+        tower = space_tower(space, ell)
+        table = _flat_weight_table(space, tower)
+        ns = space.n * tower.s
+        q_mid = tower.subfield_order
+        assert table.dtype == np.uint8 and table.shape == (q_mid**ns,)
+        for vec in itertools.product(range(q_mid), repeat=ns):
+            index = sum(v * q_mid**i for i, v in enumerate(vec))
+            assert table[index] == weight(space, tower.unflatten(vec, space.n)), (space, vec)
+
+
+def test_chunked_scoring_matches_one_code_per_chunk(monkeypatch):
+    # default chunks split these runs several times; a chunk constant of 1
+    # scores one code at a time, and both must give the same exact results
+    from codedensity import harness
+
+    hist_space = AmbientSpace(2, 1, 2, 4, "hamming")  # 10795 codes, 2048 per chunk
+    est_space = AmbientSpace(2, 1, 2, 3, "rank")  # 1024 codes per chunk
+    spec = CodeFamilySpec(1, 2, dim=3)
+    hist = harness.linear_distance_histogram.__wrapped__(hist_space, 1, 2)
+    report = estimate_density(est_space, spec, trials=3000, seed=11)
+    monkeypatch.setattr(harness, "_CHUNK_WORDS", 1)
+    assert harness.linear_distance_histogram.__wrapped__(hist_space, 1, 2) == hist
+    assert estimate_density(est_space, spec, trials=3000, seed=11).payload() == report.payload()
+    assert sum(c for _, c in hist) == 10795
 
 
 def test_subset_histogram_total():
