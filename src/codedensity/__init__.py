@@ -31,7 +31,6 @@ from .fields import (
     SubspaceBasis,
     build_tower,
     enumerate_subspaces,
-    expand_to_prime_field,
     sample_code_subset,
     sample_subspace,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "estimate_density",
     "euler_pi",
     "exact_density",
-    "expand_to_prime_field",
     "gv_cardinality",
     "max_linear_dimension",
     "min_distance",

@@ -103,8 +103,8 @@ def _emit(text: str, path: str | None) -> None:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _add_space_args(p: argparse.ArgumentParser, metric_required: bool = True) -> None:
-    p.add_argument("--metric", choices=_METRICS, required=metric_required)
+def _add_space_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--metric", choices=_METRICS, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--ell", type=int, default=1)
     p.add_argument("--s", type=int)
@@ -115,7 +115,9 @@ def _add_space_args(p: argparse.ArgumentParser, metric_required: bool = True) ->
 
 
 def _space_from(args) -> AmbientSpace:
-    ell = max(args.ell, 1)
+    ell = args.ell
+    if ell < 1:
+        raise ValueError(f"--ell must be positive, got {ell}")
     s = args.s
     if s is None:
         if args.m is None:
@@ -163,7 +165,7 @@ def _exact_int_output():
 # ---------------------------------------------------------------------------
 
 
-def _cmd_qbinom(args) -> int:
+def _cmd_qbinom(args, guards: Guards) -> int:
     _emit(f"{qbinom(args.a, args.b, args.base)}\n", args.output)
     return 0
 
@@ -308,7 +310,7 @@ _SCENARIO_KEYS = (
 )
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args, guards: Guards) -> int:
     sc = _scenario_from(args)
     result = _classification_result(sc)
     config = _config_of(args, _SCENARIO_KEYS)
@@ -316,7 +318,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_region(args) -> int:
+def _cmd_region(args, guards: Guards) -> int:
     cells = msrd_eta_region(args.t_max, args.eta_max)
     config = {"t_max": args.t_max, "eta_max": args.eta_max}
     rows = [(t, eta, label) for t, eta, label in cells]
@@ -332,7 +334,7 @@ _TABLE1_ROWS = (
 )
 
 
-def _cmd_table1(args) -> int:
+def _cmd_table1(args, guards: Guards) -> int:
     rows = []
     for eta_label, t_label, d_label, instances in _TABLE1_ROWS:
         verdicts = set()
@@ -429,19 +431,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"codedensity {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("qbinom", help="exact Gaussian binomial coefficient")
+    def add(name: str, func, help: str) -> argparse.ArgumentParser:
+        """A subcommand whose handler main calls as func(args, guards)."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = add("qbinom", _cmd_qbinom, help="exact Gaussian binomial coefficient")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("base", type=int)
     p.add_argument("--output", "-o", default=None)
 
-    p = sub.add_parser("volume", help="exact ball volume, optionally cross-checked")
+    p = add("volume", _cmd_volume, help="exact ball volume, optionally cross-checked")
     _add_space_args(p)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--approx", type=int, default=None)
 
-    p = sub.add_parser("bound", help="Singleton/GV/k*/density-bracket bounds")
+    p = add("bound", _cmd_bound, help="Singleton/GV/k*/density-bracket bounds")
     p.add_argument("--kind", choices=("singleton", "gv", "density-bracket", "kstar"), required=True)
     _add_space_args(p)
     p.add_argument("--d", type=int, required=True)
@@ -449,11 +457,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--approx", type=int, default=None)
 
-    for name, needs_probes in (("classify", False), ("probe", True)):
-        p = sub.add_parser(
-            name,
-            help="asymptotic verdict" if name == "classify" else "finite convergence table",
-        )
+    for name, func, text in (
+        ("classify", _cmd_classify, "asymptotic verdict"),
+        ("probe", _cmd_probe, "finite convergence table"),
+    ):
+        p = add(name, func, help=text)
         p.add_argument("--family", choices=("mds", "mrd", "msrd", "gv", "custom"), required=True)
         p.add_argument("--growing", choices=("q", "n", "ell", "s"), required=True)
         p.add_argument("--metric", choices=_METRICS, default=None)
@@ -474,18 +482,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--S-intercept", type=_frac, default=None)
         p.add_argument("--approx", type=int, default=None)
         p.add_argument("--output", "-o", default=None)
-        if needs_probes:
+        if name == "probe":
             p.add_argument("--probes", required=True, help="comma-separated probe values")
 
-    p = sub.add_parser("region", help="dense/sparse region grid over (t, eta)")
+    p = add("region", _cmd_region, help="dense/sparse region grid over (t, eta)")
     p.add_argument("--t-max", type=int, required=True)
     p.add_argument("--eta-max", type=int, required=True)
     p.add_argument("--output", "-o", default=None)
 
-    p = sub.add_parser("table1", help="the four sum-rank example rows as CSV")
+    p = add("table1", _cmd_table1, help="the four sum-rank example rows as CSV")
     p.add_argument("--output", "-o", default=None)
 
-    p = sub.add_parser("estimate", help="seeded Monte Carlo density estimate")
+    p = add("estimate", _cmd_estimate, help="seeded Monte Carlo density estimate")
     _add_space_args(p)
     p.add_argument("--S", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
@@ -495,14 +503,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--streams", type=int, default=1)
     p.add_argument("--level", type=_frac, default=Fraction(99, 100))
 
-    p = sub.add_parser("exact", help="exhaustive exact density")
+    p = add("exact", _cmd_exact, help="exhaustive exact density")
     _add_space_args(p)
     p.add_argument("--S", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--approx", type=int, default=None)
 
-    p = sub.add_parser("verify", help="run the verification suites")
+    p = add("verify", _cmd_verify, help="run the verification suites")
     p.add_argument("--grid", choices=("micro", "desk"), default="micro")
 
     return parser
@@ -513,28 +521,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        guards = Guards.from_env()
-        if args.command == "qbinom":
-            return _cmd_qbinom(args)
-        if args.command == "volume":
-            return _cmd_volume(args, guards)
-        if args.command == "bound":
-            return _cmd_bound(args, guards)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "probe":
-            return _cmd_probe(args, guards)
-        if args.command == "region":
-            return _cmd_region(args)
-        if args.command == "table1":
-            return _cmd_table1(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args, guards)
-        if args.command == "exact":
-            return _cmd_exact(args, guards)
-        if args.command == "verify":
-            return _cmd_verify(args, guards)
-        parser.error(f"unknown command {args.command!r}")
+        return args.func(args, Guards.from_env())
     except GuardExceeded as exc:
         sys.stderr.write(f"guard violation: {exc}\n")
         return 3
@@ -542,7 +529,6 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         sys.stderr.write(parser.format_usage())
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -80,9 +80,6 @@ class Enclosure:
     def contains(self, value: Fraction | int) -> bool:
         return self.lo <= value <= self.hi
 
-    def widened(self, slack: Fraction) -> "Enclosure":
-        return Enclosure(self.lo - slack, self.hi + slack)
-
 
 def euler_pi(q: int, width: Fraction | int) -> Enclosure:
     """Enclosure of pi(q) = prod_{i>=1} q^i/(q^i - 1), with hi - lo <= width.
@@ -163,9 +160,19 @@ def prime_power(n: int) -> tuple[int, int] | None:
     """Return (p, e) with n = p^e and p prime, or None if n is not a prime power."""
     if n < 2:
         return None
-    for e in range(n.bit_length(), 0, -1):
-        p = round(n ** (1.0 / e))
-        for cand in (p - 1, p, p + 1):
-            if cand >= 2 and cand**e == n and is_prime(cand):
-                return cand, e
+    for e in range(n.bit_length() - 1, 0, -1):
+        p = _iroot(n, e)
+        if p**e == n and is_prime(p):
+            return p, e
     return None
+
+
+def _iroot(n: int, e: int) -> int:
+    """Largest r with r^e <= n, for n >= 1: integer Newton iteration from
+    2^ceil(bits/e), which is above the root, so the iterates fall to it."""
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y

@@ -1,5 +1,5 @@
 """Finite-field towers F_p <= F_{p^ell} <= F_{p^m} (m = ell*s) and linear
-algebra over the middle level.
+algebra over the bottom and middle levels, with one row reduction for both.
 
 Elements of F_{p^m} are ints in [0, p^m) whose base-p digits (little-endian)
 are the coefficients of the polynomial residue modulo a fixed irreducible of
@@ -155,31 +155,27 @@ def _undigits(digits: tuple[int, ...], p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# F_p linear algebra on digit vectors (used for tower construction only)
+# F_p linear algebra on digit vectors (tower construction and F_p ranks)
 # ---------------------------------------------------------------------------
 
 
-def _fp_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    rows = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(vi - f * vr) % p for vi, vr in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [row for row in rows if any(v % p for v in row)], pivots
+@dataclass(frozen=True)
+class _PrimeField:
+    """F_p as a field for :func:`rref`: the index of an element is its
+    residue.  Towers are built on top of F_p elimination, so they cannot
+    serve here."""
+
+    p: int
+    one_index = 1
+
+    def k_inv(self, a: int) -> int:
+        return pow(a, self.p - 2, self.p)
+
+    def k_mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def k_sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
 
 
 def _fp_solve(matrix_inv_rows: list[list[int]], vec: tuple[int, ...], p: int) -> list[int]:
@@ -187,22 +183,13 @@ def _fp_solve(matrix_inv_rows: list[list[int]], vec: tuple[int, ...], p: int) ->
 
 
 def _fp_invert(matrix: list[list[int]], p: int) -> list[list[int]]:
+    """Inverse over F_p: the right half of the RREF of [matrix | I]."""
     n = len(matrix)
     aug = [matrix[i][:] + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, n) if aug[i][c] % p), None)
-        if pivot is None:
-            raise ValueError("matrix not invertible")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = pow(aug[r][c], p - 2, p)
-        aug[r] = [v * inv % p for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] % p:
-                f = aug[i][c]
-                aug[i] = [(vi - f * vr) % p for vi, vr in zip(aug[i], aug[r])]
-        r += 1
-    return [row[n:] for row in aug]
+    reduced, pivots = rref(aug, _PrimeField(p))
+    if pivots != list(range(n)):
+        raise ValueError("matrix not invertible")
+    return [row[n:] for row in reduced]
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +314,7 @@ class FieldTower:
             rows.append(list(self.digits(diff)))
         # kernel of the map whose i-th *row* is the image of basis vector i
         cols = [[rows[i][j] for i in range(m)] for j in range(m)]
-        reduced, pivots = _fp_rref(cols, p)
+        reduced, pivots = rref(cols, _PrimeField(p))
         free = [j for j in range(m) if j not in pivots]
         basis = []
         for f in free:
@@ -343,17 +330,18 @@ class FieldTower:
         1, x, x^2, ...; each accepted candidate enlarges the F_p-span by all
         of its subfield multiples."""
         p, m = self.p, self.m
+        fp = _PrimeField(p)
         span_rows: list[list[int]] = []
         basis: list[int] = []
         for i in range(m):
             cand = _undigits(tuple(1 if j == i else 0 for j in range(m)), p)
-            probe, _ = _fp_rref(span_rows + [list(self.digits(cand))], p)
+            probe, _ = rref(span_rows + [list(self.digits(cand))], fp)
             if len(probe) == len(span_rows):
                 continue
             basis.append(cand)
             for kappa in self.subfield_basis:
                 span_rows.append(list(self.digits(self.mul(kappa, cand))))
-            span_rows, _ = _fp_rref(span_rows, p)
+            span_rows, _ = rref(span_rows, fp)
             if len(basis) == self.s:
                 break
         return basis
@@ -459,13 +447,6 @@ def build_tower(p: int, ell: int, s: int, guards: Guards | None = None) -> Field
     return FieldTower(p, ell, s, guards or Guards())
 
 
-def expand_to_prime_field(x: Codeword, tower: FieldTower) -> tuple[tuple[int, ...], ...]:
-    """m x n matrix over F_p whose column j holds the coordinates of x_j over
-    the power basis of F_{p^m}; F_p-linear and injective in x."""
-    cols = [tower.digits(c) for c in x]
-    return tuple(tuple(col[i] for col in cols) for i in range(tower.m))
-
-
 # ---------------------------------------------------------------------------
 # subspaces of F_{p^ell}^(n*s)
 # ---------------------------------------------------------------------------
@@ -484,8 +465,15 @@ class SubspaceBasis:
         return len(self.rows)
 
 
-def rref(rows: list[list[int]], tower: FieldTower) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over the middle field (index arithmetic)."""
+def rref(rows: list[list[int]], field) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form, without zero rows, and its pivot columns.
+
+    ``field`` is a tower (entries are middle-field indices) or a
+    :class:`_PrimeField` (entries are residues mod p): anything with
+    ``one_index``, ``k_inv``, ``k_mul`` and ``k_sub`` on indices whose zero
+    is 0.
+    """
+    k_mul, k_sub = field.k_mul, field.k_sub
     rows = [row[:] for row in rows]
     pivots: list[int] = []
     r = 0
@@ -495,15 +483,13 @@ def rref(rows: list[list[int]], tower: FieldTower) -> tuple[list[list[int]], lis
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = tower.k_inv(rows[r][c])
-        if rows[r][c] != tower.one_index:
-            rows[r] = [tower.k_mul(inv, v) for v in rows[r]]
+        inv = field.k_inv(rows[r][c])
+        if rows[r][c] != field.one_index:
+            rows[r] = [k_mul(inv, v) for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [
-                    tower.k_sub(vi, tower.k_mul(f, vr)) for vi, vr in zip(rows[i], rows[r])
-                ]
+                rows[i] = [k_sub(vi, k_mul(f, vr)) for vi, vr in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -567,10 +553,6 @@ def sample_subspace(gen, k: int, tower: FieldTower, n: int) -> SubspaceBasis:
         reduced, pivots = rref(rows, tower)
         if len(reduced) == k:
             return SubspaceBasis(tuple(tuple(r) for r in reduced), tuple(pivots))
-
-
-def enumerate_codewords(tower: FieldTower, n: int) -> Iterator[Codeword]:
-    yield from itertools.product(range(tower.order), repeat=n)
 
 
 def codeword_from_int(value: int, tower: FieldTower, n: int) -> Codeword:

@@ -417,6 +417,9 @@ def estimate_density(
         raise ValueError("worker_streams must be >= 1")
     if not 0 <= seed < _SEED_LIMIT:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    level = Fraction(level)
+    if not 0 < level < 1:
+        raise ValueError("confidence level must lie strictly between 0 and 1")
     spec.validate_for(space)
     d = spec.d
     if spec.linearity == 0:
@@ -458,7 +461,7 @@ def estimate_density(
         point_estimate=Fraction(successes, trials),
         ci_lower=lower,
         ci_upper=upper,
-        confidence_level=Fraction(level),
+        confidence_level=level,
         seed=seed,
         worker_streams=worker_streams,
     )

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import binom, compositions, is_prime, prime_power, qbinom
-from .fields import Codeword, FieldTower, SubspaceBasis
+from .fields import Codeword, FieldTower, SubspaceBasis, _PrimeField, rref
 from .guards import Guards, GuardExceeded, UnsupportedAsymptotics
 
 HAMMING = "hamming"
@@ -101,7 +101,8 @@ def _digit_cols(x: Codeword, q: int, m: int) -> list[tuple[int, ...]]:
 
 
 def _fp_rank(cols: list[tuple[int, ...]], p: int) -> int:
-    """Rank over F_p of the matrix with the given columns."""
+    """Rank over F_p of the matrix with the given columns: an XOR basis of
+    bit masks for p = 2, the row count of the RREF otherwise."""
     if p == 2:
         basis: list[int] = []
         for col in cols:
@@ -113,26 +114,7 @@ def _fp_rank(cols: list[tuple[int, ...]], p: int) -> int:
             if v:
                 basis.append(v)
         return len(basis)
-    rows = [list(col) for col in cols]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(vi - f * vr) % p for vi, vr in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-        if r == len(rows):
-            break
-    return rank
+    return len(rref(cols, _PrimeField(p))[0])
 
 
 def weight(space: AmbientSpace, x: Codeword) -> int:

@@ -222,6 +222,25 @@ def test_level_zero_denominator_exits_two(capsys):
     assert "zero denominator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ell", ["0", "-5"])
+def test_nonpositive_ell_exits_two(capsys, ell):
+    code, out, err = run_cli(
+        capsys, "volume", "--metric", "rank", "--q", "2", "--ell", ell, "--s", "2",
+        "--n", "2", "--radius", "1",
+    )
+    assert code == 2 and out == ""
+    assert f"--ell must be positive, got {ell}" in err
+
+
+def test_volume_over_a_huge_prime_power(capsys):
+    code, out, _ = run_cli(
+        capsys, "volume", "--metric", "hamming", "--q", str(2**1100), "--s", "1",
+        "--n", "1", "--radius", "0",
+    )
+    assert code == 0
+    assert json.loads(out)["result"] == {"volume": 1}
+
+
 @pytest.mark.parametrize("raw", ["many", "-5"])
 def test_bad_guard_environment_exits_two(capsys, monkeypatch, raw):
     monkeypatch.setenv(ENV_GUARD, raw)

@@ -168,9 +168,9 @@ def test_qbinom_ratio_approaches_euler_pi():
     # [2n, n]_q / q^(n*n) settles inside the pi(q) enclosure widened by 1/100
     n = 12
     for q in (2, 3, 5):
-        enc = euler_pi(q, Fraction(1, 10**6)).widened(Fraction(1, 100))
+        enc = euler_pi(q, Fraction(1, 10**6))
         ratio = Fraction(qbinom(2 * n, n, q), q ** (n * n))
-        assert enc.contains(ratio)
+        assert enc.lo - Fraction(1, 100) <= ratio <= enc.hi + Fraction(1, 100)
 
 
 def test_enclosure_invariants():
@@ -195,3 +195,13 @@ def test_primality_helpers():
     assert prime_power(9) == (3, 2)
     assert prime_power(12) is None
     assert prime_power(1) is None
+
+
+def test_prime_power_exact_for_huge_powers():
+    assert prime_power(2**2000) == (2, 2000)
+    assert prime_power(3**700) == (3, 700)
+    assert prime_power(3 * 2**2000) is None
+    primes = [p for p in range(2, 5000) if is_prime(p)]
+    powers = {p**e: (p, e) for p in primes for e in range(1, 13) if p**e < 5000}
+    for n in range(5000):
+        assert prime_power(n) == powers.get(n)

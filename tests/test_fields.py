@@ -4,16 +4,18 @@ enumeration and sampling."""
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from codedensity.combinat import qbinom
 from codedensity.fields import (
     SubspaceBasis,
+    _PrimeField,
+    _fp_invert,
     _is_irreducible,
     build_tower,
     enumerate_subspaces,
-    expand_to_prime_field,
     rref,
     sample_code_subset,
     sample_subspace,
@@ -21,6 +23,7 @@ from codedensity.fields import (
 )
 from codedensity.guards import GuardExceeded, Guards
 from codedensity.harness import trial_generator
+from codedensity.metrics import AmbientSpace, _fp_rank, weight
 
 CHI2_CRIT_DF2_999 = 13.8155  # chi-square 0.999 quantile, 2 degrees of freedom
 CHI2_CRIT_DF5_999 = 20.5150  # chi-square 0.999 quantile, 5 degrees of freedom
@@ -107,21 +110,8 @@ def test_field_axioms_small():
                 assert t.mul(a, t.add(b, c)) == t.add(t.mul(a, b), t.mul(a, c))
 
 
-def test_expand_to_prime_field():
+def test_rank_weight_invariant_under_scaling():
     t = build_tower(2, 1, 2)
-    assert expand_to_prime_field((0, 0), t) == ((0, 0), (0, 0))
-    # a generator of the four-element field: the expansion column depends on
-    # the basis, but its rank is 1 either way
-    from codedensity.metrics import AmbientSpace, weight
-
-    g = next(x for x in range(4) if x > 1)
-    mat = expand_to_prime_field((g,), t)
-    assert [col for col in zip(*mat) if any(col)] != []
-    assert weight(AmbientSpace(2, 1, 2, 1, "rank"), (g,)) == 1
-
-    # rank is invariant under rescaling by any nonzero element
-    from codedensity.metrics import AmbientSpace, weight
-
     space = AmbientSpace(2, 1, 2, 2, "rank")
     for word in itertools.product(range(4), repeat=2):
         w = weight(space, word)
@@ -189,6 +179,86 @@ def test_rref_canonical_for_scrambled_bases():
                     vec = [t.k_add(v, b) for v, b in zip(vec, brow)]
             rows.append(vec)
         assert subspace_from_rows(rows, t) == basis
+
+
+def _span(rows, ncols, field, order):
+    """Every linear combination of the rows, by brute force."""
+    span = {(0,) * ncols}
+    for row in rows:
+        span = {
+            tuple(field.k_sub(v, field.k_mul(c, x)) for v, x in zip(vec, row))
+            for vec in span
+            for c in range(order)
+        }
+    return span
+
+
+_RREF_FIELDS = [(_PrimeField(p), p) for p in (2, 3, 5)] + [
+    (tower, tower.subfield_order) for tower in (build_tower(2, 2, 1), build_tower(3, 2, 1))
+]
+
+
+@pytest.mark.parametrize("field,order", _RREF_FIELDS, ids=["F2", "F3", "F5", "F4", "F9"])
+def test_rref_invariants_and_row_space(field, order):
+    rng = random.Random(order)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [
+            [rng.randrange(order) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        reduced, pivots = rref(rows, field)
+        assert len(reduced) == len(pivots)
+        assert pivots == sorted(set(pivots))
+        for i, (row, c) in enumerate(zip(reduced, pivots)):
+            assert any(row)
+            assert row[c] == field.one_index
+            assert not any(row[:c])
+            assert all(other[c] == 0 for j, other in enumerate(reduced) if j != i)
+        assert _span(reduced, ncols, field, order) == _span(rows, ncols, field, order)
+        if order == 2 and isinstance(field, _PrimeField):
+            assert len(reduced) == _fp_rank([tuple(r) for r in rows], 2)
+
+
+def test_fp_invert_is_a_true_inverse_and_rejects_singular():
+    rng = random.Random(7)
+    for p in (2, 3, 5):
+        inverted = singular = 0
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            mat = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            try:
+                inv = _fp_invert(mat, p)
+            except ValueError:
+                # singular: some nonzero x has x * mat = 0
+                assert any(
+                    not any(sum(x[i] * mat[i][j] for i in range(n)) % p for j in range(n))
+                    for x in itertools.product(range(p), repeat=n)
+                    if any(x)
+                )
+                singular += 1
+                continue
+            for i in range(n):
+                for j in range(n):
+                    entry = sum(mat[i][t] * inv[t][j] for t in range(n)) % p
+                    assert entry == (1 if i == j else 0)
+            inverted += 1
+        assert inverted and singular
+    with pytest.raises(ValueError):
+        _fp_invert([[1, 2], [2, 4]], 5)
+
+
+def test_tower_bases_are_pinned():
+    # the bases a tower is built on fix every flatten map, histogram and draw
+    pinned = {
+        (2, 2, 2): ([1, 6], [1, 2]),
+        (3, 2, 1): ([1, 3], [1]),
+        (2, 3, 2): ([1, 14, 22], [1, 2]),
+    }
+    for params, (subfield, relative) in pinned.items():
+        tower = build_tower(*params)
+        assert tower.subfield_basis == subfield
+        assert tower.relative_basis == relative
 
 
 def test_enumerate_subspaces_counts():

@@ -120,6 +120,24 @@ def test_trial_streams_distinct_across_the_64_bit_seed_range():
     assert len(draws) == len(seeds)
 
 
+@pytest.mark.parametrize("level", [Fraction(0), Fraction(1), Fraction(2)])
+def test_estimate_density_checks_level_before_sampling(monkeypatch, level):
+    from codedensity import harness
+
+    streams = []
+    original = harness.trial_generator
+    monkeypatch.setattr(
+        harness, "trial_generator", lambda seed, i: streams.append(i) or original(seed, i)
+    )
+    space = AmbientSpace(2, 1, 2, 2, "hamming")
+    for spec in (CodeFamilySpec(1, 2, dim=1), CodeFamilySpec(0, 2, size=2)):
+        with pytest.raises(ValueError, match="confidence level"):
+            estimate_density(space, spec, trials=50, level=level)
+    assert streams == []
+    estimate_density(space, CodeFamilySpec(1, 2, dim=1), trials=50)
+    assert streams == list(range(50))  # the counter does see real draws
+
+
 def test_estimate_density_nonlinear_path():
     space = AmbientSpace(3, 1, 1, 2, "hamming")
     spec = CodeFamilySpec(0, 2, size=3)
