@@ -129,31 +129,94 @@ def compositions(r: int, t: int, cap: int) -> Iterator[tuple[int, ...]]:
     return rec(r, t)
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Strong probable primes to all of _SMALL_PRIMES below this bound are prime
+# (Sorenson and Webster, 2015); the first 12 bases only reach 3.18 * 10^23.
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10^24."""
+    """Primality, exact for n < 3.3 * 10^24 and Baillie-PSW above.
+
+    Below the bound a strong probable-prime test to the 13 bases 2..41 is a
+    proof.  Above it, n must pass a strong base-2 test and a strong Lucas
+    test (Baillie-PSW); no composite passing both is known.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < _MR_EXACT_BELOW:
+        return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin round: n odd > a, n - 1 = d * 2^s with d odd."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd n not divisible
+    by a prime up to 41: D is the first of 5, -7, 9, -11, ... with Jacobi
+    symbol (D/n) = -1, P = 1, Q = (1 - D)/4."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no such D exists for a square
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False  # D shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    # n + 1 = d * 2^s with d odd; walk U_k, V_k and Q^k up the bits of d
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            # U_{k+1} = (U_k + V_k)/2 and V_{k+1} = (D U_k + V_k)/2, halved mod odd n
+            U, V = U + V, D * U + V
+            U = (U + n if U % 2 else U) // 2 % n
+            V = (V + n if V % 2 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def prime_power(n: int) -> tuple[int, int] | None:

@@ -4,9 +4,15 @@ Carlo estimation, and the bracket/volume/reduction verification suites.
 Monte Carlo draws are keyed per trial: trial i uses a Philox stream with key
 (seed, i), so results cannot depend on how trials are partitioned across
 workers and a report is reproducible from (seed, trials, scenario) alone.
-Confidence intervals are exact Clopper-Pearson bounds obtained by bisecting a
-dyadic rational grid of width 2^-21 (< 10^-6) with exact integer binomial
-tail comparisons, rounded outward so coverage is never understated.
+Confidence intervals are exact Clopper-Pearson bounds on a dyadic rational
+grid of width 2^-21 (< 10^-6), rounded outward so coverage is never
+understated.  Each endpoint is the last grid point where a monotone binomial
+tail comparison holds.  A float64 tail guesses that point, and exact
+comparisons at the guess and its neighbour confirm it, galloping and
+bisecting outward when either check fails, so the guess never changes the
+result.  Each comparison first encloses the tail in fixed-point integers with
+directed rounding and falls back to the exact integer sum only when the
+threshold lies inside the enclosure.
 
 Exhaustive linear histograms and linear Monte Carlo trials share one exact
 scorer: bases are stacked into numpy integer arrays, every codeword of each
@@ -58,6 +64,7 @@ from .metrics import (
 
 DEFAULT_SEED = 1729
 _CP_BITS = 21  # dyadic grid of width 2^-21 < 10^-6
+_TAIL_BITS = 160  # fraction bits of the fixed-point binomial tail enclosure
 _SEED_LIMIT = 1 << 64  # seeds are Philox key words
 # Most codeword entries the linear-code scorer expands at once: a chunk of B
 # bases of dimension k over F_{p^ell} holds B * p^(k*ell) codewords.
@@ -134,14 +141,20 @@ def _fp_ranks(cols: list[np.ndarray], p: int) -> np.ndarray:
     return basis.any(axis=2).sum(axis=1)
 
 
-def _flat_weight_table(space: AmbientSpace, tower: FieldTower) -> np.ndarray:
+def _flat_weight_table(
+    space: AmbientSpace, tower: FieldTower, guards: Guards = Guards()
+) -> np.ndarray:
     """Weight of every vector of F_{p^ell}^(n*s), as a uint8 array indexed by
     the packed F_p-coordinate encoding sum_i vec[i] * p^(ell*i).
 
     ``tower.unflatten`` is F_p-linear, so the codewords of all p^(ell*n*s)
     vectors follow by doubling from the images of the ell*n*s F_p-unit
-    vectors; the weights are then computed over the whole array.
+    vectors; the weights are then computed over the whole array.  The table
+    has one entry per word of the space, so its size is held to the
+    enumeration guard.
     """
+    if space.size > guards.enumeration:
+        raise GuardExceeded("weight table entries", space.size, guards.enumeration)
     p, m, n = tower.p, tower.m, space.n
     ns = n * tower.s
     units = []
@@ -196,11 +209,15 @@ def _min_weights(
 
 
 def _code_min_weights(
-    space: AmbientSpace, tower: FieldTower, k: int, bases: Iterable[SubspaceBasis]
+    space: AmbientSpace,
+    tower: FieldTower,
+    k: int,
+    bases: Iterable[SubspaceBasis],
+    guards: Guards = Guards(),
 ) -> Iterator[np.ndarray]:
     """Minimum weights of the k-dimensional codes ``bases`` span, scored in
     chunks of at most _CHUNK_WORDS codewords; bases are consumed lazily."""
-    table = _flat_weight_table(space, tower)
+    table = _flat_weight_table(space, tower, guards)
     units = [tower.p**u for u in range(tower.ell)]
     unit_mul = np.array([[tower.k_mul(c, x) for x in range(tower.subfield_order)] for c in units])
     per_chunk = max(1, _CHUNK_WORDS // tower.p ** (k * tower.ell))
@@ -224,7 +241,7 @@ def linear_distance_histogram(
         raise GuardExceeded("linear code enumeration", total, guards.enumeration)
     counts = np.zeros(space.diameter + 1, dtype=np.int64)
     bases = enumerate_subspaces(k, tower, space.n, guards)
-    for weights in _code_min_weights(space, tower, k, bases):
+    for weights in _code_min_weights(space, tower, k, bases, guards):
         counts += np.bincount(weights, minlength=counts.size)
     return tuple((w, int(c)) for w, c in enumerate(counts) if c)
 
@@ -279,12 +296,72 @@ def _cmp(a: int, b: int) -> int:
     return (a > b) - (a < b)
 
 
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
 def _ge_tail_cmp(n: int, x: int, num: int, den: int, t_num: int, t_den: int) -> int:
-    """Exact sign of P(X >= x | p = num/den) - t_num/t_den, X ~ Bin(n, p)."""
+    """Exact sign of P(X >= x | p = num/den) - t_num/t_den, X ~ Bin(n, p).
+
+    A fixed-point enclosure of the tail decides the sign whenever the
+    threshold lies outside it; the exact sum runs only when it lies inside.
+    """
     if x <= 0 or num >= den:
         return _cmp(t_den, t_num)  # tail probability is 1
     if x > n or num <= 0:
         return _cmp(0, t_num)  # tail probability is 0
+    if n - x <= x:
+        sign = _enclosed_tail_cmp(n, x, num, den - num, t_num, t_den)
+    else:
+        # sum the complement instead: P(X >= x) = 1 - P(n - X >= n - x + 1),
+        # where n - X ~ Bin(n, 1 - p) and n - x + 1 <= n/2 + 1
+        sign = _enclosed_tail_cmp(n, n - x + 1, den - num, num, t_den - t_num, t_den)
+        sign = None if sign is None else -sign
+    return _exact_ge_tail_cmp(n, x, num, den, t_num, t_den) if sign is None else sign
+
+
+def _enclosed_tail_cmp(n: int, x: int, a: int, b: int, t_num: int, t_den: int) -> int | None:
+    """Sign of P(X >= x) - t_num/t_den for X ~ Bin(n, a/(a+b)), a, b >= 1 and
+    n/2 <= x <= n, or None when the enclosure cannot decide it.
+
+    With T_j = P(X = j), the tail exceeds t iff sum_{j >= x} T_j/T_x exceeds
+    theta = t / T_x.  T_x is computed exactly once, only to place theta
+    between two integers on the 2^-_TAIL_BITS scale.  The ratios T_j/T_x
+    follow the term-ratio recurrence on that scale, rounded down for the
+    lower sum and up for the upper one, so both sums enclose the exact one.
+    """
+    if t_num <= 0:
+        return 1  # the tail is positive
+    start = math.comb(n, x) * a**x * b ** (n - x)  # T_x * (a+b)^n
+    theta, rem = divmod((t_num * (a + b) ** n) << _TAIL_BITS, t_den * start)
+    theta_up = theta + (rem != 0)
+    term_lo = term_hi = sum_lo = sum_hi = 1 << _TAIL_BITS
+    for j in range(x, n):
+        if sum_lo > theta:
+            return 1
+        num_r = (n - j) * a
+        den_r = (j + 1) * b
+        if num_r < den_r:
+            # terms now decay geometrically with ratio num_r/den_r, so the
+            # remaining mass is below term * num_r / (den_r - num_r)
+            if sum_hi + _ceil_div(term_hi * num_r, den_r - num_r) < theta_up:
+                return -1
+            if term_lo == 0:
+                return None  # the lower sum has stopped growing
+        term_lo = term_lo * num_r // den_r
+        term_hi = _ceil_div(term_hi * num_r, den_r)
+        sum_lo += term_lo
+        sum_hi += term_hi
+    if sum_lo > theta:
+        return 1
+    if sum_hi < theta_up:
+        return -1
+    return None
+
+
+def _exact_ge_tail_cmp(n: int, x: int, num: int, den: int, t_num: int, t_den: int) -> int:
+    """``_ge_tail_cmp`` for 1 <= x <= n and 0 < num < den, summed in integers
+    scaled by den^n."""
     a, b = num, den - num
     total_den = den**n
     threshold = t_num * total_den
@@ -313,6 +390,48 @@ def _ge_tail_cmp(n: int, x: int, num: int, den: int, t_num: int, t_den: int) -> 
     return _cmp((total_den - s) * t_den, threshold)
 
 
+def _log_mass(n: int, j: np.ndarray, p: float, log_fact: np.ndarray) -> float:
+    """log P(X in j | p) in float64 for an array j of outcomes, X ~ Bin(n, p),
+    0 < p < 1; ``log_fact[i]`` is log i!."""
+    log_binom = log_fact[n] - log_fact[j] - log_fact[n - j]
+    terms = log_binom + j * math.log(p) + (n - j) * math.log1p(-p)
+    top = terms.max()
+    return top + math.log(np.exp(terms - top).sum())
+
+
+def _bisect(pred, lo: int, hi: int) -> int:
+    """Largest g in [lo, hi) with pred(g), for pred true up to some point
+    and false after it, given pred(lo) and not pred(hi)."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _last_true(pred, guess: int, end: int) -> int:
+    """``_bisect(pred, 0, end)``, starting from a guess of the answer.
+
+    pred(guess) and pred(guess + 1) are checked first; if either fails, the
+    bracket gallops outward in doubling steps and is then bisected.  The
+    answer is unique for a monotone pred, so the guess changes only how many
+    times pred runs, never the result.
+    """
+    g = min(max(guess, 0), end - 1)
+    step = 1
+    if pred(g):
+        lo, hi = g, g + 1
+        while hi < end and pred(hi):
+            lo, hi, step = hi, min(hi + step, end), 2 * step
+    else:
+        lo, hi = g - 1, g
+        while lo > 0 and not pred(lo):
+            lo, hi, step = max(lo - step, 0), lo, 2 * step
+    return _bisect(pred, lo, hi)
+
+
 def clopper_pearson(successes: int, trials: int, level: Fraction) -> tuple[Fraction, Fraction]:
     """Exact two-sided Clopper-Pearson interval, endpoints rounded outward
     onto the dyadic grid of width 2^-21."""
@@ -321,38 +440,32 @@ def clopper_pearson(successes: int, trials: int, level: Fraction) -> tuple[Fract
     level = Fraction(level)
     if not 0 < level < 1:
         raise ValueError("confidence level must lie strictly between 0 and 1")
+    n, x = trials, successes
     half = (1 - level) / 2
+    comp = 1 - half
     den = 1 << _CP_BITS
-    if successes == 0:
+    log_fact = np.array([math.lgamma(j + 1) for j in range(n + 1)])
+    log_half = math.log(half.numerator) - math.log(half.denominator)
+    # the float64 guesses compare a tail with alpha/2, never with 1 - alpha/2,
+    # so they keep their relative precision when alpha is tiny
+    if x == 0:
         lower = Fraction(0)
     else:
-        # P(X >= successes | p) is increasing in p; keep the largest grid
-        # point where it still does not exceed alpha/2
-        lo, hi = 0, den
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _ge_tail_cmp(trials, successes, mid, den, half.numerator, half.denominator) <= 0:
-                lo = mid
-            else:
-                hi = mid
-        lower = Fraction(lo, den)
-    if successes == trials:
+        # P(X >= x | p) is increasing in p; keep the largest grid point where
+        # it still does not exceed alpha/2
+        upper_tail = np.arange(x, n + 1)
+        guess = _bisect(lambda g: _log_mass(n, upper_tail, g / den, log_fact) <= log_half, 0, den)
+        holds = lambda g: _ge_tail_cmp(n, x, g, den, half.numerator, half.denominator) <= 0
+        lower = Fraction(_last_true(holds, guess, den), den)
+    if x == n:
         upper = Fraction(1)
     else:
-        # P(X <= successes | p) <= alpha/2  <=>  P(X >= successes+1 | p) >= 1 - alpha/2
-        comp = 1 - half
-        lo, hi = 0, den
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            ok = (
-                _ge_tail_cmp(trials, successes + 1, mid, den, comp.numerator, comp.denominator)
-                >= 0
-            )
-            if ok:
-                hi = mid
-            else:
-                lo = mid
-        upper = Fraction(hi, den)
+        # P(X <= x | p) <= alpha/2  <=>  P(X >= x+1 | p) >= 1 - alpha/2; the
+        # upper endpoint is the grid point after the last one where it fails
+        lower_tail = np.arange(x + 1)
+        guess = _bisect(lambda g: _log_mass(n, lower_tail, g / den, log_fact) > log_half, 0, den)
+        fails = lambda g: _ge_tail_cmp(n, x + 1, g, den, comp.numerator, comp.denominator) < 0
+        upper = Fraction(_last_true(fails, guess, den) + 1, den)
     return lower, upper
 
 
@@ -452,7 +565,7 @@ def estimate_density(
         )
         successes = sum(
             int(np.count_nonzero(weights >= d))
-            for weights in _code_min_weights(space, tower, spec.dim, bases)
+            for weights in _code_min_weights(space, tower, spec.dim, bases, guards)
         )
     lower, upper = clopper_pearson(successes, trials, level)
     return SampleReport(

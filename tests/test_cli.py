@@ -272,3 +272,19 @@ def test_qbinom_prints_integers_of_any_size(capsys):
         piece = digits[i : i + 1000]
         value = value * 10 ** len(piece) + int(piece)
     assert value == expected
+
+
+def test_estimate_beyond_the_weight_table_guard_exits_three(capsys, monkeypatch):
+    # 2^40 words would need a 1 TB weight table: refused before any of it exists
+    from codedensity import harness
+
+    def no_table(*args):
+        raise AssertionError("the weight table was being built")
+
+    monkeypatch.setattr(harness, "_fp_span", no_table)
+    code, out, err = run_cli(
+        capsys, "estimate", "--metric", "hamming", "--q", "2", "--ell", "1", "--s", "8",
+        "--n", "5", "--k", "1", "--d", "2", "--trials", "10",
+    )
+    assert code == 3 and out == ""
+    assert f"weight table entries: exact count {2**40} exceeds guard 1000000" in err

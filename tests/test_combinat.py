@@ -205,3 +205,45 @@ def test_prime_power_exact_for_huge_powers():
     powers = {p**e: (p, e) for p in primes for e in range(1, 13) if p**e < 5000}
     for n in range(5000):
         assert prime_power(n) == powers.get(n)
+
+
+# the smallest strong pseudoprime to the 12 bases 2..37
+_PSP_BASES_TO_37 = 318665857834031151167461
+
+
+def test_is_prime_rejects_the_strong_pseudoprime_to_bases_up_to_37():
+    from codedensity.metrics import AmbientSpace
+
+    assert 399165290221 * 798330580441 == _PSP_BASES_TO_37
+    assert not is_prime(_PSP_BASES_TO_37)
+    assert prime_power(_PSP_BASES_TO_37) is None
+    with pytest.raises(ValueError, match="prime power"):
+        AmbientSpace(_PSP_BASES_TO_37, 1, 1, 1, "hamming")
+    assert is_prime(399165290221) and is_prime(798330580441)
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 20_000
+    sieve = [False, False] + [True] * (limit - 2)
+    for i in range(2, limit):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(range(i * i, limit, i))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def test_baillie_psw_halves_and_large_numbers():
+    from codedensity.combinat import _strong_lucas_probable_prime, _strong_probable_prime
+
+    # the strong Lucas pseudoprimes below 20000 (Selfridge parameters) pass
+    # the Lucas half and fail the base-2 half; 2047 and 3277 do the reverse
+    for n in (5459, 5777, 10877, 16109, 18971):
+        assert _strong_lucas_probable_prime(n) and not _strong_probable_prime(n, 2)
+    for n in (2047, 3277, 4033, 4681, 8321):
+        assert _strong_probable_prime(n, 2) and not _strong_lucas_probable_prime(n)
+    # above 3.3 * 10^24: Mersenne primes, and composites including a square
+    for e in (89, 107, 127, 521, 607):
+        assert is_prime(2**e - 1)
+    for n in ((2**61 - 1) ** 2, (2**61 - 1) * (2**89 - 1), (2**31 - 1) * (2**61 - 1)):
+        assert not is_prime(n)
+    assert not _strong_lucas_probable_prime((2**61 - 1) ** 2)  # a square has no Selfridge D
+    assert prime_power((2**89 - 1) ** 3) == (2**89 - 1, 3)

@@ -4,6 +4,7 @@ verification suites."""
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,137 @@ def test_clopper_pearson_exact_endpoints_against_binomial_tails():
     assert _ge_tail_cmp(n, x, lo.numerator * (den // lo.denominator), den, half.numerator, half.denominator) <= 0
     above = int(lo * den) + 1
     assert _ge_tail_cmp(n, x, above, den, half.numerator, half.denominator) > 0
+    # at the upper endpoint P(X <= x) is at most alpha/2, one step in it is not
+    comp = 1 - half
+    assert hi.denominator <= den
+    at = int(hi * den)
+    assert _ge_tail_cmp(n, x + 1, at, den, comp.numerator, comp.denominator) >= 0
+    assert _ge_tail_cmp(n, x + 1, at - 1, den, comp.numerator, comp.denominator) < 0
+
+
+def _reference_ge_tail_cmp(n, x, num, den, t_num, t_den):
+    """The exact tail comparison summed in integers scaled by den^n, kept
+    as it stood before the enclosure; the reference for ``_ge_tail_cmp``."""
+    cmp = lambda a, b: (a > b) - (a < b)
+    if x <= 0 or num >= den:
+        return cmp(t_den, t_num)
+    if x > n or num <= 0:
+        return cmp(0, t_num)
+    a, b = num, den - num
+    total_den = den**n
+    threshold = t_num * total_den
+    if n - x <= x:
+        term = math.comb(n, x) * a**x * b ** (n - x)
+        s = term
+        for j in range(x, n):
+            if s * t_den > threshold:
+                return 1
+            num_r = (n - j) * a
+            den_r = (j + 1) * b
+            if num_r < den_r:
+                gap = den_r - num_r
+                if (s * gap + term * num_r) * t_den < threshold * gap:
+                    return -1
+            term = term * num_r // den_r
+            s += term
+        return cmp(s * t_den, threshold)
+    term = b**n
+    s = term
+    for j in range(0, x - 1):
+        term = term * (n - j) * a // ((j + 1) * b)
+        s += term
+    return cmp((total_den - s) * t_den, threshold)
+
+
+def _reference_clopper_pearson(successes, trials, level):
+    """Bisection of the whole grid with the reference comparison, as
+    ``clopper_pearson`` searched before its float-guided start."""
+    half = (1 - level) / 2
+    comp = 1 - half
+    den = 1 << 21
+
+    def first_ok(ok):  # smallest grid point in (0, den] where ok holds
+        lo, hi = 0, den
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+        return hi
+
+    def cmp(x, g, t):
+        return _reference_ge_tail_cmp(trials, x, g, den, t.numerator, t.denominator)
+
+    lower, upper = Fraction(0), Fraction(1)
+    if successes:
+        lower = Fraction(first_ok(lambda g: cmp(successes, g, half) > 0) - 1, den)
+    if successes < trials:
+        upper = Fraction(first_ok(lambda g: cmp(successes + 1, g, comp) >= 0), den)
+    return lower, upper
+
+
+def test_clopper_pearson_matches_the_bisection_reference():
+    # seeded differential test: the enclosure, the float-guided start and
+    # the exact fallback must give the endpoints of the plain exact bisection
+    import random
+
+    rng = random.Random(20221)
+    levels = [Fraction(k, 1000) for k in (500, 900, 950, 990, 999)]
+    cases = []
+    for _ in range(300):
+        n = round(10 ** rng.uniform(0, math.log10(3000)))
+        x = rng.choice([0, 1, n // 2, n - 1, n, rng.randint(0, n), rng.randint(0, n)])
+        cases.append((x, n, rng.choice(levels + [Fraction(rng.randint(1, 9999), 10_000)])))
+    cases += [(5924, 10_000, Fraction(99, 100)), (37, 10_000, Fraction(95, 100))]
+    # extreme levels: at alpha/2 = 10^-60 the enclosure of a tail near 1
+    # cannot resolve 1 - alpha/2, so comparisons fall back to the exact sum
+    for level in (1 - Fraction(1, 10**60), Fraction(1, 10**30)):
+        cases += [(3, 10, level), (1, 2000, level), (120, 300, level), (250, 300, level)]
+    for x, n, level in cases:
+        want = _reference_clopper_pearson(x, n, level)
+        assert clopper_pearson(x, n, level) == want, (x, n, level)
+
+
+def test_guided_search_finds_the_boundary_from_any_guess():
+    from codedensity.harness import _last_true
+
+    end = 1 << 21
+    for last in (0, 1, 77, end // 3, end - 2, end - 1):
+        calls = []
+        pred = lambda g: calls.append(g) or g <= last
+        for guess in (-5, 0, last - 1000, last - 1, last, last + 1, last + 12345, end - 1, end + 9):
+            calls.clear()
+            assert _last_true(pred, guess, end) == last, (last, guess)
+            assert all(0 <= g < end for g in calls)
+        calls.clear()
+        _last_true(pred, last, end)
+        assert len(calls) == (1 if last == end - 1 else 2)  # a right guess costs two checks
+
+
+def test_tail_comparison_matches_the_reference_at_and_around_exact_tails(monkeypatch):
+    # a threshold equal to an exact tail lies inside every enclosure, so the
+    # exact sum must run and report a tie; 2^-100 either side, the enclosure
+    # decides alone
+    from codedensity import harness
+
+    exact_runs = []
+    exact = harness._exact_ge_tail_cmp
+    monkeypatch.setattr(
+        harness, "_exact_ge_tail_cmp", lambda *args: exact_runs.append(args) or exact(*args)
+    )
+    den = 1 << 21
+    cases = ((50, 30, 1_000_003), (50, 10, 1_000_003), (7, 7, 5), (400, 1, 2**20), (1, 1, 3))
+    for n, x, num in cases:
+        tail = sum(
+            Fraction(math.comb(n, j) * num**j * (den - num) ** (n - j), den**n)
+            for j in range(x, n + 1)
+        )
+        exact_runs.clear()
+        assert harness._ge_tail_cmp(n, x, num, den, tail.numerator, tail.denominator) == 0
+        assert len(exact_runs) == 1
+        for shift, sign in ((Fraction(1, 2**100), -1), (-Fraction(1, 2**100), 1)):
+            t = tail + shift
+            assert harness._ge_tail_cmp(n, x, num, den, t.numerator, t.denominator) == sign
+            assert _reference_ge_tail_cmp(n, x, num, den, t.numerator, t.denominator) == sign
+        assert len(exact_runs) == 1
 
 
 def test_estimate_density_ci_contains_exact():

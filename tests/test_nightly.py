@@ -5,7 +5,8 @@ independent seeds per scenario.  The interval is conservative by
 construction, so per-scenario coverage must be at least 99% at the 0.99
 level.  Last recorded run (trials=2000): 198/200, 198/200, 198/200,
 199/200, 199/200 for hamming-linear, hamming-nonlinear, rank-linear,
-sumrank-linear, nonlinear-q3; wall time 4m14s.
+sumrank-linear, nonlinear-q3; wall time 53 s for all six tests on a shared
+2-core VM with Python 3.11.
 """
 
 from __future__ import annotations
