@@ -186,11 +186,30 @@ def nonlinear_bracket(
     return _clamped(raw_lower, raw_upper), NonlinearBoundTerms(beta0, beta1, theta)
 
 
+def _qbinom_step_ratio(a: int, b: int, base: int) -> Fraction:
+    """qbinom(a-1, b-1, base) / qbinom(a, b, base) for 0 <= b <= a, which is
+    (base^b - 1) / (base^a - 1) and 0 at b = 0, so neither Gaussian binomial
+    is built."""
+    if b == 0:
+        return Fraction(0)
+    return Fraction(base**b - 1, base**a - 1)
+
+
 def sublinear_bracket(
     space: AmbientSpace, k: int, ell: int, d: int
 ) -> tuple[DensityBracket, SublinearBoundTerms]:
     """Two-sided bound on the fraction of middle-field-linear dimension-k
-    codes with distance >= d; all Gaussian binomials at base q^ell."""
+    codes with distance >= d; all Gaussian binomials at base B = q^ell.
+
+    With v the ball volume of radius d-1 and ns = n*m/ell:
+
+        1 - (v-1)/(B-1) * [ns-1, k-1]/[ns, k]              <= density
+        1 - (v-1)/(B-1) * [ns-1, k-1]/([ns, k] theta_bar)   >= density
+
+    where theta_bar = 1 + ((v-1)/(B-1) - 1) [ns-2, k-2]/[ns-1, k-1].  Both
+    ratios of Gaussian binomials are quotients of two powers of B minus one
+    (:func:`_qbinom_step_ratio`).
+    """
     if space.m % ell:
         raise ValueError(f"linearity {ell} must divide m={space.m}")
     s = space.m // ell
@@ -203,11 +222,9 @@ def sublinear_bracket(
     v = ball_volume(space, d - 1)
     if v == 1:
         return _clamped(Fraction(1), Fraction(1)), SublinearBoundTerms(Fraction(1))
-    b_all = qbinom(ns, k, base)
-    b_one = qbinom(ns - 1, k - 1, base)
-    b_two = qbinom(ns - 2, k - 2, base)
-    spoiled = Fraction((v - 1) * b_one, (base - 1) * b_all)
-    theta_bar = 1 + (Fraction(v - 1, base - 1) - 1) * Fraction(b_two, b_one)
+    vv = Fraction(v - 1, base - 1)
+    spoiled = vv * _qbinom_step_ratio(ns, k, base)
+    theta_bar = 1 + (vv - 1) * _qbinom_step_ratio(ns - 1, k - 1, base)
     raw_lower = 1 - spoiled
     raw_upper = 1 - spoiled / theta_bar
     return _clamped(raw_lower, raw_upper), SublinearBoundTerms(theta_bar)
@@ -239,9 +256,7 @@ def bad_code_count_brackets(
     k = spec.dim
     if v == 1:
         return Fraction(0), Fraction(0)
-    b_one = qbinom(ns - 1, k - 1, base)
-    b_two = qbinom(ns - 2, k - 2, base)
     vv = Fraction(v - 1, base - 1)
-    upper = vv * b_one
-    lower = (vv * b_one * b_one) / (b_one + (vv - 1) * b_two)
+    upper = vv * qbinom(ns - 1, k - 1, base)
+    lower = upper / (1 + (vv - 1) * _qbinom_step_ratio(ns - 1, k - 1, base))
     return lower, upper

@@ -7,7 +7,11 @@ rank weights expand coordinates to base-q digit columns, so they require a
 prime q (the formula-only operations accept any prime power).
 
 ``ball_volume`` is the closed-form exact count; ``ball_volume_oracle``
-recounts by full enumeration and exists purely to check the former.
+recounts by full enumeration and exists purely to check the former.  Rank
+volumes sum the rank shells N_i = qbinom(n, i, q) prod_{j<i} (q^m - q^j),
+the number of vectors of rank weight i.  Sum-rank volumes take one block's
+shells at length eta, convolve them t times truncated at the radius, and sum
+the result, so they cost polynomial time in t and the radius.
 ``volume_growth`` returns the leading coefficient and exponent of the ball
 volume as one parameter grows, as exact rationals; the classifier compares
 these symbolically, never through floats.
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinat import binom, compositions, is_prime, prime_power, qbinom
+from .combinat import binom, is_prime, prime_power, qbinom
 from .fields import Codeword, FieldTower, SubspaceBasis, _PrimeField, rref
 from .guards import Guards, GuardExceeded, UnsupportedAsymptotics
 
@@ -219,7 +223,16 @@ def projective_span(basis: SubspaceBasis, tower: FieldTower):
 def ball_volume(space: AmbientSpace, r: int) -> int:
     """Exact number of vectors at distance <= r from the origin.  Radii past
     the metric diameter clamp to the full space (callers pass d-1 where d may
-    be diameter+1)."""
+    be diameter+1).
+
+    Hamming volumes sum C(n, i) (q^m - 1)^i.  Rank volumes sum the rank
+    shells of F_{q^m}^n (see :func:`_rank_shells`).  A sum-rank weight is the
+    sum of the t block rank weights, so the sum-rank weight distribution is
+    the t-fold convolution of one block's shells at length eta; the volume
+    convolves them t times, drops every degree past r, and sums what is
+    left.  That costs O(t * r * min(m, eta)) products, where walking every
+    split of the weight over the blocks grows exponentially in t.
+    """
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
     r = min(r, space.diameter)
@@ -227,26 +240,28 @@ def ball_volume(space: AmbientSpace, r: int) -> int:
     if space.metric == HAMMING:
         return sum(binom(n, i) * (q**m - 1) ** i for i in range(r + 1))
     if space.metric == RANK:
-        return sum(
-            qbinom(n, i, q) * _surjection_count(q, m, i) for i in range(r + 1)
-        )
-    eta, t = space.eta, space.t
-    cap = min(m, eta)
-    total = 0
-    for h in range(r + 1):
-        for u in compositions(h, t, cap):
-            term = 1
-            for ui in u:
-                term *= qbinom(eta, ui, q) * _surjection_count(q, m, ui)
-            total += term
-    return total
+        return sum(_rank_shells(q, m, n, r))
+    block = _rank_shells(q, m, space.eta, r)
+    dist = [1]
+    for _ in range(space.t):
+        conv = [0] * min(len(dist) + len(block) - 1, r + 1)
+        for i, a in enumerate(dist):
+            for j, b in enumerate(block[: r + 1 - i]):
+                conv[i + j] += a * b
+        dist = conv
+    return sum(dist)
 
 
-def _surjection_count(q: int, m: int, i: int) -> int:
-    out = 1
-    for j in range(i):
-        out *= q**m - q**j
-    return out
+def _rank_shells(q: int, m: int, n: int, r: int) -> list[int]:
+    """[N_0, ..., N_top] with top = min(r, m, n), where
+    N_i = qbinom(n, i, q) * prod_{j<i} (q^m - q^j) counts the vectors of
+    F_{q^m}^n of rank weight i.  Each shell follows from the one before by
+    one exact step, N_i = N_{i-1} (q^(n-i+1) - 1)(q^m - q^(i-1)) / (q^i - 1)."""
+    qm = q**m
+    shells = [1]
+    for i in range(1, min(r, m, n) + 1):
+        shells.append(shells[-1] * (q ** (n - i + 1) - 1) * (qm - q ** (i - 1)) // (q**i - 1))
+    return shells
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ from codedensity.bounds import (
 from codedensity.combinat import binom, qbinom
 from codedensity.fields import build_tower, codeword_from_int
 from codedensity.harness import exact_density, subset_distance_histogram
-from codedensity.metrics import AmbientSpace, subtract, weight
+from codedensity.metrics import AmbientSpace, ball_volume, subtract, weight
 
 
 def _max_code_size_bruteforce(space: AmbientSpace, d: int) -> int:
@@ -173,6 +173,54 @@ def test_bracket_rawbounds_ordered_and_theta_at_least_one():
             assert bracket.raw_lower <= bracket.raw_upper
 
 
+def _linear_bracket_grid():
+    """(space, ell, k, d) with k in {1, 2, ns-1, ns}, ns = 1 included, and
+    every d up to diameter+1."""
+    for q, ell, s, n in itertools.product((2, 3, 4, 1009), (1, 2), (1, 2), (1, 2, 4)):
+        spaces = [AmbientSpace(q, ell, s, n, "hamming"), AmbientSpace(q, ell, s, n, "rank")]
+        if n > 1:
+            spaces.append(AmbientSpace(q, ell, s, n, "sumrank", t=2))
+        ns = n * s
+        for space in spaces:
+            for k in sorted({1, 2, ns - 1, ns} & set(range(1, ns + 1))):
+                for d in range(1, space.diameter + 2):
+                    yield space, ell, k, d
+
+
+def _three_qbinom_terms(space, k, ell, d):
+    """Raw lower, raw upper and theta_bar of the sublinear bracket, and the
+    bad-code count bounds, from the three Gaussian binomials [ns, k],
+    [ns-1, k-1] and [ns-2, k-2]."""
+    ns = space.n * space.m // ell
+    base = space.q**ell
+    v = ball_volume(space, d - 1)
+    if v == 1:
+        return Fraction(1), Fraction(1), Fraction(1), (Fraction(0), Fraction(0))
+    b_all = qbinom(ns, k, base)
+    b_one = qbinom(ns - 1, k - 1, base)
+    b_two = qbinom(ns - 2, k - 2, base)
+    spoiled = Fraction((v - 1) * b_one, (base - 1) * b_all)
+    theta_bar = 1 + (Fraction(v - 1, base - 1) - 1) * Fraction(b_two, b_one)
+    vv = Fraction(v - 1, base - 1)
+    counts = ((vv * b_one * b_one) / (b_one + (vv - 1) * b_two), vv * b_one)
+    return 1 - spoiled, 1 - spoiled / theta_bar, theta_bar, counts
+
+
+def test_linear_brackets_match_three_qbinom_formulas():
+    cases = 0
+    for space, ell, k, d in _linear_bracket_grid():
+        raw_lower, raw_upper, theta_bar, counts = _three_qbinom_terms(space, k, ell, d)
+        bracket, terms = sublinear_bracket(space, k, ell, d)
+        assert (bracket.raw_lower, bracket.raw_upper, terms.theta_bar) == (
+            raw_lower,
+            raw_upper,
+            theta_bar,
+        ), (space, ell, k, d)
+        assert bad_code_count_brackets(space, CodeFamilySpec(ell, d, dim=k)) == counts
+        cases += 1
+    assert cases > 1000
+
+
 def test_bad_code_count_consistency_identity():
     # upper count / total == 1 - lower density bound, and symmetrically
     space = AmbientSpace(2, 1, 1, 2, "hamming")
@@ -182,12 +230,13 @@ def test_bad_code_count_consistency_identity():
     assert 1 - Fraction(upper_count) / total == bracket.raw_lower
     assert 1 - Fraction(lower_count) / total == bracket.raw_upper
 
-    lspace = AmbientSpace(2, 1, 2, 2, "hamming")
-    lower_count, upper_count = bad_code_count_brackets(lspace, CodeFamilySpec(1, 2, dim=1))
-    ltotal = qbinom(4, 1, 2)
-    lbracket, _ = sublinear_bracket(lspace, 1, 1, 2)
-    assert 1 - Fraction(upper_count) / ltotal == lbracket.raw_lower
-    assert 1 - Fraction(lower_count) / ltotal == lbracket.raw_upper
+    for lspace, ell, k, d in _linear_bracket_grid():
+        spec = CodeFamilySpec(ell, d, dim=k)
+        lower_count, upper_count = bad_code_count_brackets(lspace, spec)
+        ltotal = qbinom(lspace.n * lspace.m // ell, k, lspace.q**ell)
+        lbracket, _ = sublinear_bracket(lspace, k, ell, d)
+        assert 1 - Fraction(upper_count) / ltotal == lbracket.raw_lower
+        assert 1 - Fraction(lower_count) / ltotal == lbracket.raw_upper
 
 
 def test_bad_code_count_contains_exhaustive():

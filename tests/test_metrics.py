@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from codedensity.combinat import is_prime
+from codedensity.combinat import compositions, is_prime, qbinom
 from codedensity.fields import build_tower, codeword_from_int, subspace_from_rows
 from codedensity.guards import Guards, GuardExceeded, UnsupportedAsymptotics
 from codedensity.harness import trial_generator
@@ -128,6 +128,78 @@ def test_ball_volume_matches_oracle_small_grid():
                         continue
                     for r in range(sp.diameter + 1):
                         assert ball_volume(sp, r) == ball_volume_oracle(sp, r)
+
+
+def _surjections(q: int, m: int, i: int) -> int:
+    out = 1
+    for j in range(i):
+        out *= q**m - q**j
+    return out
+
+
+def _rank_shells_reference(q: int, m: int, n: int) -> list[int]:
+    """Rank-weight counts of F_{q^m}^n, one qbinom per weight."""
+    return [qbinom(n, i, q) * _surjections(q, m, i) for i in range(min(m, n) + 1)]
+
+
+def _sumrank_shells_by_compositions(q: int, m: int, eta: int, t: int) -> list[int]:
+    """Sum-rank weight counts by the composition walk: one product of block
+    rank-shell sizes per split of the weight over the t blocks."""
+    cap = min(m, eta)
+    block = _rank_shells_reference(q, m, eta)
+    shells = []
+    for h in range(t * cap + 1):
+        total = 0
+        for split in compositions(h, t, cap):
+            term = 1
+            for u in split:
+                term *= block[u]
+            total += term
+        shells.append(total)
+    return shells
+
+
+def test_ball_volume_matches_composition_walk():
+    # every radius, one past the diameter too; an exact int, never a float
+    for q, ell, s in itertools.product((2, 3, 4, 8, 9, 1009), (1, 2), (1, 2)):
+        m = ell * s
+        lengths = set()
+        for t, eta in itertools.product(range(1, 7), range(1, 5)):
+            lengths.add(t * eta)
+            sp = AmbientSpace(q, ell, s, t * eta, "sumrank", t=t)
+            shells = _sumrank_shells_by_compositions(q, m, eta, t)
+            assert len(shells) == sp.diameter + 1
+            for r in range(sp.diameter + 2):
+                vol = ball_volume(sp, r)
+                assert type(vol) is int and vol == sum(shells[: r + 1]), (sp, r)
+        for n in sorted(lengths):
+            sp = AmbientSpace(q, ell, s, n, "rank")
+            shells = _rank_shells_reference(q, m, n)
+            for r in range(sp.diameter + 2):
+                vol = ball_volume(sp, r)
+                assert type(vol) is int and vol == sum(shells[: r + 1]), (sp, r)
+
+
+# ball_volume(F_{1009^4}^36, t = 9 blocks, r = 16), as the composition walk
+# counted it over its 710 675 splits
+SUMRANK_T9_R16 = int(
+    "874020376957590573517751032554921911525812812800614838566719425968134519"
+    "439704914867985499759285526034244178063617223676663588211326989929536673"
+    "301249571167747485488845454987887173205060452186967019228899435156779233"
+    "339804974776972271225810159187486860953807585660240592062094071617014038"
+    "84220161"
+)
+
+
+def test_sumrank_ball_volume_at_many_blocks():
+    sp9 = AmbientSpace(1009, 1, 4, 36, "sumrank", t=9)
+    assert ball_volume(sp9, 16) == SUMRANK_T9_R16
+    # weight t * 4 means every 4x4 block is invertible
+    full_rank_block = _surjections(1009, 4, 4)
+    for t in (9, 32):
+        sp = AmbientSpace(1009, 1, 4, 4 * t, "sumrank", t=t)
+        assert ball_volume(sp, sp.diameter) == sp.size
+        assert ball_volume(sp, sp.diameter - 1) == sp.size - full_rank_block**t
 
 
 def test_ball_volume_oracle_guard():
