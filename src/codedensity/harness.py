@@ -12,13 +12,20 @@ comparisons at the guess and its neighbour confirm it, galloping and
 bisecting outward when either check fails, so the guess never changes the
 result.  Each comparison first encloses the tail in fixed-point integers with
 directed rounding and falls back to the exact integer sum only when the
-threshold lies inside the enclosure.
+threshold lies inside the enclosure.  It sums the side of the distribution
+whose threshold is at most 1/2, the tail itself or its complement, so the
+enclosure keeps its relative precision at levels close to 1.
 
+Every exhaustive job reads weights from ``metrics._flat_weight_table``.
 Exhaustive linear histograms and linear Monte Carlo trials share one exact
 scorer: bases are stacked into numpy integer arrays, every codeword of each
-code is expanded, and its weight is read from a precomputed table.  The
-tests check the scorer against ``metrics.min_distance`` and the table
-against ``metrics.weight``.
+code is expanded, and its weight is read from the table.  The subset walk
+reads each pair distance from the table at the index of the pair's
+difference, and the reduction check compares two tables built on one tower.
+The tests check the scorer against ``metrics.min_distance``, the subset walk
+against ``metrics.distance`` and the table against ``metrics.weight``.
+Nonlinear Monte Carlo trials keep the scalar ``metrics.weight``, because
+they run on spaces far beyond any table.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from .fields import (
     FieldTower,
     SubspaceBasis,
     build_tower,
-    codeword_from_int,
     enumerate_subspaces,
     sample_code_subset,
     sample_subspace,
@@ -56,6 +62,9 @@ from .metrics import (
     HAMMING,
     RANK,
     SUMRANK,
+    _digit_dtype,
+    _flat_weight_table,
+    _fp_span,
     ball_volume,
     ball_volume_oracle,
     subtract,
@@ -92,98 +101,6 @@ def space_tower(space: AmbientSpace, ell: int, guards: Guards | None = None) -> 
     return build_tower(space.q, ell, space.m // ell, guards or Guards())
 
 
-def _fp_span(gens: np.ndarray, p: int) -> np.ndarray:
-    """Every F_p-combination of G generators, for each of B rows at once.
-
-    Vectors over F_p are packed bit masks of shape (B, G) when p = 2 and
-    digit arrays of shape (B, G, D) otherwise.  The combination
-    sum_g c_g * gens[:, g] lands at index sum_g c_g * p^g of axis 1.  It is
-    built by doubling: XOR for p = 2, digitwise addition mod p otherwise.
-    """
-    out = np.zeros_like(gens[:, :1])
-    for g in range(gens.shape[1]):
-        gen = gens[:, g : g + 1]
-        if p == 2:
-            out = np.concatenate((out, out ^ gen), axis=1)
-        else:
-            out = np.concatenate([(out + c * gen) % p for c in range(p)], axis=1)
-    return out
-
-
-def _digit_dtype(p: int) -> np.dtype:
-    return np.min_scalar_type(p * p)  # holds a digit plus a product of two digits
-
-
-def _fp_ranks(cols: list[np.ndarray], p: int) -> np.ndarray:
-    """Rank over F_p of N matrices at once, given by their columns: packed
-    bit masks of shape (N,) for p = 2, digit arrays of shape (N, m) otherwise.
-    For p = 2 this is the XOR-basis elimination of ``metrics._fp_rank`` run
-    elementwise; for odd p each column is reduced against an echelon basis."""
-    if p == 2:
-        basis: list[np.ndarray] = []
-        for col in cols:
-            for b in basis:
-                col = np.minimum(col, col ^ b)
-            basis.append(col)
-        return sum((b != 0).astype(np.uint8) for b in basis)
-    inv = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=cols[0].dtype)
-    n_mats, m = cols[0].shape
-    # basis[:, c] is zero or the reduced column whose first nonzero digit, a 1, is digit c
-    basis = np.zeros((n_mats, m, m), dtype=cols[0].dtype)
-    for col in cols:
-        v = col.copy()
-        for c in range(m):
-            v = (v + (p - v[:, c : c + 1]) * basis[:, c]) % p
-            lead = v[:, c]
-            new = lead != 0  # digits before c are zero, and no basis column leads at c
-            basis[new, c] = v[new] * inv[lead[new], None] % p
-            v[new] = 0
-    return basis.any(axis=2).sum(axis=1)
-
-
-def _flat_weight_table(
-    space: AmbientSpace, tower: FieldTower, guards: Guards = Guards()
-) -> np.ndarray:
-    """Weight of every vector of F_{p^ell}^(n*s), as a uint8 array indexed by
-    the packed F_p-coordinate encoding sum_i vec[i] * p^(ell*i).
-
-    ``tower.unflatten`` is F_p-linear, so the codewords of all p^(ell*n*s)
-    vectors follow by doubling from the images of the ell*n*s F_p-unit
-    vectors; the weights are then computed over the whole array.  The table
-    has one entry per word of the space, so its size is held to the
-    enumeration guard.
-    """
-    if space.size > guards.enumeration:
-        raise GuardExceeded("weight table entries", space.size, guards.enumeration)
-    p, m, n = tower.p, tower.m, space.n
-    ns = n * tower.s
-    units = []
-    for i in range(ns):
-        for u in range(tower.ell):
-            vec = [0] * ns
-            vec[i] = p**u
-            units.append(tower.unflatten(tuple(vec), n))
-    if p == 2:
-        packed = [sum(x << (j * m) for j, x in enumerate(word)) for word in units]
-        words = _fp_span(np.array([packed], dtype=np.min_scalar_type((1 << n * m) - 1)), p)[0]
-        col_dtype = np.min_scalar_type((1 << m) - 1)
-        cols = [(words >> (j * m) & ((1 << m) - 1)).astype(col_dtype) for j in range(n)]
-        nonzero = [col != 0 for col in cols]
-    else:
-        digits = [[d for x in word for d in tower.digits(x)] for word in units]
-        words = _fp_span(np.array([digits], dtype=_digit_dtype(p)), p)[0].reshape(-1, n, m)
-        cols = [words[:, j] for j in range(n)]
-        nonzero = [col.any(axis=1) for col in cols]
-    if space.metric == HAMMING:
-        weights = sum(nz.astype(np.uint8) for nz in nonzero)
-    elif space.metric == RANK:
-        weights = _fp_ranks(cols, p)
-    else:
-        eta = space.eta
-        weights = sum(_fp_ranks(cols[b * eta : (b + 1) * eta], p) for b in range(space.t))
-    return np.asarray(weights, dtype=np.uint8)
-
-
 def _min_weights(
     bases: np.ndarray, tower: FieldTower, table: np.ndarray, unit_mul: np.ndarray
 ) -> np.ndarray:
@@ -217,7 +134,7 @@ def _code_min_weights(
 ) -> Iterator[np.ndarray]:
     """Minimum weights of the k-dimensional codes ``bases`` span, scored in
     chunks of at most _CHUNK_WORDS codewords; bases are consumed lazily."""
-    table = _flat_weight_table(space, tower, guards)
+    table = _flat_weight_table(space, tower, guards.enumeration)
     units = [tower.p**u for u in range(tower.ell)]
     unit_mul = np.array([[tower.k_mul(c, x) for x in range(tower.subfield_order)] for c in units])
     per_chunk = max(1, _CHUNK_WORDS // tower.p ** (k * tower.ell))
@@ -250,20 +167,34 @@ def linear_distance_histogram(
 def subset_distance_histogram(
     space: AmbientSpace, size: int, guards: Guards = Guards()
 ) -> tuple[tuple[int, int], ...]:
-    """(min_distance, count) pairs over all size-S subsets of the space."""
+    """(min_distance, count) pairs over all size-S subsets of the space.
+
+    Words are walked as indices v of ``codeword_from_int(v)``, which are also
+    the indices of the linearity-1 weight table, so d(a, b) is the table
+    entry at the index of a - b, whose base-q digits are those of a minus
+    those of b, mod q.  The distances from a to every word form one row,
+    built when the walk first pairs a with a later word and dropped once the
+    walk's first word has passed a, so no table of all pairs is ever held.
+    """
+    if size < 2:
+        raise ValueError("minimum distance needs at least two codewords (S >= 2)")
     space.requires_prime_q()
     total_space = space.size
     total = binom(total_space, size)
     if total > guards.enumeration:
         raise GuardExceeded("subset code enumeration", total, guards.enumeration)
-    tower = build_tower(space.q, 1, space.m, guards)
-    words = [codeword_from_int(v, tower, space.n) for v in range(total_space)]
-    weights = {w: weight(space, w) for w in words}
+    table = _flat_weight_table(space, space_tower(space, 1, guards), guards.enumeration)
+    index = np.arange(total_space)
+    units = [space.q**i for i in range(space.n * space.m)]
+    rows: dict[int, list[int]] = {}
     hist: Counter[int] = Counter()
     for combo in itertools.combinations(range(total_space), size):
+        rows.pop(combo[0] - 1, None)  # combinations come in lexicographic order
         best = None
         for a, b in itertools.combinations(combo, 2):
-            dist = weights[subtract(space, words[a], words[b])]
+            if a not in rows:
+                rows[a] = table[sum((a // u - index // u) % space.q * u for u in units)].tolist()
+            dist = rows[a][b]
             if best is None or dist < best:
                 best = dist
                 if best <= 1:
@@ -310,11 +241,11 @@ def _ge_tail_cmp(n: int, x: int, num: int, den: int, t_num: int, t_den: int) -> 
         return _cmp(t_den, t_num)  # tail probability is 1
     if x > n or num <= 0:
         return _cmp(0, t_num)  # tail probability is 0
-    if n - x <= x:
+    if 2 * t_num <= t_den:
         sign = _enclosed_tail_cmp(n, x, num, den - num, t_num, t_den)
     else:
         # sum the complement instead: P(X >= x) = 1 - P(n - X >= n - x + 1),
-        # where n - X ~ Bin(n, 1 - p) and n - x + 1 <= n/2 + 1
+        # where n - X ~ Bin(n, 1 - p), against the threshold 1 - t < 1/2
         sign = _enclosed_tail_cmp(n, n - x + 1, den - num, num, t_den - t_num, t_den)
         sign = None if sign is None else -sign
     return _exact_ge_tail_cmp(n, x, num, den, t_num, t_den) if sign is None else sign
@@ -322,7 +253,7 @@ def _ge_tail_cmp(n: int, x: int, num: int, den: int, t_num: int, t_den: int) -> 
 
 def _enclosed_tail_cmp(n: int, x: int, a: int, b: int, t_num: int, t_den: int) -> int | None:
     """Sign of P(X >= x) - t_num/t_den for X ~ Bin(n, a/(a+b)), a, b >= 1 and
-    n/2 <= x <= n, or None when the enclosure cannot decide it.
+    1 <= x <= n, or None when the enclosure cannot decide it.
 
     With T_j = P(X = j), the tail exceeds t iff sum_{j >= x} T_j/T_x exceeds
     theta = t / T_x.  T_x is computed exactly once, only to place theta
@@ -537,7 +468,6 @@ def estimate_density(
     d = spec.d
     if spec.linearity == 0:
         tower = build_tower(space.q, 1, space.m, guards)
-        words_cache: dict[int, tuple[int, ...]] = {}
         weights_cache: dict[tuple[int, ...], int] = {}
 
         def run_trial(i: int) -> bool:
@@ -546,10 +476,9 @@ def estimate_density(
             best = None
             for a, b in itertools.combinations(words, 2):
                 diff = subtract(space, a, b)
-                w = weights_cache.get(diff)
-                if w is None:
-                    w = weight(space, diff)
-                    weights_cache[diff] = w
+                if diff not in weights_cache:
+                    weights_cache[diff] = weight(space, diff)
+                w = weights_cache[diff]
                 if best is None or w < best:
                     best = w
                     if best < d:
@@ -655,7 +584,8 @@ def reduction_verification(
     q: int, ell: int, s: int, n: int, guards: Guards | None = None
 ) -> list[Verdict]:
     """Sum-rank with t=1 must match rank, and with eta=1 must match Hamming:
-    exact ball volumes at every radius and pointwise weights."""
+    exact ball volumes at every radius, and pointwise weights compared as two
+    weight tables built on one tower (spaces up to ``guards.oracle_space``)."""
     guards = guards or Guards()
     out = []
     rank_space = AmbientSpace(q, ell, s, n, RANK)
@@ -673,12 +603,9 @@ def reduction_verification(
                 )
             )
         if a.size <= guards.oracle_space:
-            tower = build_tower(q, 1, a.m, guards)
-            mismatch = 0
-            for v in range(a.size):
-                word = codeword_from_int(v, tower, n)
-                if weight(a, word) != weight(b, word):
-                    mismatch += 1
+            tower = space_tower(a, 1, guards)
+            wa, wb = (_flat_weight_table(x, tower, guards.oracle_space) for x in (a, b))
+            mismatch = int(np.count_nonzero(wa != wb))
             out.append(
                 Verdict(
                     "reduction",
@@ -704,9 +631,8 @@ def _criterion_volume_spaces(limit: int) -> list[AmbientSpace]:
     return spaces
 
 
-def _linear_bracket_cases(guards: Guards):
+def _linear_bracket_cases():
     for ell, s in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        m = ell * s
         for n in (1, 2, 3):
             metrics = [AmbientSpace(2, ell, s, n, HAMMING), AmbientSpace(2, ell, s, n, RANK)]
             for t in range(2, n + 1):
@@ -747,7 +673,7 @@ def bracket_verification(grid: str, guards: Guards | None = None) -> list[Verdic
             (AmbientSpace(3, 1, 1, 2, HAMMING), CodeFamilySpec(0, 2, size=3)),
         ]
     else:
-        cases = itertools.chain(_nonlinear_bracket_cases(), _linear_bracket_cases(guards))
+        cases = itertools.chain(_nonlinear_bracket_cases(), _linear_bracket_cases())
     for space, spec in cases:
         out.append(verify_bracket(space, spec, guards))
     return out

@@ -6,8 +6,17 @@ eta = n/t).  Weights act on codewords over F_{q^m} encoded as int tuples;
 rank weights expand coordinates to base-q digit columns, so they require a
 prime q (the formula-only operations accept any prime power).
 
+Every exhaustive word-level job reads weights from one numpy table,
+``_flat_weight_table``, which holds the weight of every word of a space.
+The volume oracle counts it, and ``harness`` scores linear codes, walks
+subsets and checks the metric reductions with it.  A metric is
+translation-invariant, d(x, y) = w(x - y), so the weights of single words
+serve pair distances too.  The scalar ``weight`` stays as the reference the
+tests check the table against, and as the weight of nonlinear Monte Carlo
+trials on spaces far beyond any table.
+
 ``ball_volume`` is the closed-form exact count; ``ball_volume_oracle``
-recounts by full enumeration and exists purely to check the former.  Rank
+recounts from the weight table and exists purely to check the former.  Rank
 volumes sum the rank shells N_i = qbinom(n, i, q) prod_{j<i} (q^m - q^j),
 the number of vectors of rank weight i.  Sum-rank volumes take one block's
 shells at length eta, convolve them t times truncated at the radius, and sum
@@ -26,7 +35,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import binom, is_prime, prime_power, qbinom
-from .fields import Codeword, FieldTower, SubspaceBasis, _PrimeField, rref
+import numpy as np
+
+from .fields import Codeword, FieldTower, SubspaceBasis, _PrimeField, build_tower, rref
 from .guards import Guards, GuardExceeded, UnsupportedAsymptotics
 
 HAMMING = "hamming"
@@ -216,6 +227,103 @@ def projective_span(basis: SubspaceBasis, tower: FieldTower):
 
 
 # ---------------------------------------------------------------------------
+# weight tables
+# ---------------------------------------------------------------------------
+
+
+def _fp_span(gens: np.ndarray, p: int) -> np.ndarray:
+    """Every F_p-combination of G generators, for each of B rows at once.
+
+    Vectors over F_p are packed bit masks of shape (B, G) when p = 2 and
+    digit arrays of shape (B, G, D) otherwise.  The combination
+    sum_g c_g * gens[:, g] lands at index sum_g c_g * p^g of axis 1.  It is
+    built by doubling: XOR for p = 2, digitwise addition mod p otherwise.
+    """
+    out = np.zeros_like(gens[:, :1])
+    for g in range(gens.shape[1]):
+        gen = gens[:, g : g + 1]
+        if p == 2:
+            out = np.concatenate((out, out ^ gen), axis=1)
+        else:
+            out = np.concatenate([(out + c * gen) % p for c in range(p)], axis=1)
+    return out
+
+
+def _digit_dtype(p: int) -> np.dtype:
+    return np.min_scalar_type(p * p)  # holds a digit plus a product of two digits
+
+
+def _fp_ranks(cols: list[np.ndarray], p: int) -> np.ndarray:
+    """Rank over F_p of N matrices at once, given by their columns: packed
+    bit masks of shape (N,) for p = 2, digit arrays of shape (N, m) otherwise.
+    For p = 2 this is the XOR-basis elimination of :func:`_fp_rank` run
+    elementwise; for odd p each column is reduced against an echelon basis."""
+    if p == 2:
+        basis: list[np.ndarray] = []
+        for col in cols:
+            for b in basis:
+                col = np.minimum(col, col ^ b)
+            basis.append(col)
+        return sum((b != 0).astype(np.uint8) for b in basis)
+    inv = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=cols[0].dtype)
+    n_mats, m = cols[0].shape
+    # basis[:, c] is zero or the reduced column whose first nonzero digit, a 1, is digit c
+    basis = np.zeros((n_mats, m, m), dtype=cols[0].dtype)
+    for col in cols:
+        v = col.copy()
+        for c in range(m):
+            v = (v + (p - v[:, c : c + 1]) * basis[:, c]) % p
+            lead = v[:, c]
+            new = lead != 0  # digits before c are zero, and no basis column leads at c
+            basis[new, c] = v[new] * inv[lead[new], None] % p
+            v[new] = 0
+    return basis.any(axis=2).sum(axis=1)
+
+
+def _flat_weight_table(space: AmbientSpace, tower: FieldTower, limit: int) -> np.ndarray:
+    """Weight of every vector of F_{p^ell}^(n*s), as a uint8 array indexed by
+    the packed F_p-coordinate encoding sum_i vec[i] * p^(ell*i).
+
+    ``tower.unflatten`` is F_p-linear, so the codewords of all p^(ell*n*s)
+    vectors follow by doubling from the images of the ell*n*s F_p-unit
+    vectors; the weights are then computed over the whole array.  On a
+    linearity-1 tower, index v holds the weight of ``codeword_from_int(v)``.
+    The table has one entry per word of the space, so its size is held to
+    ``limit``: the enumeration guard for linear jobs and subset walks,
+    ``oracle_space`` for the volume oracle and the reduction check.
+    """
+    if space.size > limit:
+        raise GuardExceeded("weight table entries", space.size, limit)
+    p, m, n = tower.p, tower.m, space.n
+    ns = n * tower.s
+    units = []
+    for i in range(ns):
+        for u in range(tower.ell):
+            vec = [0] * ns
+            vec[i] = p**u
+            units.append(tower.unflatten(tuple(vec), n))
+    if p == 2:
+        packed = [sum(x << (j * m) for j, x in enumerate(word)) for word in units]
+        words = _fp_span(np.array([packed], dtype=np.min_scalar_type((1 << n * m) - 1)), p)[0]
+        col_dtype = np.min_scalar_type((1 << m) - 1)
+        cols = [(words >> (j * m) & ((1 << m) - 1)).astype(col_dtype) for j in range(n)]
+        nonzero = [col != 0 for col in cols]
+    else:
+        digits = [[d for x in word for d in tower.digits(x)] for word in units]
+        words = _fp_span(np.array([digits], dtype=_digit_dtype(p)), p)[0].reshape(-1, n, m)
+        cols = [words[:, j] for j in range(n)]
+        nonzero = [col.any(axis=1) for col in cols]
+    if space.metric == HAMMING:
+        weights = sum(nz.astype(np.uint8) for nz in nonzero)
+    elif space.metric == RANK:
+        weights = _fp_ranks(cols, p)
+    else:
+        eta = space.eta
+        weights = sum(_fp_ranks(cols[b * eta : (b + 1) * eta], p) for b in range(space.t))
+    return np.asarray(weights, dtype=np.uint8)
+
+
+# ---------------------------------------------------------------------------
 # ball volumes
 # ---------------------------------------------------------------------------
 
@@ -266,19 +374,28 @@ def _rank_shells(q: int, m: int, n: int, r: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _weight_distribution(space: AmbientSpace, guard_limit: int) -> tuple[int, ...]:
+    """Number of vectors of each weight 0..diameter: a bincount of the
+    space's weight table over its linearity-1 tower."""
     if space.size > guard_limit:
         raise GuardExceeded("volume oracle space size", space.size, guard_limit)
     if space.metric != HAMMING:
         space.requires_prime_q()
-    counts = [0] * (space.diameter + 1)
-    qm = space.q**space.m
-    for x in itertools.product(range(qm), repeat=space.n):
-        counts[weight(space, x)] += 1
-    return tuple(counts)
+    # a > 1 only for Hamming, whose weight only sees which coordinates are
+    # nonzero, and F_{q^m} is F_{p^(a*m)}
+    p, a = prime_power(space.q)
+    space = AmbientSpace(p, 1, a * space.m, space.n, space.metric, space.t)
+    table = _flat_weight_table(space, build_tower(p, 1, space.m), guard_limit)
+    return tuple(int(c) for c in np.bincount(table, minlength=space.diameter + 1))
 
 
 def ball_volume_oracle(space: AmbientSpace, r: int, guards: Guards | None = None) -> int:
-    """Ball volume recounted by walking every vector of the space."""
+    """Ball volume recounted from the weight of every vector of the space.
+
+    The weights come from :func:`_flat_weight_table`, built over F_p with no
+    closed form involved; the space is held to ``guards.oracle_space`` and
+    never to the enumeration guard.  The tests check the table against
+    :func:`weight`.
+    """
     guards = guards or Guards()
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")

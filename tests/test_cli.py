@@ -43,6 +43,26 @@ def test_volume_with_oracle(capsys):
     assert doc["config"]["metric"] == "rank"
 
 
+def test_volume_oracle_accepts_a_prime_power_q_for_hamming(capsys):
+    code, out, _ = run_cli(
+        capsys, "volume", "--metric", "hamming", "--q", "4", "--s", "1", "--n", "2",
+        "--radius", "1", "--oracle",
+    )
+    assert code == 0
+    assert json.loads(out)["result"] == {"volume": 7, "oracle": 7, "match": True}
+
+
+def test_volume_oracle_ignores_the_enumeration_guard(capsys, monkeypatch):
+    # the oracle is held to Guards.oracle_space, never to the enumeration cap
+    monkeypatch.setenv(ENV_GUARD, "0")
+    code, out, _ = run_cli(
+        capsys, "volume", "--metric", "sumrank", "--q", "3", "--s", "2", "--n", "2",
+        "--t", "2", "--radius", "1", "--oracle",
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["match"] is True
+
+
 def test_classify_document_and_roundtrip(capsys):
     code, out, _ = run_cli(
         capsys, "classify", "--family", "msrd", "--growing", "q", "--ell", "1",
@@ -276,12 +296,12 @@ def test_qbinom_prints_integers_of_any_size(capsys):
 
 def test_estimate_beyond_the_weight_table_guard_exits_three(capsys, monkeypatch):
     # 2^40 words would need a 1 TB weight table: refused before any of it exists
-    from codedensity import harness
+    from codedensity import metrics
 
     def no_table(*args):
         raise AssertionError("the weight table was being built")
 
-    monkeypatch.setattr(harness, "_fp_span", no_table)
+    monkeypatch.setattr(metrics, "_fp_span", no_table)
     code, out, err = run_cli(
         capsys, "estimate", "--metric", "hamming", "--q", "2", "--ell", "1", "--s", "8",
         "--n", "5", "--k", "1", "--d", "2", "--trials", "10",

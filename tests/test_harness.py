@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,8 @@ from codedensity.harness import (
     subset_distance_histogram,
     verify_bracket,
 )
-from codedensity.metrics import AmbientSpace
+from codedensity.fields import build_tower, codeword_from_int
+from codedensity.metrics import AmbientSpace, distance
 
 
 def test_exact_density_worked_cases():
@@ -151,13 +153,28 @@ def test_clopper_pearson_matches_the_bisection_reference():
         x = rng.choice([0, 1, n // 2, n - 1, n, rng.randint(0, n), rng.randint(0, n)])
         cases.append((x, n, rng.choice(levels + [Fraction(rng.randint(1, 9999), 10_000)])))
     cases += [(5924, 10_000, Fraction(99, 100)), (37, 10_000, Fraction(95, 100))]
-    # extreme levels: at alpha/2 = 10^-60 the enclosure of a tail near 1
-    # cannot resolve 1 - alpha/2, so comparisons fall back to the exact sum
+    # extreme levels: alpha/2 = 10^-60 and a tail near 1 - alpha/2, where
+    # only the complement side keeps the enclosure's relative precision
     for level in (1 - Fraction(1, 10**60), Fraction(1, 10**30)):
         cases += [(3, 10, level), (1, 2000, level), (120, 300, level), (250, 300, level)]
     for x, n, level in cases:
         want = _reference_clopper_pearson(x, n, level)
         assert clopper_pearson(x, n, level) == want, (x, n, level)
+
+
+def test_tail_side_is_chosen_by_the_threshold(monkeypatch):
+    # the upper endpoint compares a tail with 1 - alpha/2; summed as the
+    # complement against alpha/2, the enclosure decides without the exact sum
+    from codedensity import harness
+
+    exact_runs = []
+    exact = harness._exact_ge_tail_cmp
+    monkeypatch.setattr(
+        harness, "_exact_ge_tail_cmp", lambda *args: exact_runs.append(args) or exact(*args)
+    )
+    level = 1 - Fraction(1, 10**60)
+    assert clopper_pearson(120, 300, level) == _reference_clopper_pearson(120, 300, level)
+    assert exact_runs == []
 
 
 def test_guided_search_finds_the_boundary_from_any_guess():
@@ -381,13 +398,13 @@ def test_scorer_needs_no_middle_field_tables(monkeypatch):
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("metric,t", [("hamming", 1), ("rank", 1), ("sumrank", 2)])
 def test_weight_table_matches_metric_weight(q, metric, t):
-    from codedensity.harness import _flat_weight_table, space_tower
-    from codedensity.metrics import weight
+    from codedensity.harness import space_tower
+    from codedensity.metrics import _flat_weight_table, weight
 
     for ell, s in ((1, 2), (2, 1)):
         space = AmbientSpace(q, ell, s, 2, metric, t=t)
         tower = space_tower(space, ell)
-        table = _flat_weight_table(space, tower)
+        table = _flat_weight_table(space, tower, space.size)
         ns = space.n * tower.s
         q_mid = tower.subfield_order
         assert table.dtype == np.uint8 and table.shape == (q_mid**ns,)
@@ -417,3 +434,81 @@ def test_subset_histogram_total():
     hist = dict(subset_distance_histogram(space, 2))
     assert sum(hist.values()) == 6
     assert hist[1] == 4 and hist[2] == 2
+    for size in (0, 1):
+        with pytest.raises(ValueError, match="two codewords"):
+            subset_distance_histogram.__wrapped__(space, size)
+
+
+def _subset_histogram_by_distance(space: AmbientSpace, size: int):
+    # reference walk: the scalar metrics.distance on every pair of every
+    # size-S subset of the words codeword_from_int(v)
+    tower = build_tower(space.q, 1, space.m)
+    words = [codeword_from_int(v, tower, space.n) for v in range(space.size)]
+    hist = Counter(
+        min(distance(space, a, b) for a, b in itertools.combinations(combo, 2))
+        for combo in itertools.combinations(words, size)
+    )
+    return tuple(sorted(hist.items()))
+
+
+CRITERION_2_NONLINEAR_SPACES = [
+    AmbientSpace(q, 1, 1, n, metric, t=t)
+    for q in (2, 3)
+    for n in (2, 3)
+    for metric, t in [("hamming", 1), ("rank", 1), ("sumrank", 2), ("sumrank", 3)]
+    if n % t == 0
+]
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_subset_histogram_matches_a_walk_with_metric_distance(size):
+    spaces = list(CRITERION_2_NONLINEAR_SPACES)
+    if size == 2:
+        # odd p with m = 2, where a - b also subtracts digits inside a coordinate
+        for metric, t in (("hamming", 1), ("rank", 1), ("sumrank", 2)):
+            spaces.append(AmbientSpace(3, 1, 2, 2, metric, t=t))
+        spaces += [AmbientSpace(5, 1, 1, 2, "hamming"), AmbientSpace(2, 1, 2, 2, "rank")]
+    for space in spaces:
+        want = _subset_histogram_by_distance(space, size)
+        got = subset_distance_histogram.__wrapped__(space, size)
+        assert got == want, (space, size)
+        assert all(type(d) is int and type(c) is int for d, c in got)
+
+
+def test_whole_space_subset_walk_builds_no_pair_table():
+    # 3^9 words: a table of all pair distances would hold 387 M entries
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        hist = subset_distance_histogram.__wrapped__(AmbientSpace(3, 1, 1, 9, "hamming"), 3**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hist == ((1, 1),)
+    assert peak < 1 << 24
+
+
+def test_reduction_check_counts_pointwise_mismatches(monkeypatch):
+    # negative control: one wrong Hamming weight must surface as exactly one
+    # mismatch of the eta=1 pair, while the t=1 pair still agrees
+    from codedensity import harness
+
+    table_of = harness._flat_weight_table
+
+    def one_wrong_hamming_weight(space, tower, limit):
+        table = table_of(space, tower, limit)
+        if space.metric == "hamming":
+            table[5] += 1
+        return table
+
+    monkeypatch.setattr(harness, "_flat_weight_table", one_wrong_hamming_weight)
+    pointwise = {
+        v.details["pair"]: v
+        for v in harness.reduction_verification(2, 1, 2, 2)
+        if "weight_mismatches" in v.details
+    }
+    assert pointwise["t=1 vs rank"].passed
+    assert pointwise["t=1 vs rank"].details["weight_mismatches"] == 0
+    assert not pointwise["eta=1 vs hamming"].passed
+    assert pointwise["eta=1 vs hamming"].details["weight_mismatches"] == 1

@@ -11,9 +11,11 @@ import pytest
 from codedensity.combinat import compositions, is_prime, qbinom
 from codedensity.fields import build_tower, codeword_from_int, subspace_from_rows
 from codedensity.guards import Guards, GuardExceeded, UnsupportedAsymptotics
-from codedensity.harness import trial_generator
+from codedensity.harness import _criterion_volume_spaces, trial_generator
 from codedensity.metrics import (
     AmbientSpace,
+    _flat_weight_table,
+    _weight_distribution,
     ball_volume,
     ball_volume_oracle,
     distance,
@@ -206,6 +208,59 @@ def test_ball_volume_oracle_guard():
     sp = AmbientSpace(2, 1, 4, 4, "hamming")
     with pytest.raises(GuardExceeded):
         ball_volume_oracle(sp, 1, Guards(oracle_space=2**10))
+
+
+def _check_table_against_weight(space: AmbientSpace) -> None:
+    # the table over the linearity-1 tower, entry by entry, and the oracle's
+    # distribution, against the scalar weight of codeword_from_int(v)
+    tower = build_tower(space.q, 1, space.m)
+    table = _flat_weight_table(space, tower, space.size)
+    scalar = [weight(space, codeword_from_int(v, tower, space.n)) for v in range(space.size)]
+    assert table.tolist() == scalar, space
+    counts = [0] * (space.diameter + 1)
+    for w in scalar:
+        counts[w] += 1
+    distribution = _weight_distribution.__wrapped__(space, space.size)
+    assert distribution == tuple(counts) and all(type(c) is int for c in distribution)
+
+
+SMALL_ORACLE_SPACES = _criterion_volume_spaces(2**10)
+
+
+@pytest.mark.parametrize("space", SMALL_ORACLE_SPACES, ids=repr)
+def test_weight_table_matches_weight_on_small_oracle_spaces(space):
+    _check_table_against_weight(space)
+
+
+@pytest.mark.nightly
+def test_weight_table_matches_weight_on_every_oracle_space():
+    spaces = _criterion_volume_spaces(Guards().oracle_space)
+    assert len(spaces) == 107
+    for space in spaces:
+        _check_table_against_weight(space)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_linearity_one_table_index_is_the_integer_word(q):
+    # index v packs F_p-coordinates as sum_i vec[i] * p^i, which on a
+    # linearity-1 tower is the word codeword_from_int(v)
+    for m, n in ((1, 3), (2, 2), (3, 1)):
+        tower = build_tower(q, 1, m)
+        for v in range(q ** (m * n)):
+            vec = tuple(v // q**i % q for i in range(m * n))
+            assert tower.unflatten(vec, n) == codeword_from_int(v, tower, n), (q, m, n, v)
+
+
+def test_hamming_oracle_over_prime_power_q():
+    # q = 4, 8, 9 are read from the prime-field space of degree a*m
+    for q, m, n in ((4, 1, 3), (4, 2, 2), (8, 1, 2), (8, 2, 1), (9, 1, 2), (9, 2, 1)):
+        space = AmbientSpace(q, 1, m, n, "hamming")
+        counts = [0] * (n + 1)
+        for word in itertools.product(range(q**m), repeat=n):
+            counts[weight(space, word)] += 1
+        assert _weight_distribution.__wrapped__(space, 2**16) == tuple(counts), space
+        for r in range(n + 1):
+            assert ball_volume_oracle(space, r) == ball_volume(space, r)
 
 
 def test_ball_volume_monotone_in_radius():
