@@ -546,13 +546,17 @@ def sample_subspace(gen, k: int, tower: FieldTower, n: int) -> SubspaceBasis:
     ns = n * tower.s
     if not 1 <= k <= ns:
         raise ValueError(f"dimension k={k} out of range [1, {ns}]")
-    q = tower.subfield_order
     while True:
-        flat = _uniform_ints(gen, q, k * ns)
-        rows = [list(flat[i * ns : (i + 1) * ns]) for i in range(k)]
-        reduced, pivots = rref(rows, tower)
+        reduced, pivots = rref(_draw_matrix(gen, k, tower, n).tolist(), tower)
         if len(reduced) == k:
             return SubspaceBasis(tuple(tuple(r) for r in reduced), tuple(pivots))
+
+
+def _draw_matrix(gen, k: int, tower: FieldTower, n: int):
+    """One uniform k x (n*s) int64 array of middle-field indices: the draw of
+    each attempt of :func:`sample_subspace`, and of each attempt of a
+    batched linear Monte Carlo trial."""
+    return gen.integers(0, tower.subfield_order, size=k * n * tower.s).reshape(k, -1)
 
 
 def codeword_from_int(value: int, tower: FieldTower, n: int) -> Codeword:
@@ -577,10 +581,6 @@ def sample_code_subset(
         pick = _randbelow(gen, j + 1)
         chosen.add(j if pick in chosen else pick)
     return tuple(codeword_from_int(v, tower, n) for v in sorted(chosen))
-
-
-def _uniform_ints(gen, bound: int, count: int) -> list[int]:
-    return [int(v) for v in gen.integers(0, bound, size=count)]
 
 
 def _randbelow(gen, bound: int) -> int:

@@ -19,9 +19,15 @@ enclosure keeps its relative precision at levels close to 1.
 Every exhaustive job reads weights from ``metrics._flat_weight_table``.
 Exhaustive linear histograms and linear Monte Carlo trials share one exact
 scorer: bases are stacked into numpy integer arrays, every codeword of each
-code is expanded, and its weight is read from the table.  The subset walk
-reads each pair distance from the table at the index of the pair's
-difference, and the reduction check compares two tables built on one tower.
+code is expanded, and its weight is read from the table.  A linear trial's
+drawn matrix goes to the scorer as drawn, with no row reduction, since a
+code's minimum weight depends only on its row space.  A draw of rank below k
+spans the zero word with a nonzero combination and scores 0, which no code
+of dimension k does, so such draws are found by the scorer and redrawn from
+the trial's own stream, as ``fields.sample_subspace`` redraws them.  The
+subset walk reads each pair distance from the table at the index of the
+pair's difference, and the reduction check compares two tables built on one
+tower.
 The tests check the scorer against ``metrics.min_distance``, the subset walk
 against ``metrics.distance`` and the table against ``metrics.weight``.
 Nonlinear Monte Carlo trials keep the scalar ``metrics.weight``, because
@@ -36,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -51,10 +57,10 @@ from .combinat import binom, qbinom
 from .fields import (
     FieldTower,
     SubspaceBasis,
+    _draw_matrix,
     build_tower,
     enumerate_subspaces,
     sample_code_subset,
-    sample_subspace,
 )
 from .guards import Guards, GuardExceeded
 from .metrics import (
@@ -78,6 +84,9 @@ _SEED_LIMIT = 1 << 64  # seeds are Philox key words
 # Most codeword entries the linear-code scorer expands at once: a chunk of B
 # bases of dimension k over F_{p^ell} holds B * p^(k*ell) codewords.
 _CHUNK_WORDS = 1 << 13
+# Most trials a linear Monte Carlo batch draws at once; each holds a live
+# Philox generator until its draw is accepted.
+_TRIAL_BATCH = 256
 
 
 def trial_generator(seed: int, trial: int) -> Generator:
@@ -125,6 +134,19 @@ def _min_weights(
     return table[words[:, 1:]].min(axis=1)
 
 
+def _scorer(
+    space: AmbientSpace, tower: FieldTower, k: int, guards: Guards
+) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """``_min_weights`` bound to the space's weight table and the unit
+    products, and the most k-row matrices it should score at once
+    (_CHUNK_WORDS codewords)."""
+    table = _flat_weight_table(space, tower, guards.enumeration)
+    units = [tower.p**u for u in range(tower.ell)]
+    unit_mul = np.array([[tower.k_mul(c, x) for x in range(tower.subfield_order)] for c in units])
+    per_chunk = max(1, _CHUNK_WORDS // tower.p ** (k * tower.ell))
+    return (lambda bases: _min_weights(bases, tower, table, unit_mul)), per_chunk
+
+
 def _code_min_weights(
     space: AmbientSpace,
     tower: FieldTower,
@@ -134,13 +156,46 @@ def _code_min_weights(
 ) -> Iterator[np.ndarray]:
     """Minimum weights of the k-dimensional codes ``bases`` span, scored in
     chunks of at most _CHUNK_WORDS codewords; bases are consumed lazily."""
-    table = _flat_weight_table(space, tower, guards.enumeration)
-    units = [tower.p**u for u in range(tower.ell)]
-    unit_mul = np.array([[tower.k_mul(c, x) for x in range(tower.subfield_order)] for c in units])
-    per_chunk = max(1, _CHUNK_WORDS // tower.p ** (k * tower.ell))
+    score, per_chunk = _scorer(space, tower, k, guards)
     bases = iter(bases)
     while chunk := [basis.rows for basis in itertools.islice(bases, per_chunk)]:
-        yield _min_weights(np.array(chunk, dtype=np.int64), tower, table, unit_mul)
+        yield score(np.array(chunk, dtype=np.int64))
+
+
+def _linear_successes(
+    space: AmbientSpace,
+    spec: CodeFamilySpec,
+    trials: int,
+    seed: int,
+    worker_streams: int,
+    guards: Guards,
+) -> int:
+    """Number of trials whose uniform k-dimensional code has minimum
+    distance >= d, scored straight from the drawn matrices.
+
+    Trial i draws k x ns matrices from ``trial_generator(seed, i)`` until one
+    has rank k, as :func:`sample_subspace` does, but without a row
+    reduction: a rank-deficient draw has F_p-dependent generators, so some
+    nonzero combination is the zero word and ``_min_weights`` reads 0, while
+    every code of dimension k has minimum weight >= 1.  Draws that score 0
+    are redrawn from their own trial's stream.  The trials are cut into
+    ``worker_streams`` contiguous blocks, and each block is scored in
+    batches of at most _TRIAL_BATCH trials.
+    """
+    tower = space_tower(space, spec.linearity, guards)
+    score, per_chunk = _scorer(space, tower, spec.dim, guards)
+    draw = lambda gen: _draw_matrix(gen, spec.dim, tower, space.n)
+    batch = min(per_chunk, _TRIAL_BATCH)
+    successes = 0
+    for block in range(worker_streams):
+        stop = (block + 1) * trials // worker_streams
+        for start in range(block * trials // worker_streams, stop, batch):
+            gens = [trial_generator(seed, i) for i in range(start, min(start + batch, stop))]
+            weights = score(np.stack([draw(gen) for gen in gens]))
+            while (redraw := np.flatnonzero(weights == 0)).size:
+                weights[redraw] = score(np.stack([draw(gens[j]) for j in redraw]))
+            successes += int(np.count_nonzero(weights >= spec.d))
+    return successes
 
 
 @lru_cache(maxsize=64)
@@ -409,9 +464,11 @@ def clopper_pearson(successes: int, trials: int, level: Fraction) -> tuple[Fract
 class SampleReport:
     """A seeded Monte Carlo density estimate.
 
-    ``worker_streams`` records the requested partition; it cannot influence
-    the draws (streams are keyed per trial), so the canonical payload used
-    for reproducibility comparisons carries the statistical fields and seed.
+    ``worker_streams`` records how many contiguous blocks the linear trials
+    were cut into.  The draws are keyed per trial, so the partition changes
+    how the trials are batched but not the successes, and the canonical
+    payload used for reproducibility comparisons carries the statistical
+    fields and seed only.
     """
 
     trials: int
@@ -450,15 +507,17 @@ def estimate_density(
 ) -> SampleReport:
     """Monte Carlo estimate of the family density from i.i.d. uniform codes.
 
-    Trial i belongs logically to stream i mod worker_streams, but its draws
-    are keyed by (seed, i) alone, so the worker count never changes the
-    successes.
+    Linear trials are cut into ``worker_streams`` contiguous blocks, and
+    each block is drawn and scored in batches of its own.  The draws of
+    trial i are keyed by (seed, i) alone, so the partition moves only the
+    batch boundaries and never changes the successes.  Nonlinear trials run
+    one at a time, so the partition does not apply to them.
     """
     guards = guards or Guards()
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if worker_streams < 1:
-        raise ValueError("worker_streams must be >= 1")
+    if not 1 <= worker_streams <= trials:
+        raise ValueError(f"worker_streams must lie in [1, trials={trials}], got {worker_streams}")
     if not 0 <= seed < _SEED_LIMIT:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     level = Fraction(level)
@@ -487,15 +546,7 @@ def estimate_density(
 
         successes = sum(1 for i in range(trials) if run_trial(i))
     else:
-        tower = space_tower(space, spec.linearity, guards)
-        bases = (
-            sample_subspace(trial_generator(seed, i), spec.dim, tower, space.n)
-            for i in range(trials)
-        )
-        successes = sum(
-            int(np.count_nonzero(weights >= d))
-            for weights in _code_min_weights(space, tower, spec.dim, bases, guards)
-        )
+        successes = _linear_successes(space, spec, trials, seed, worker_streams, guards)
     lower, upper = clopper_pearson(successes, trials, level)
     return SampleReport(
         trials=trials,

@@ -302,14 +302,24 @@ def test_criterion_8_monte_carlo_soundness():
     _report(8, "0.99 intervals contain exact densities (fixed seed)", started)
 
 
-def test_criterion_9_stream_determinism():
+def test_criterion_9_stream_determinism(monkeypatch):
+    from codedensity import harness
+
     started = time.time()
     space = AmbientSpace(2, 1, 2, 2, "hamming")
     spec = CodeFamilySpec(1, 2, dim=1)
-    one = estimate_density(space, spec, trials=1000, seed=DEFAULT_SEED, worker_streams=1)
-    four = estimate_density(space, spec, trials=1000, seed=DEFAULT_SEED, worker_streams=4)
-    blob_one = json.dumps(one.payload(), sort_keys=True, indent=2)
-    blob_four = json.dumps(four.payload(), sort_keys=True, indent=2)
-    assert blob_one == blob_four
-    assert one.successes == four.successes
+    # spy on the scorer: the batch sizes show that each partition is real
+    sizes: list[int] = []
+    score = harness._min_weights
+    monkeypatch.setattr(
+        harness, "_min_weights", lambda bases, *rest: sizes.append(len(bases)) or score(bases, *rest)
+    )
+    blobs, batches = set(), set()
+    for streams in (1, 3, 4, 7):  # 1000 trials: 3 and 7 do not divide it
+        sizes.clear()
+        report = estimate_density(space, spec, trials=1000, seed=DEFAULT_SEED, worker_streams=streams)
+        blobs.add(json.dumps(report.payload(), sort_keys=True, indent=2))
+        batches.add(tuple(sizes))
+    assert len(blobs) == 1
+    assert len(batches) == 4
     _report(9, "worker streams cannot change a report", started)

@@ -159,6 +159,15 @@ def test_estimate_stream_invariant_json(capsys):
     assert doc1["seed"] == 9
 
 
+def test_estimate_rejects_more_streams_than_trials(capsys):
+    code, out, err = run_cli(
+        capsys, "estimate", "--metric", "hamming", "--q", "2", "--ell", "1", "--s", "2",
+        "--n", "2", "--k", "1", "--d", "2", "--trials", "10", "--streams", "1000000000",
+    )
+    assert code == 2
+    assert out == "" and "worker_streams" in err
+
+
 def test_verify_micro_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--grid", "micro")
     assert code == 0

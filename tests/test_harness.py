@@ -238,16 +238,126 @@ def test_estimate_density_trial_one_degenerate():
     assert report.ci_upper - report.ci_lower >= Fraction(99, 100)
 
 
-def test_estimate_density_stream_invariance():
-    space = AmbientSpace(2, 1, 2, 2, "rank")
-    spec = CodeFamilySpec(1, 2, dim=2)
-    one = estimate_density(space, spec, trials=400, seed=77, worker_streams=1)
-    four = estimate_density(space, spec, trials=400, seed=77, worker_streams=4)
-    assert one.successes == four.successes
-    assert one.payload() == four.payload()
+def _trial_batches(monkeypatch):
+    # spy: the trials whose generators each call of the linear scorer saw
+    # created since the previous call, as (first, last + 1) ranges; the
+    # calls that score only redraws create none and are left out
+    from codedensity import harness
+
+    batches, fresh = [], []
+    make, score = harness.trial_generator, harness._min_weights
+
+    def scored(bases, *rest):
+        if fresh:
+            batches.append((fresh[0], fresh[-1] + 1))
+            fresh.clear()
+        return score(bases, *rest)
+
+    monkeypatch.setattr(harness, "trial_generator", lambda seed, i: fresh.append(i) or make(seed, i))
+    monkeypatch.setattr(harness, "_min_weights", scored)
+    return batches
+
+
+def _partition(trials: int, streams: int, batch: int = 256):
+    # contiguous blocks, each cut into batches of its own
+    bounds = [b * trials // streams for b in range(streams + 1)]
+    return [
+        (start, min(start + batch, stop))
+        for lo, stop in zip(bounds, bounds[1:])
+        for start in range(lo, stop, batch)
+    ]
+
+
+def test_estimate_density_stream_invariance(monkeypatch):
     import json
 
-    assert json.dumps(one.payload(), sort_keys=True) == json.dumps(four.payload(), sort_keys=True)
+    space = AmbientSpace(2, 1, 2, 2, "rank")
+    spec = CodeFamilySpec(1, 2, dim=2)
+    batches = _trial_batches(monkeypatch)
+    reports, seen = {}, {}
+    for streams in (1, 3, 4, 7):  # 401 trials: no partition divides evenly
+        batches.clear()
+        reports[streams] = estimate_density(space, spec, trials=401, seed=77, worker_streams=streams)
+        seen[streams] = list(batches)
+    one = reports[1]
+    for streams, report in reports.items():
+        assert report.worker_streams == streams
+        assert report.successes == one.successes
+        assert json.dumps(report.payload(), sort_keys=True) == json.dumps(one.payload(), sort_keys=True)
+        # the partitions are real: each cuts the trials into its own batches
+        assert seen[streams] == _partition(401, streams)
+    assert len({tuple(b) for b in seen.values()}) == 4
+
+
+def test_estimate_density_rejects_more_streams_than_trials():
+    space = AmbientSpace(2, 1, 2, 2, "hamming")
+    for spec in (CodeFamilySpec(1, 2, dim=1), CodeFamilySpec(0, 2, size=2)):
+        for streams in (11, 10**9, 0):
+            with pytest.raises(ValueError, match="worker_streams"):
+                estimate_density(space, spec, trials=10, worker_streams=streams)
+        assert estimate_density(space, spec, trials=10, worker_streams=10).trials == 10
+
+
+# (space, linearity) pairs over F_2, F_3, F_4 and F_9
+_RANK_TEST_SPACES = (
+    (AmbientSpace(2, 1, 2, 2, "hamming"), 1),
+    (AmbientSpace(2, 1, 1, 5, "sumrank", t=5), 1),
+    (AmbientSpace(3, 1, 1, 3, "hamming"), 1),
+    (AmbientSpace(3, 1, 2, 2, "rank"), 1),
+    (AmbientSpace(2, 2, 1, 3, "hamming"), 2),
+    (AmbientSpace(3, 2, 1, 2, "rank"), 2),
+)
+
+
+def test_scorer_reads_zero_exactly_on_rank_deficient_draws():
+    # a linear trial scores its drawn matrix without a row reduction; the
+    # scorer must flag exactly the draws of rank below k, including k = ns,
+    # where most draws are rank-deficient
+    from codedensity import fields, harness
+
+    rng = np.random.default_rng(20261)
+    for space, ell in _RANK_TEST_SPACES:
+        tower = harness.space_tower(space, ell)
+        ns = space.n * tower.s
+        for k in range(1, ns + 1):
+            score, _ = harness._scorer(space, tower, k, Guards())
+            draws = rng.integers(0, tower.subfield_order, size=(300, k, ns))
+            deficient = [len(fields.rref(rows.tolist(), tower)[0]) < k for rows in draws]
+            weights = score(draws)
+            assert [bool(w == 0) for w in weights] == deficient, (space, ell, k)
+            assert 0 < sum(deficient) < len(draws) or k == 1, (space, ell, k)
+
+
+def _reference_successes(space, spec, trials, seed):
+    # one trial at a time: the RREF basis of an accepted draw, scored by
+    # the scalar projective-class walk
+    from codedensity.harness import space_tower, trial_generator
+    from codedensity.fields import sample_subspace
+    from codedensity.metrics import min_distance
+
+    tower = space_tower(space, spec.linearity)
+    return sum(
+        min_distance(sample_subspace(trial_generator(seed, i), spec.dim, tower, space.n), space, tower=tower)
+        >= spec.d
+        for i in range(trials)
+    )
+
+
+@pytest.mark.parametrize(
+    "space,spec",
+    [
+        (AmbientSpace(2, 1, 2, 2, "hamming"), CodeFamilySpec(1, 1, dim=4)),  # k = ns
+        (AmbientSpace(2, 1, 2, 2, "hamming"), CodeFamilySpec(1, 2, dim=3)),
+        (AmbientSpace(3, 1, 1, 3, "hamming"), CodeFamilySpec(1, 2, dim=2)),
+        (AmbientSpace(2, 2, 1, 3, "hamming"), CodeFamilySpec(2, 2, dim=2)),
+        (AmbientSpace(2, 1, 2, 4, "sumrank", t=2), CodeFamilySpec(1, 2, dim=3)),
+    ],
+)
+def test_batched_trials_match_one_trial_at_a_time(space, spec):
+    for seed in (0, 5, 2**63 + 1):
+        want = _reference_successes(space, spec, 120, seed)
+        assert estimate_density(space, spec, trials=120, seed=seed).successes == want, seed
+        assert estimate_density(space, spec, trials=120, seed=seed, worker_streams=7).successes == want
 
 
 def test_estimate_density_rejects_seeds_outside_64_bits():
