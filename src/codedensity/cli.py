@@ -165,13 +165,31 @@ def _exact_int_output():
 # ---------------------------------------------------------------------------
 
 
+def _hold_output_bits(bits: int, guards: Guards) -> None:
+    """Refuse, before any work, a formula whose integers may run past
+    ``guards.output_bits`` bits; ``bits`` bounds their size from the inputs."""
+    if bits > guards.output_bits:
+        raise GuardExceeded("output size bound in bits", bits, guards.output_bits)
+
+
+def _space_within(args, guards: Guards) -> AmbientSpace:
+    """The command's ambient space F_{q^m}^n, held to m * n * bits(q) bits,
+    the size of q^(m n), which sets the scale of every volume and bound."""
+    space = _space_from(args)
+    _hold_output_bits(space.m * space.n * space.q.bit_length(), guards)
+    return space
+
+
 def _cmd_qbinom(args, guards: Guards) -> int:
+    # [a, b]_q < 4 q^(b (a - b)), so b (a - b) bits(q) bounds its bits but for
+    # a couple of bits
+    _hold_output_bits(args.b * (args.a - args.b) * args.base.bit_length(), guards)
     _emit(f"{qbinom(args.a, args.b, args.base)}\n", args.output)
     return 0
 
 
 def _cmd_volume(args, guards: Guards) -> int:
-    space = _space_from(args)
+    space = _space_within(args, guards)
     vol = ball_volume(space, args.radius)
     result = {"volume": vol}
     if args.oracle:
@@ -184,7 +202,7 @@ def _cmd_volume(args, guards: Guards) -> int:
 
 
 def _cmd_bound(args, guards: Guards) -> int:
-    space = _space_from(args)
+    space = _space_within(args, guards)
     config = _config_of(args, ("kind", "metric", "q", "ell", "s", "m", "n", "t", "d", "S", "k"))
     if args.kind == "singleton":
         result = {"max_cardinality": singleton_max(space, args.d)}

@@ -5,6 +5,10 @@ Binomials, Gaussian (q-ary) binomials, the infinite product
 lazy enumeration of bounded integer compositions.  Everything here is exact:
 counts are Python ints, ratios are ``fractions.Fraction``, and ``pi(q)`` is
 only ever exposed as an enclosure because the product does not terminate.
+
+Gaussian binomials are products of cyclotomic values Phi_j(q), each found
+by one small exact division and multiplied as a balanced tree, so no
+division touches the full result, which at paper scale runs to ~10^5 digits.
 """
 
 from __future__ import annotations
@@ -39,27 +43,51 @@ def qbinom(a: int, b: int, base: int) -> int:
     a-dimensional vector space over a field with ``base`` elements.
 
     Out-of-range b (negative or above a) yields 0, so identities such as the
-    q-Pascal rule hold verbatim at the boundary.  The product
-    prod_{i=0}^{b-1} (base^(a-i) - 1) / (base^(i+1) - 1) is evaluated with
-    exact stepwise integer division; every partial product is itself a
-    Gaussian binomial, so each division must be exact and a nonzero remainder
-    means a bug, not rounding.
+    q-Pascal rule hold verbatim at the boundary.  In range, the polynomial
+    [a, b]_x factors into cyclotomic polynomials as the product of Phi_j(x)
+    over 2 <= j <= a with a % j < b % j (that is, with
+    floor(a/j) - floor(b/j) - floor((a-b)/j) = 1; the exponent is never 2),
+    so the value is the product of the numbers Phi_j(base).  Each of them
+    has at most about j * log2(base) bits and comes from one exact division
+    (:func:`_cyclotomic_value`), which raises ArithmeticError on a nonzero
+    remainder.  The factors are multiplied as a balanced tree, so no
+    division ever touches the full result and the big products pair
+    operands of equal size.
     """
     if base < 2:
         raise ValueError(f"qbinom requires base >= 2, got base={base}")
     if b < 0 or b > a:
         return 0
-    b = min(b, a - b)
-    result = 1
-    for i in range(b):
-        result *= base ** (a - i) - 1
-        quot, rem = divmod(result, base ** (i + 1) - 1)
-        if rem:
-            raise ArithmeticError(
-                f"inexact division in qbinom({a}, {b}, {base}) at factor {i}"
-            )
-        result = quot
-    return result
+    factors = [_cyclotomic_value(j, base) for j in range(2, a + 1) if a % j < b % j]
+    while len(factors) > 1:
+        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return math.prod(factors)
+
+
+def _cyclotomic_value(j: int, base: int) -> int:
+    """Phi_j(base) for j >= 1, as prod over squarefree e | j of
+    (base^(j/e) - 1)^mu(e): the terms with mu(e) = 1 and those with
+    mu(e) = -1 are multiplied apart and divided once, exactly."""
+    divisors = [(1, 1)]  # (e, mu(e)) for the squarefree divisors e seen so far
+    rest, p = j, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # no factor up to its square root: rest is prime
+        if rest % p == 0:
+            divisors += [(e * p, -mu) for e, mu in divisors]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    num = den = 1
+    for e, mu in divisors:
+        if mu > 0:
+            num *= base ** (j // e) - 1
+        else:
+            den *= base ** (j // e) - 1
+    value, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"inexact division in Phi_{j}({base})")
+    return value
 
 
 @dataclass(frozen=True)

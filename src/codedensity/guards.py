@@ -15,13 +15,16 @@ class Guards:
     ``enumeration`` caps how many codes/subspaces an exhaustive oracle may
     walk, ``oracle_space`` caps the ambient size for brute-force volume
     counts, ``tower_degree`` caps the extension degree of constructed field
-    towers.  The environment variable ``CODE_DENSITY_GUARD`` overrides the
-    enumeration cap.
+    towers, ``output_bits`` caps a bound on the bits of the integers that the
+    formula commands (``qbinom``, ``volume``, ``bound``) would compute.  The
+    environment variable ``CODE_DENSITY_GUARD`` overrides the enumeration
+    cap only.
     """
 
     enumeration: int = 10**6
     oracle_space: int = 2**16
     tower_degree: int = 24
+    output_bits: int = 2**20
 
     @staticmethod
     def from_env() -> "Guards":

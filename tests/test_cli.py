@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 
 import pytest
 
+from codedensity import __version__
 from codedensity.cli import main
 from codedensity.guards import ENV_GUARD
 
@@ -317,3 +319,98 @@ def test_estimate_beyond_the_weight_table_guard_exits_three(capsys, monkeypatch)
     )
     assert code == 3 and out == ""
     assert f"weight table entries: exact count {2**40} exceeds guard 1000000" in err
+
+
+_SPACE_ARGS = ("--metric", "hamming", "--q", "2", "--ell", "1", "--s", "1")
+
+
+@pytest.fixture
+def no_formula(monkeypatch):
+    """Stub out the formulas behind the guarded commands, so that a missing
+    guard fails a test at once instead of computing for minutes."""
+    from codedensity import cli
+
+    def refuse(*args):
+        raise AssertionError("the formula was being evaluated")
+
+    for name in ("qbinom", "ball_volume", "gv_cardinality", "nonlinear_bracket"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (("qbinom", "20000", "10000", "2"), 10000 * 10000 * 2),
+        (("bound", "--kind", "density-bracket", *_SPACE_ARGS, "--n", "10000000", "--d", "3",
+          "--S", "4"), 10**7 * 2),
+        (("bound", "--kind", "gv", *_SPACE_ARGS, "--n", "50000000", "--d", "3"), 5 * 10**7 * 2),
+        (("volume", "--metric", "rank", "--q", "2", "--ell", "1", "--s", "3000", "--n", "3000",
+          "--radius", "1000"), 3000 * 3000 * 2),
+    ],
+)
+def test_formula_output_beyond_the_size_guard_exits_three(capsys, no_formula, argv, bound):
+    # each of these ran for minutes before the output-size guard existed
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert f"output size bound in bits: exact count {bound} exceeds guard {2**20}" in err
+
+
+def test_output_size_guard_admits_its_cap(capsys, monkeypatch):
+    from codedensity import cli
+
+    monkeypatch.setattr(cli, "qbinom", lambda a, b, base: 0)
+    # 128 * 128 * bits(2^63) = 2^20 exactly; one more row is past the cap
+    assert run_cli(capsys, "qbinom", "256", "128", str(2**63))[:2] == (0, "0\n")
+    assert run_cli(capsys, "qbinom", "257", "128", str(2**63))[0] == 3
+
+
+@pytest.mark.parametrize("raw", ["0", str(10**12)])
+def test_output_size_guard_ignores_the_enumeration_guard(capsys, monkeypatch, raw):
+    monkeypatch.setenv(ENV_GUARD, raw)
+    code, out, _ = run_cli(capsys, "qbinom", "300", "150", "256")
+    assert code == 0 and len(out) > 4300
+    monkeypatch.setattr("codedensity.cli.qbinom", lambda a, b, base: 0)
+    assert run_cli(capsys, "qbinom", "20000", "10000", "2")[0] == 3
+
+
+def _document_of(command, config, result):
+    return {
+        "command": command, "config": config, "result": result, "seed": None,
+        "tool": "codedensity", "version": __version__,
+    }
+
+
+_README_SPACE = {"ell": 1, "m": None, "n": 2, "q": 2, "s": 2, "t": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (
+            ("volume", "--metric", "rank", "--q", "2", "--ell", "1", "--s", "2", "--n", "2",
+             "--radius", "1", "--oracle"),
+            _document_of(
+                "volume",
+                {**_README_SPACE, "metric": "rank", "oracle": True, "radius": 1},
+                {"match": True, "oracle": 10, "volume": 10},
+            ),
+        ),
+        (
+            ("bound", "--kind", "density-bracket", "--metric", "hamming", "--q", "2", "--ell",
+             "1", "--s", "2", "--n", "2", "--k", "1", "--d", "2"),
+            _document_of(
+                "bound",
+                {**_README_SPACE, "S": None, "d": 2, "k": 1, "kind": "density-bracket",
+                 "metric": "hamming"},
+                {"lower": "3/5", "raw_lower": "3/5", "raw_upper": "3/5", "theta_bar": "1",
+                 "upper": "3/5"},
+            ),
+        ),
+    ],
+)
+def test_readme_formula_examples_stay_under_the_size_guard(capsys, argv, document):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(document, sort_keys=True, indent=2) + "\n"

@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+from codedensity import combinat
 from codedensity.combinat import (
     Enclosure,
+    _cyclotomic_value,
     binom,
     compositions,
     euler_pi,
@@ -84,6 +86,62 @@ def test_qbinom_pascal_identity():
                 lhs = qbinom(a, b, q)
                 rhs = qbinom(a - 1, b - 1, q) + q**b * qbinom(a - 1, b, q)
                 assert lhs == rhs
+
+
+def _qbinom_stepwise(a: int, b: int, base: int) -> int:
+    """Reference: prod_{i<b} (base^(a-i) - 1) / (base^(i+1) - 1) by exact
+    stepwise division; every partial product is itself a Gaussian binomial."""
+    if b < 0 or b > a:
+        return 0
+    b = min(b, a - b)
+    result = 1
+    for i in range(b):
+        result, rem = divmod(result * (base ** (a - i) - 1), base ** (i + 1) - 1)
+        assert rem == 0
+    return result
+
+
+def test_qbinom_matches_the_stepwise_loop():
+    # every b of every a, out-of-range b included, and bases that are not
+    # prime powers (6, 10), where the count reading no longer applies
+    for base in (2, 3, 4, 5, 6, 9, 10, 16, 256, 65537):
+        for a in range(-2, 41):
+            for b in range(-2, a + 3):
+                assert qbinom(a, b, base) == _qbinom_stepwise(a, b, base), (a, b, base)
+
+
+@pytest.mark.parametrize("a, b, base", [(400, 200, 256), (300, 150, 256), (200, 100, 65536)])
+def test_qbinom_at_paper_scale_matches_the_stepwise_loop(a, b, base):
+    assert qbinom(a, b, base) == _qbinom_stepwise(a, b, base)
+
+
+# coefficients of Phi_j(x), constant term first
+_CYCLOTOMIC_COEFFS = {
+    1: [-1, 1],
+    2: [1, 1],
+    3: [1, 1, 1],
+    4: [1, 0, 1],
+    5: [1, 1, 1, 1, 1],
+    6: [1, -1, 1],
+    7: [1, 1, 1, 1, 1, 1, 1],
+    8: [1, 0, 0, 0, 1],
+    9: [1, 0, 0, 1, 0, 0, 1],
+    10: [1, -1, 1, -1, 1],
+    11: [1] * 11,
+    12: [1, 0, -1, 0, 1],
+}
+
+
+def test_cyclotomic_values_match_the_polynomials():
+    for j, coeffs in _CYCLOTOMIC_COEFFS.items():
+        for base in (2, 3, 6, 10, 256, 65537):
+            assert _cyclotomic_value(j, base) == sum(c * base**i for i, c in enumerate(coeffs))
+
+
+def test_qbinom_raises_on_an_inexact_cyclotomic_division(monkeypatch):
+    monkeypatch.setattr(combinat, "divmod", lambda x, y: (x // y, 1), raising=False)
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        qbinom(6, 3, 2)
 
 
 def test_binom_examples():
