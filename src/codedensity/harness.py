@@ -4,6 +4,9 @@ Carlo estimation, and the bracket/volume/reduction verification suites.
 Monte Carlo draws are keyed per trial: trial i uses a Philox stream with key
 (seed, i), so results cannot depend on how trials are partitioned across
 workers and a report is reproducible from (seed, trials, scenario) alone.
+The generators are pooled: each is built once and re-keyed for later trials
+by resetting its Philox state to that of a fresh ``Philox(key=(seed, i))``,
+so every draw is bit-identical to one from a generator built for the trial.
 Confidence intervals are exact Clopper-Pearson bounds on a dyadic rational
 grid of width 2^-21 (< 10^-6), rounded outward so coverage is never
 understated.  Each endpoint is the last grid point where a monotone binomial
@@ -84,14 +87,35 @@ _SEED_LIMIT = 1 << 64  # seeds are Philox key words
 # Most codeword entries the linear-code scorer expands at once: a chunk of B
 # bases of dimension k over F_{p^ell} holds B * p^(k*ell) codewords.
 _CHUNK_WORDS = 1 << 13
-# Most trials a linear Monte Carlo batch draws at once; each holds a live
-# Philox generator until its draw is accepted.
+# Most trials a linear Monte Carlo batch draws at once; batch slot j keeps one
+# Philox generator, re-keyed for the j-th trial of each batch, and a trial's
+# redraws continue from its slot until the batch is scored.
 _TRIAL_BATCH = 256
+# Most pair-difference weights one nonlinear Monte Carlo estimate keeps.
+_WEIGHT_CACHE_LIMIT = 1 << 16
 
 
-def trial_generator(seed: int, trial: int) -> Generator:
-    """Counter-based stream for one trial; splittable by construction."""
-    return Generator(Philox(key=np.array([seed, trial], dtype=np.uint64)))
+def trial_generator(seed: int, trial: int, reuse: Generator | None = None) -> Generator:
+    """Counter-based stream for one trial, keyed by (seed, trial).
+
+    With no ``reuse``, a fresh ``Generator(Philox(key=[seed, trial]))``, the
+    definition of the stream.  Given a Philox ``Generator``, its bit
+    generator is reset to exactly the state that fresh one starts in
+    (counter 0, key (seed, trial), no buffered block and no buffered uint32)
+    and it is returned, which skips the entropy-seeded set-up that
+    ``Philox(key=...)`` performs and then discards.
+    """
+    if reuse is None:
+        return Generator(Philox(key=np.array([seed, trial], dtype=np.uint64)))
+    reuse.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, trial)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return reuse
 
 
 def _rat(x: Fraction) -> str:
@@ -180,17 +204,23 @@ def _linear_successes(
     every code of dimension k has minimum weight >= 1.  Draws that score 0
     are redrawn from their own trial's stream.  The trials are cut into
     ``worker_streams`` contiguous blocks, and each block is scored in
-    batches of at most _TRIAL_BATCH trials.
+    batches of at most _TRIAL_BATCH trials.  The generators form one pool
+    with a slot per batch position: slot j is built for the j-th trial of
+    the first batch and re-keyed for the j-th trial of each later one, once
+    the batch before has been scored.
     """
     tower = space_tower(space, spec.linearity, guards)
     score, per_chunk = _scorer(space, tower, spec.dim, guards)
     draw = lambda gen: _draw_matrix(gen, spec.dim, tower, space.n)
     batch = min(per_chunk, _TRIAL_BATCH)
+    pool: list[Generator | None] = [None] * min(batch, trials)
     successes = 0
     for block in range(worker_streams):
         stop = (block + 1) * trials // worker_streams
         for start in range(block * trials // worker_streams, stop, batch):
-            gens = [trial_generator(seed, i) for i in range(start, min(start + batch, stop))]
+            trial_ids = range(start, min(start + batch, stop))
+            gens = [trial_generator(seed, i, gen) for i, gen in zip(trial_ids, pool)]
+            pool[: len(gens)] = gens
             weights = score(np.stack([draw(gen) for gen in gens]))
             while (redraw := np.flatnonzero(weights == 0)).size:
                 weights[redraw] = score(np.stack([draw(gens[j]) for j in redraw]))
@@ -529,22 +559,27 @@ def estimate_density(
         tower = build_tower(space.q, 1, space.m, guards)
         weights_cache: dict[tuple[int, ...], int] = {}
 
-        def run_trial(i: int) -> bool:
-            gen = trial_generator(seed, i)
+        def succeeds(gen: Generator) -> bool:
             words = sample_code_subset(gen, spec.size, tower, space.n, guards)
             best = None
             for a, b in itertools.combinations(words, 2):
                 diff = subtract(space, a, b)
-                if diff not in weights_cache:
-                    weights_cache[diff] = weight(space, diff)
-                w = weights_cache[diff]
+                w = weights_cache.get(diff)
+                if w is None:
+                    w = weight(space, diff)
+                    if len(weights_cache) < _WEIGHT_CACHE_LIMIT:
+                        weights_cache[diff] = w
                 if best is None or w < best:
                     best = w
                     if best < d:
                         break
             return best >= d
 
-        successes = sum(1 for i in range(trials) if run_trial(i))
+        gen = None
+        successes = 0
+        for i in range(trials):
+            gen = trial_generator(seed, i, gen)
+            successes += succeeds(gen)
     else:
         successes = _linear_successes(space, spec, trials, seed, worker_streams, guards)
     lower, upper = clopper_pearson(successes, trials, level)

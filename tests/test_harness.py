@@ -253,7 +253,9 @@ def _trial_batches(monkeypatch):
             fresh.clear()
         return score(bases, *rest)
 
-    monkeypatch.setattr(harness, "trial_generator", lambda seed, i: fresh.append(i) or make(seed, i))
+    monkeypatch.setattr(
+        harness, "trial_generator", lambda seed, i, reuse=None: fresh.append(i) or make(seed, i, reuse)
+    )
     monkeypatch.setattr(harness, "_min_weights", scored)
     return batches
 
@@ -379,6 +381,123 @@ def test_trial_streams_distinct_across_the_64_bit_seed_range():
     assert len(draws) == len(seeds)
 
 
+def _philox_fields(gen):
+    state = gen.bit_generator.state
+    fields = {**state["state"], **{k: v for k, v in state.items() if k != "state"}}
+    return {k: np.asarray(v).tolist() for k, v in fields.items()}
+
+
+def test_rekeyed_generator_matches_a_fresh_one():
+    # before each re-key the reused generator is left mid-block with a
+    # buffered uint32, so a reset that missed either would show
+    from numpy.random import Generator, Philox
+
+    from codedensity.harness import trial_generator
+
+    reused = trial_generator(12345, 678)
+    for seed in (0, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1):
+        for trial in (0, 2**64 - 1):
+            reused.random()
+            while not (state := reused.bit_generator.state)["has_uint32"] or state["buffer_pos"] == 4:
+                reused.integers(0, 3)
+            assert trial_generator(seed, trial, reused) is reused
+            fresh = Generator(Philox(key=np.array([seed, trial], dtype=np.uint64)))
+            assert _philox_fields(reused) == _philox_fields(fresh)
+            for q in (2, 3, 4, 5, 7, 9, 16, 25, 2**40):
+                assert reused.integers(0, q, 7).tolist() == fresh.integers(0, q, 7).tolist(), (seed, trial, q)
+                assert reused.random() == fresh.random()
+
+
+# a linear case where about one draw in seven is rank-deficient and redrawn
+_REDRAW_SPACE, _REDRAW_SPEC = AmbientSpace(3, 1, 1, 3, "hamming"), CodeFamilySpec(1, 2, dim=2)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_trial_batch_size_does_not_change_successes(monkeypatch, batch):
+    from codedensity import harness
+
+    want = [estimate_density(_REDRAW_SPACE, _REDRAW_SPEC, trials=50, seed=s).successes for s in (0, 9)]
+    assert want == [14, 17]
+    monkeypatch.setattr(harness, "_TRIAL_BATCH", batch)
+    for streams in (1, 7):
+        got = [
+            estimate_density(_REDRAW_SPACE, _REDRAW_SPEC, trials=50, seed=s, worker_streams=streams).successes
+            for s in (0, 9)
+        ]
+        assert got == want, streams
+
+
+def test_pooled_generators_are_distinct_within_a_batch(monkeypatch):
+    # spy: the generators handed out between two scorer calls form a batch;
+    # none may serve two trials of it, and later batches re-key the same pool
+    from codedensity import harness
+
+    batches, current = [], []
+    make, score = harness.trial_generator, harness._min_weights
+
+    def handed_out(seed, i, reuse=None):
+        current.append(make(seed, i, reuse))
+        return current[-1]
+
+    def scored(bases, *rest):
+        if current:
+            batches.append(list(current))
+            current.clear()
+        return score(bases, *rest)
+
+    monkeypatch.setattr(harness, "trial_generator", handed_out)
+    monkeypatch.setattr(harness, "_min_weights", scored)
+    monkeypatch.setattr(harness, "_TRIAL_BATCH", 3)
+    estimate_density(_REDRAW_SPACE, _REDRAW_SPEC, trials=20, seed=4)
+    assert [len(b) for b in batches] == [3] * 6 + [2]
+    for gens in batches:
+        assert len({id(gen) for gen in gens}) == len(gens)
+    assert len({id(gen) for gens in batches for gen in gens}) == 3
+
+
+def test_rekeyed_estimates_match_fresh_generators(monkeypatch):
+    # both branches reuse generators; a fresh one for every trial is the
+    # reference
+    from codedensity import harness
+
+    cases = [
+        (_REDRAW_SPACE, _REDRAW_SPEC),
+        (AmbientSpace(3, 1, 1, 2, "hamming"), CodeFamilySpec(0, 2, size=3)),
+    ]
+    runs = lambda: [
+        estimate_density(space, spec, trials=300, seed=seed).successes
+        for space, spec in cases
+        for seed in (1, 2**63 + 1)
+    ]
+    reused = runs()
+    make = harness.trial_generator
+    monkeypatch.setattr(harness, "trial_generator", lambda seed, i, reuse=None: make(seed, i))
+    assert runs() == reused
+
+
+def test_nonlinear_weight_cache_is_capped(monkeypatch):
+    import tracemalloc
+
+    from codedensity import harness
+
+    # 81 words, so pair differences repeat and a cap of 8 mixes hits and misses
+    space, spec = AmbientSpace(3, 1, 1, 4, "hamming"), CodeFamilySpec(0, 2, size=5)
+    want = estimate_density(space, spec, trials=300, seed=8).successes
+    assert want == 114
+    monkeypatch.setattr(harness, "_WEIGHT_CACHE_LIMIT", 8)
+    assert estimate_density(space, spec, trials=300, seed=8).successes == want
+    # on 2^64 words almost every difference is new; uncached, 100 trials of
+    # 66 pairs would keep about 4 MB of them
+    tracemalloc.start()
+    try:
+        big = AmbientSpace(2, 1, 1, 64, "hamming")
+        estimate_density(big, CodeFamilySpec(0, 2, size=12), trials=100, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("level", [Fraction(0), Fraction(1), Fraction(2)])
 def test_estimate_density_checks_level_before_sampling(monkeypatch, level):
     from codedensity import harness
@@ -386,7 +505,9 @@ def test_estimate_density_checks_level_before_sampling(monkeypatch, level):
     streams = []
     original = harness.trial_generator
     monkeypatch.setattr(
-        harness, "trial_generator", lambda seed, i: streams.append(i) or original(seed, i)
+        harness,
+        "trial_generator",
+        lambda seed, i, reuse=None: streams.append(i) or original(seed, i, reuse),
     )
     space = AmbientSpace(2, 1, 2, 2, "hamming")
     for spec in (CodeFamilySpec(1, 2, dim=1), CodeFamilySpec(0, 2, size=2)):
