@@ -37,7 +37,7 @@ from .classifier import (
     specialized_verdict,
 )
 from .combinat import qbinom
-from .guards import Guards, GuardExceeded
+from .guards import OUTPUT_BITS, Guards, GuardExceeded
 from .harness import (
     DEFAULT_SEED,
     convergence_experiment,
@@ -165,35 +165,35 @@ def _exact_int_output():
 # ---------------------------------------------------------------------------
 
 
-def _hold_output_bits(bits: int, guards: Guards) -> None:
+def _hold_output_bits(bits: int) -> None:
     """Refuse, before any work, a formula whose integers may run past
-    ``guards.output_bits`` bits; ``bits`` bounds their size from the inputs."""
-    if bits > guards.output_bits:
-        raise GuardExceeded("output size bound in bits", bits, guards.output_bits)
+    ``OUTPUT_BITS`` bits; ``bits`` bounds their size from the inputs."""
+    if bits > OUTPUT_BITS:
+        raise GuardExceeded("output size bound in bits", bits, OUTPUT_BITS)
 
 
-def _space_within(args, guards: Guards) -> AmbientSpace:
+def _space_within(args) -> AmbientSpace:
     """The command's ambient space F_{q^m}^n, held to m * n * bits(q) bits,
     the size of q^(m n), which sets the scale of every volume and bound."""
     space = _space_from(args)
-    _hold_output_bits(space.m * space.n * space.q.bit_length(), guards)
+    _hold_output_bits(space.m * space.n * space.q.bit_length())
     return space
 
 
 def _cmd_qbinom(args, guards: Guards) -> int:
     # [a, b]_q < 4 q^(b (a - b)), so b (a - b) bits(q) bounds its bits but for
     # a couple of bits
-    _hold_output_bits(args.b * (args.a - args.b) * args.base.bit_length(), guards)
+    _hold_output_bits(args.b * (args.a - args.b) * args.base.bit_length())
     _emit(f"{qbinom(args.a, args.b, args.base)}\n", args.output)
     return 0
 
 
 def _cmd_volume(args, guards: Guards) -> int:
-    space = _space_within(args, guards)
+    space = _space_within(args)
     vol = ball_volume(space, args.radius)
     result = {"volume": vol}
     if args.oracle:
-        counted = ball_volume_oracle(space, args.radius, guards)
+        counted = ball_volume_oracle(space, args.radius)
         result["oracle"] = counted
         result["match"] = vol == counted
     config = _config_of(args, ("metric", "q", "ell", "s", "m", "n", "t", "radius", "oracle"))
@@ -202,7 +202,7 @@ def _cmd_volume(args, guards: Guards) -> int:
 
 
 def _cmd_bound(args, guards: Guards) -> int:
-    space = _space_within(args, guards)
+    space = _space_within(args)
     config = _config_of(args, ("kind", "metric", "q", "ell", "s", "m", "n", "t", "d", "S", "k"))
     if args.kind == "singleton":
         result = {"max_cardinality": singleton_max(space, args.d)}
@@ -396,7 +396,7 @@ def _cmd_exact(args, guards: Guards) -> int:
 def _cmd_probe(args, guards: Guards) -> int:
     sc = _scenario_from(args)
     probes = [int(v) for v in args.probes.split(",") if v.strip()]
-    rows = convergence_experiment(sc, probes, guards)
+    rows = convergence_experiment(sc, probes)
     config = _config_of(args, _SCENARIO_KEYS + ("probes",))
     out_rows = [
         (r.probe, _fmt(r.rho, args.approx), _fmt(r.lower, args.approx), _fmt(r.upper, args.approx))

@@ -12,8 +12,8 @@ Frobenius^ell - id.  Its elements are addressed by a dense *index* in
 [0, p^ell) encoding coordinates over a fixed F_p-basis of that kernel; index
 arithmetic is backed by multiplication tables for small fields.  Vectors over
 F_{p^ell} (used for subspace enumeration and sampling) are tuples of such
-indices, and ``flatten``/``unflatten`` move between F_{p^m}^n and
-F_{p^ell}^(n*s) through a fixed relative basis.
+indices, and ``unflatten`` maps F_{p^ell}^(n*s) onto F_{p^m}^n through a
+fixed relative basis.
 
 Randomness is never global: samplers take a numpy ``Generator`` (the callers
 key a counter-based Philox stream per trial), so independent streams can run
@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .combinat import is_prime, qbinom
-from .guards import Guards, GuardExceeded
+from .guards import TOWER_DEGREE, Guards, GuardExceeded
 
 Codeword = tuple[int, ...]
 
@@ -178,20 +178,6 @@ class _PrimeField:
         return (a - b) % self.p
 
 
-def _fp_solve(matrix_inv_rows: list[list[int]], vec: tuple[int, ...], p: int) -> list[int]:
-    return [sum(a * b for a, b in zip(row, vec)) % p for row in matrix_inv_rows]
-
-
-def _fp_invert(matrix: list[list[int]], p: int) -> list[list[int]]:
-    """Inverse over F_p: the right half of the RREF of [matrix | I]."""
-    n = len(matrix)
-    aug = [matrix[i][:] + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    reduced, pivots = rref(aug, _PrimeField(p))
-    if pivots != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return [row[n:] for row in reduced]
-
-
 # ---------------------------------------------------------------------------
 # the tower
 # ---------------------------------------------------------------------------
@@ -203,14 +189,14 @@ class FieldTower:
     Built via :func:`build_tower`; immutable and shareable after construction.
     """
 
-    def __init__(self, p: int, ell: int, s: int, guards: Guards):
+    def __init__(self, p: int, ell: int, s: int):
         if not is_prime(p):
             raise ValueError(f"tower base must be prime, got {p}")
         if ell < 1 or s < 1:
             raise ValueError("ell and s must be positive")
         m = ell * s
-        if m > guards.tower_degree:
-            raise GuardExceeded("tower extension degree", m, guards.tower_degree)
+        if m > TOWER_DEGREE:
+            raise GuardExceeded("tower extension degree", m, TOWER_DEGREE)
         self.p = p
         self.ell = ell
         self.s = s
@@ -224,14 +210,6 @@ class FieldTower:
         assert len(self.subfield_basis) == ell, "subfield has wrong dimension"
         self.relative_basis = self._relative_basis()
         assert len(self.relative_basis) == s, "relative basis has wrong size"
-
-        # column (i*ell + u) of M holds digits(subfield_basis[u] * relative_basis[i])
-        cols = []
-        for i in range(s):
-            for u in range(ell):
-                cols.append(self.digits(self.mul(self.subfield_basis[u], self.relative_basis[i])))
-        m_rows = [[cols[j][i] for j in range(m)] for i in range(m)]
-        self._m_inv = _fp_invert(m_rows, p)
 
         self._k_index_to_res: list[int] | None = None
         self._k_res_to_index: dict[int, int] | None = None
@@ -415,25 +393,11 @@ class FieldTower:
 
     # -- coordinate maps ------------------------------------------------------
 
-    def flatten_coord(self, x: int) -> tuple[int, ...]:
-        """Coordinates of x over the relative basis, as s middle-field indices."""
-        c = _fp_solve(self._m_inv, self.digits(x), self.p)
-        p, ell = self.p, self.ell
-        return tuple(
-            _undigits(tuple(c[i * ell + u] for u in range(ell)), p) for i in range(self.s)
-        )
-
     def unflatten_coord(self, coords: tuple[int, ...]) -> int:
         x = 0
         for idx, b in zip(coords, self.relative_basis):
             x = self.add(x, self.mul(self.k_to_residue(idx), b))
         return x
-
-    def flatten(self, word: Codeword) -> tuple[int, ...]:
-        out: list[int] = []
-        for x in word:
-            out.extend(self.flatten_coord(x))
-        return tuple(out)
 
     def unflatten(self, vec: tuple[int, ...], n: int) -> Codeword:
         s = self.s
@@ -442,9 +406,10 @@ class FieldTower:
         return tuple(self.unflatten_coord(tuple(vec[j * s : (j + 1) * s])) for j in range(n))
 
 
-def build_tower(p: int, ell: int, s: int, guards: Guards | None = None) -> FieldTower:
-    """Construct the tower F_p <= F_{p^ell} <= F_{p^(ell*s)}."""
-    return FieldTower(p, ell, s, guards or Guards())
+def build_tower(p: int, ell: int, s: int) -> FieldTower:
+    """Construct the tower F_p <= F_{p^ell} <= F_{p^(ell*s)}, of degree at
+    most ``TOWER_DEGREE``."""
+    return FieldTower(p, ell, s)
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +469,10 @@ def subspace_from_rows(rows: list[list[int]], tower: FieldTower) -> SubspaceBasi
 
 
 def enumerate_subspaces(
-    k: int, tower: FieldTower, n: int, guards: Guards | None = None
+    k: int, tower: FieldTower, n: int, guards: Guards = Guards()
 ) -> Iterator[SubspaceBasis]:
     """All k-dimensional subspaces of F_{p^ell}^(n*s), once each, via RREF
     pivot-profile enumeration."""
-    guards = guards or Guards()
     ns = n * tower.s
     if k < 0 or k > ns:
         raise ValueError(f"dimension k={k} out of range for ambient dimension {ns}")
@@ -567,12 +531,9 @@ def codeword_from_int(value: int, tower: FieldTower, n: int) -> Codeword:
     return tuple(out)
 
 
-def sample_code_subset(
-    gen, size: int, tower: FieldTower, n: int, guards: Guards | None = None
-) -> tuple[Codeword, ...]:
+def sample_code_subset(gen, size: int, tower: FieldTower, n: int) -> tuple[Codeword, ...]:
     """Uniformly random size-element subset of F_{p^m}^n (Floyd's algorithm
     over integer codeword indices), returned in sorted order."""
-    guards = guards or Guards()
     space = tower.order**n
     if not 2 <= size <= space:
         raise ValueError(f"subset size {size} out of range [2, {space}]")

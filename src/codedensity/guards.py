@@ -8,23 +8,24 @@ from dataclasses import dataclass
 ENV_GUARD = "CODE_DENSITY_GUARD"
 
 
+# Fixed caps; CODE_DENSITY_GUARD changes none of them.
+ORACLE_SPACE = 2**16  # words a brute-force volume count or reduction check may weigh
+TOWER_DEGREE = 24  # extension degree m of a constructed field tower
+OUTPUT_BITS = 2**20  # bound on the bits a formula command (qbinom, volume, bound) may print
+
+
 @dataclass(frozen=True)
 class Guards:
-    """Limits for exhaustive work, adjustable in one place.
+    """The settable limit for exhaustive work.
 
     ``enumeration`` caps how many codes/subspaces an exhaustive oracle may
-    walk, ``oracle_space`` caps the ambient size for brute-force volume
-    counts, ``tower_degree`` caps the extension degree of constructed field
-    towers, ``output_bits`` caps a bound on the bits of the integers that the
-    formula commands (``qbinom``, ``volume``, ``bound``) would compute.  The
-    environment variable ``CODE_DENSITY_GUARD`` overrides the enumeration
-    cap only.
+    walk, and the size of the weight table a linear job or subset walk
+    builds.  The environment variable ``CODE_DENSITY_GUARD`` overrides it.
+    The fixed caps ``ORACLE_SPACE``, ``TOWER_DEGREE`` and ``OUTPUT_BITS``
+    are module constants that no setting changes.
     """
 
     enumeration: int = 10**6
-    oracle_space: int = 2**16
-    tower_degree: int = 24
-    output_bits: int = 2**20
 
     @staticmethod
     def from_env() -> "Guards":

@@ -4,9 +4,11 @@ Carlo estimation, and the bracket/volume/reduction verification suites.
 Monte Carlo draws are keyed per trial: trial i uses a Philox stream with key
 (seed, i), so results cannot depend on how trials are partitioned across
 workers and a report is reproducible from (seed, trials, scenario) alone.
-The generators are pooled: each is built once and re-keyed for later trials
-by resetting its Philox state to that of a fresh ``Philox(key=(seed, i))``,
-so every draw is bit-identical to one from a generator built for the trial.
+Linear and nonlinear trials run through one loop that cuts them into
+contiguous blocks and scores each block in batches.  The generators are
+pooled: each is built once and re-keyed for later trials by resetting its
+Philox state to that of a fresh ``Philox(key=(seed, i))``, so every draw is
+bit-identical to one from a generator built for the trial.
 Confidence intervals are exact Clopper-Pearson bounds on a dyadic rational
 grid of width 2^-21 (< 10^-6), rounded outward so coverage is never
 understated.  Each endpoint is the last grid point where a monotone binomial
@@ -65,7 +67,7 @@ from .fields import (
     enumerate_subspaces,
     sample_code_subset,
 )
-from .guards import Guards, GuardExceeded
+from .guards import ORACLE_SPACE, Guards, GuardExceeded
 from .metrics import (
     AmbientSpace,
     HAMMING,
@@ -89,7 +91,8 @@ _SEED_LIMIT = 1 << 64  # seeds are Philox key words
 _CHUNK_WORDS = 1 << 13
 # Most trials a linear Monte Carlo batch draws at once; batch slot j keeps one
 # Philox generator, re-keyed for the j-th trial of each batch, and a trial's
-# redraws continue from its slot until the batch is scored.
+# redraws continue from its slot until the batch is scored.  Nonlinear trials
+# run in batches of one.
 _TRIAL_BATCH = 256
 # Most pair-difference weights one nonlinear Monte Carlo estimate keeps.
 _WEIGHT_CACHE_LIMIT = 1 << 16
@@ -127,11 +130,11 @@ def _rat(x: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
-def space_tower(space: AmbientSpace, ell: int, guards: Guards | None = None) -> FieldTower:
+def space_tower(space: AmbientSpace, ell: int) -> FieldTower:
     space.requires_prime_q()
     if space.m % ell:
         raise ValueError(f"linearity {ell} must divide m={space.m}")
-    return build_tower(space.q, ell, space.m // ell, guards or Guards())
+    return build_tower(space.q, ell, space.m // ell)
 
 
 def _min_weights(
@@ -186,6 +189,36 @@ def _code_min_weights(
         yield score(np.array(chunk, dtype=np.int64))
 
 
+def _trial_successes(
+    trials: int,
+    seed: int,
+    worker_streams: int,
+    batch: int,
+    score_batch: Callable[[list[Generator]], int],
+) -> int:
+    """Successes of trials 0..trials-1, each drawn from its own
+    ``trial_generator(seed, i)``.
+
+    The trials are cut into ``worker_streams`` contiguous blocks, and each
+    block is scored in batches of at most ``batch`` trials: ``score_batch``
+    takes the generators of one batch, in trial order, and returns how many
+    of its trials succeed.  The generators form one pool with a slot per
+    batch position: slot j is built for the j-th trial of the first batch
+    and re-keyed for the j-th trial of each later one, once the batch before
+    has been scored.
+    """
+    pool: list[Generator | None] = [None] * min(batch, trials)
+    successes = 0
+    for block in range(worker_streams):
+        stop = (block + 1) * trials // worker_streams
+        for start in range(block * trials // worker_streams, stop, batch):
+            trial_ids = range(start, min(start + batch, stop))
+            gens = [trial_generator(seed, i, gen) for i, gen in zip(trial_ids, pool)]
+            pool[: len(gens)] = gens
+            successes += score_batch(gens)
+    return successes
+
+
 def _linear_successes(
     space: AmbientSpace,
     spec: CodeFamilySpec,
@@ -202,30 +235,50 @@ def _linear_successes(
     reduction: a rank-deficient draw has F_p-dependent generators, so some
     nonzero combination is the zero word and ``_min_weights`` reads 0, while
     every code of dimension k has minimum weight >= 1.  Draws that score 0
-    are redrawn from their own trial's stream.  The trials are cut into
-    ``worker_streams`` contiguous blocks, and each block is scored in
-    batches of at most _TRIAL_BATCH trials.  The generators form one pool
-    with a slot per batch position: slot j is built for the j-th trial of
-    the first batch and re-keyed for the j-th trial of each later one, once
-    the batch before has been scored.
+    are redrawn from their own trial's stream.  Trials are scored in batches
+    of at most _TRIAL_BATCH.
     """
-    tower = space_tower(space, spec.linearity, guards)
+    tower = space_tower(space, spec.linearity)
     score, per_chunk = _scorer(space, tower, spec.dim, guards)
     draw = lambda gen: _draw_matrix(gen, spec.dim, tower, space.n)
+
+    def score_batch(gens: list[Generator]) -> int:
+        weights = score(np.stack([draw(gen) for gen in gens]))
+        while (redraw := np.flatnonzero(weights == 0)).size:
+            weights[redraw] = score(np.stack([draw(gens[j]) for j in redraw]))
+        return int(np.count_nonzero(weights >= spec.d))
+
     batch = min(per_chunk, _TRIAL_BATCH)
-    pool: list[Generator | None] = [None] * min(batch, trials)
-    successes = 0
-    for block in range(worker_streams):
-        stop = (block + 1) * trials // worker_streams
-        for start in range(block * trials // worker_streams, stop, batch):
-            trial_ids = range(start, min(start + batch, stop))
-            gens = [trial_generator(seed, i, gen) for i, gen in zip(trial_ids, pool)]
-            pool[: len(gens)] = gens
-            weights = score(np.stack([draw(gen) for gen in gens]))
-            while (redraw := np.flatnonzero(weights == 0)).size:
-                weights[redraw] = score(np.stack([draw(gens[j]) for j in redraw]))
-            successes += int(np.count_nonzero(weights >= spec.d))
-    return successes
+    return _trial_successes(trials, seed, worker_streams, batch, score_batch)
+
+
+def _nonlinear_successes(
+    space: AmbientSpace, spec: CodeFamilySpec, trials: int, seed: int, worker_streams: int
+) -> int:
+    """Number of trials whose uniform S-subset of the space has minimum
+    distance >= d, one trial per batch, with pair distances from the scalar
+    ``weight`` of the pair's difference."""
+    tower = build_tower(space.q, 1, space.m)
+    d = spec.d
+    weights_cache: dict[tuple[int, ...], int] = {}
+
+    def succeeds(gen: Generator) -> bool:
+        words = sample_code_subset(gen, spec.size, tower, space.n)
+        best = None
+        for a, b in itertools.combinations(words, 2):
+            diff = subtract(space, a, b)
+            w = weights_cache.get(diff)
+            if w is None:
+                w = weight(space, diff)
+                if len(weights_cache) < _WEIGHT_CACHE_LIMIT:
+                    weights_cache[diff] = w
+            if best is None or w < best:
+                best = w
+                if best < d:
+                    break
+        return best >= d
+
+    return _trial_successes(trials, seed, worker_streams, 1, lambda gens: succeeds(gens[0]))
 
 
 @lru_cache(maxsize=64)
@@ -236,7 +289,7 @@ def linear_distance_histogram(
     codes in the space; one enumeration serves every distance target."""
     if k < 1:
         raise ValueError("minimum distance needs a nonzero code (k >= 1)")
-    tower = space_tower(space, ell, guards)
+    tower = space_tower(space, ell)
     ns = space.n * tower.s
     total = qbinom(ns, k, tower.subfield_order)
     if total > guards.enumeration:
@@ -268,7 +321,7 @@ def subset_distance_histogram(
     total = binom(total_space, size)
     if total > guards.enumeration:
         raise GuardExceeded("subset code enumeration", total, guards.enumeration)
-    table = _flat_weight_table(space, space_tower(space, 1, guards), guards.enumeration)
+    table = _flat_weight_table(space, space_tower(space, 1), guards.enumeration)
     index = np.arange(total_space)
     units = [space.q**i for i in range(space.n * space.m)]
     rows: dict[int, list[int]] = {}
@@ -289,10 +342,9 @@ def subset_distance_histogram(
 
 
 def exact_density(
-    space: AmbientSpace, spec: CodeFamilySpec, guards: Guards | None = None
+    space: AmbientSpace, spec: CodeFamilySpec, guards: Guards = Guards()
 ) -> Fraction:
     """Exact fraction of codes in the family with minimum distance >= d."""
-    guards = guards or Guards()
     spec.validate_for(space)
     if spec.linearity == 0:
         hist = subset_distance_histogram(space, spec.size, guards)
@@ -327,13 +379,13 @@ def _ge_tail_cmp(n: int, x: int, num: int, den: int, t_num: int, t_den: int) -> 
     if x > n or num <= 0:
         return _cmp(0, t_num)  # tail probability is 0
     if 2 * t_num <= t_den:
-        sign = _enclosed_tail_cmp(n, x, num, den - num, t_num, t_den)
+        side, flip = (n, x, num, den - num, t_num, t_den), 1
     else:
         # sum the complement instead: P(X >= x) = 1 - P(n - X >= n - x + 1),
         # where n - X ~ Bin(n, 1 - p), against the threshold 1 - t < 1/2
-        sign = _enclosed_tail_cmp(n, n - x + 1, den - num, num, t_den - t_num, t_den)
-        sign = None if sign is None else -sign
-    return _exact_ge_tail_cmp(n, x, num, den, t_num, t_den) if sign is None else sign
+        side, flip = (n, n - x + 1, den - num, num, t_den - t_num, t_den), -1
+    sign = _enclosed_tail_cmp(*side)
+    return flip * (_exact_ge_tail_cmp(*side) if sign is None else sign)
 
 
 def _enclosed_tail_cmp(n: int, x: int, a: int, b: int, t_num: int, t_den: int) -> int | None:
@@ -375,35 +427,15 @@ def _enclosed_tail_cmp(n: int, x: int, a: int, b: int, t_num: int, t_den: int) -
     return None
 
 
-def _exact_ge_tail_cmp(n: int, x: int, num: int, den: int, t_num: int, t_den: int) -> int:
-    """``_ge_tail_cmp`` for 1 <= x <= n and 0 < num < den, summed in integers
-    scaled by den^n."""
-    a, b = num, den - num
-    total_den = den**n
-    threshold = t_num * total_den
-    if n - x <= x:
-        term = math.comb(n, x) * a**x * b ** (n - x)
-        s = term
-        for j in range(x, n):
-            if s * t_den > threshold:
-                return 1
-            num_r = (n - j) * a
-            den_r = (j + 1) * b
-            if num_r < den_r:
-                # terms now decay geometrically with ratio num_r/den_r, so the
-                # remaining mass is below term * num_r / (den_r - num_r)
-                gap = den_r - num_r
-                if (s * gap + term * num_r) * t_den < threshold * gap:
-                    return -1
-            term = term * num_r // den_r
-            s += term
-        return _cmp(s * t_den, threshold)
-    term = b**n
-    s = term
-    for j in range(0, x - 1):
+def _exact_ge_tail_cmp(n: int, x: int, a: int, b: int, t_num: int, t_den: int) -> int:
+    """``_enclosed_tail_cmp`` decided exactly: the terms
+    T_j * (a+b)^n = C(n, j) a^j b^(n-j) follow the same term-ratio
+    recurrence in integers, where every division is exact."""
+    term = total = math.comb(n, x) * a**x * b ** (n - x)
+    for j in range(x, n):
         term = term * (n - j) * a // ((j + 1) * b)
-        s += term
-    return _cmp((total_den - s) * t_den, threshold)
+        total += term
+    return _cmp(total * t_den, t_num * (a + b) ** n)
 
 
 def _log_mass(n: int, j: np.ndarray, p: float, log_fact: np.ndarray) -> float:
@@ -494,8 +526,8 @@ def clopper_pearson(successes: int, trials: int, level: Fraction) -> tuple[Fract
 class SampleReport:
     """A seeded Monte Carlo density estimate.
 
-    ``worker_streams`` records how many contiguous blocks the linear trials
-    were cut into.  The draws are keyed per trial, so the partition changes
+    ``worker_streams`` records how many contiguous blocks the trials were
+    cut into.  The draws are keyed per trial, so the partition changes
     how the trials are batched but not the successes, and the canonical
     payload used for reproducibility comparisons carries the statistical
     fields and seed only.
@@ -533,17 +565,15 @@ def estimate_density(
     seed: int = DEFAULT_SEED,
     level: Fraction = Fraction(99, 100),
     worker_streams: int = 1,
-    guards: Guards | None = None,
+    guards: Guards = Guards(),
 ) -> SampleReport:
     """Monte Carlo estimate of the family density from i.i.d. uniform codes.
 
-    Linear trials are cut into ``worker_streams`` contiguous blocks, and
-    each block is drawn and scored in batches of its own.  The draws of
-    trial i are keyed by (seed, i) alone, so the partition moves only the
-    batch boundaries and never changes the successes.  Nonlinear trials run
-    one at a time, so the partition does not apply to them.
+    The trials are cut into ``worker_streams`` contiguous blocks, and each
+    block is drawn and scored in batches of its own.  The draws of trial i
+    are keyed by (seed, i) alone, so the partition moves only the batch
+    boundaries and never changes the successes.
     """
-    guards = guards or Guards()
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 1 <= worker_streams <= trials:
@@ -554,32 +584,8 @@ def estimate_density(
     if not 0 < level < 1:
         raise ValueError("confidence level must lie strictly between 0 and 1")
     spec.validate_for(space)
-    d = spec.d
     if spec.linearity == 0:
-        tower = build_tower(space.q, 1, space.m, guards)
-        weights_cache: dict[tuple[int, ...], int] = {}
-
-        def succeeds(gen: Generator) -> bool:
-            words = sample_code_subset(gen, spec.size, tower, space.n, guards)
-            best = None
-            for a, b in itertools.combinations(words, 2):
-                diff = subtract(space, a, b)
-                w = weights_cache.get(diff)
-                if w is None:
-                    w = weight(space, diff)
-                    if len(weights_cache) < _WEIGHT_CACHE_LIMIT:
-                        weights_cache[diff] = w
-                if best is None or w < best:
-                    best = w
-                    if best < d:
-                        break
-            return best >= d
-
-        gen = None
-        successes = 0
-        for i in range(trials):
-            gen = trial_generator(seed, i, gen)
-            successes += succeeds(gen)
+        successes = _nonlinear_successes(space, spec, trials, seed, worker_streams)
     else:
         successes = _linear_successes(space, spec, trials, seed, worker_streams, guards)
     lower, upper = clopper_pearson(successes, trials, level)
@@ -610,10 +616,9 @@ class Verdict:
 
 
 def verify_bracket(
-    space: AmbientSpace, spec: CodeFamilySpec, guards: Guards | None = None
+    space: AmbientSpace, spec: CodeFamilySpec, guards: Guards = Guards()
 ) -> Verdict:
     """Exact check that the exhaustive density lies inside the bracket."""
-    guards = guards or Guards()
     density = exact_density(space, spec, guards)
     if spec.linearity == 0:
         bracket, _ = nonlinear_bracket(space, spec.size, spec.d)
@@ -643,14 +648,13 @@ def _family_label(spec: CodeFamilySpec) -> str:
     return f"linear(ell={spec.linearity},k={spec.dim},d={spec.d})"
 
 
-def volume_verification(spaces: list[AmbientSpace], guards: Guards | None = None) -> list[Verdict]:
+def volume_verification(spaces: list[AmbientSpace]) -> list[Verdict]:
     """ball_volume against the brute-force oracle, all radii."""
-    guards = guards or Guards()
     out = []
     for space in spaces:
         for r in range(space.diameter + 1):
             closed = ball_volume(space, r)
-            counted = ball_volume_oracle(space, r, guards)
+            counted = ball_volume_oracle(space, r)
             out.append(
                 Verdict(
                     subject="volume",
@@ -666,13 +670,10 @@ def volume_verification(spaces: list[AmbientSpace], guards: Guards | None = None
     return out
 
 
-def reduction_verification(
-    q: int, ell: int, s: int, n: int, guards: Guards | None = None
-) -> list[Verdict]:
+def reduction_verification(q: int, ell: int, s: int, n: int) -> list[Verdict]:
     """Sum-rank with t=1 must match rank, and with eta=1 must match Hamming:
     exact ball volumes at every radius, and pointwise weights compared as two
-    weight tables built on one tower (spaces up to ``guards.oracle_space``)."""
-    guards = guards or Guards()
+    weight tables built on one tower (spaces up to ``ORACLE_SPACE``)."""
     out = []
     rank_space = AmbientSpace(q, ell, s, n, RANK)
     one_block = AmbientSpace(q, ell, s, n, SUMRANK, t=1)
@@ -688,9 +689,9 @@ def reduction_verification(
                     {"pair": name, "space": _space_label(a), "radius": r, "volumes": (va, vb)},
                 )
             )
-        if a.size <= guards.oracle_space:
-            tower = space_tower(a, 1, guards)
-            wa, wb = (_flat_weight_table(x, tower, guards.oracle_space) for x in (a, b))
+        if a.size <= ORACLE_SPACE:
+            tower = space_tower(a, 1)
+            wa, wb = (_flat_weight_table(x, tower, ORACLE_SPACE) for x in (a, b))
             mismatch = int(np.count_nonzero(wa != wb))
             out.append(
                 Verdict(
@@ -746,8 +747,7 @@ def _nonlinear_bracket_cases():
                         yield space, CodeFamilySpec(linearity=0, d=d, size=size)
 
 
-def bracket_verification(grid: str, guards: Guards | None = None) -> list[Verdict]:
-    guards = guards or Guards()
+def bracket_verification(grid: str, guards: Guards = Guards()) -> list[Verdict]:
     out = []
     if grid == "micro":
         cases = [
@@ -765,9 +765,8 @@ def bracket_verification(grid: str, guards: Guards | None = None) -> list[Verdic
     return out
 
 
-def run_verification(grid: str, guards: Guards | None = None) -> list[Verdict]:
+def run_verification(grid: str, guards: Guards = Guards()) -> list[Verdict]:
     """The bracket/reduction/volume suites at desk or micro scale."""
-    guards = guards or Guards()
     if grid not in ("micro", "desk"):
         raise ValueError(f"unknown grid {grid!r}; expected micro or desk")
     verdicts: list[Verdict] = []
@@ -778,14 +777,14 @@ def run_verification(grid: str, guards: Guards | None = None) -> list[Verdict]:
             AmbientSpace(2, 1, 2, 4, SUMRANK, t=2),
             AmbientSpace(3, 1, 2, 2, RANK),
         ]
-        verdicts += volume_verification(spaces, guards)
-        verdicts += reduction_verification(2, 1, 2, 2, guards)
+        verdicts += volume_verification(spaces)
+        verdicts += reduction_verification(2, 1, 2, 2)
         verdicts += bracket_verification("micro", guards)
     else:
-        verdicts += volume_verification(_criterion_volume_spaces(guards.oracle_space), guards)
+        verdicts += volume_verification(_criterion_volume_spaces(ORACLE_SPACE))
         for q, m, n in ((2, 1, 2), (2, 2, 2), (2, 1, 4), (2, 3, 1), (3, 1, 2), (3, 2, 1)):
             if q ** (m * n) <= 2**12:
-                verdicts += reduction_verification(q, 1, m, n, guards)
+                verdicts += reduction_verification(q, 1, m, n)
         verdicts += bracket_verification("desk", guards)
     return verdicts
 
@@ -803,9 +802,7 @@ class ConvergenceRow:
     upper: Fraction
 
 
-def convergence_experiment(
-    sc: Scenario, probes: list[int], guards: Guards | None = None
-) -> list[ConvergenceRow]:
+def convergence_experiment(sc: Scenario, probes: list[int]) -> list[ConvergenceRow]:
     """Exact comparison ratio and finite density bracket at each probe value
     of the growing parameter; rows are ready for delimited export."""
     rows = []

@@ -38,7 +38,7 @@ from .combinat import binom, is_prime, prime_power, qbinom
 import numpy as np
 
 from .fields import Codeword, FieldTower, SubspaceBasis, _PrimeField, build_tower, rref
-from .guards import Guards, GuardExceeded, UnsupportedAsymptotics
+from .guards import ORACLE_SPACE, GuardExceeded, UnsupportedAsymptotics
 
 HAMMING = "hamming"
 RANK = "rank"
@@ -290,7 +290,7 @@ def _flat_weight_table(space: AmbientSpace, tower: FieldTower, limit: int) -> np
     linearity-1 tower, index v holds the weight of ``codeword_from_int(v)``.
     The table has one entry per word of the space, so its size is held to
     ``limit``: the enumeration guard for linear jobs and subset walks,
-    ``oracle_space`` for the volume oracle and the reduction check.
+    ``ORACLE_SPACE`` for the volume oracle and the reduction check.
     """
     if space.size > limit:
         raise GuardExceeded("weight table entries", space.size, limit)
@@ -373,33 +373,31 @@ def _rank_shells(q: int, m: int, n: int, r: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _weight_distribution(space: AmbientSpace, guard_limit: int) -> tuple[int, ...]:
+def _weight_distribution(space: AmbientSpace) -> tuple[int, ...]:
     """Number of vectors of each weight 0..diameter: a bincount of the
     space's weight table over its linearity-1 tower."""
-    if space.size > guard_limit:
-        raise GuardExceeded("volume oracle space size", space.size, guard_limit)
+    if space.size > ORACLE_SPACE:
+        raise GuardExceeded("volume oracle space size", space.size, ORACLE_SPACE)
     if space.metric != HAMMING:
         space.requires_prime_q()
     # a > 1 only for Hamming, whose weight only sees which coordinates are
     # nonzero, and F_{q^m} is F_{p^(a*m)}
     p, a = prime_power(space.q)
     space = AmbientSpace(p, 1, a * space.m, space.n, space.metric, space.t)
-    table = _flat_weight_table(space, build_tower(p, 1, space.m), guard_limit)
+    table = _flat_weight_table(space, build_tower(p, 1, space.m), ORACLE_SPACE)
     return tuple(int(c) for c in np.bincount(table, minlength=space.diameter + 1))
 
 
-def ball_volume_oracle(space: AmbientSpace, r: int, guards: Guards | None = None) -> int:
+def ball_volume_oracle(space: AmbientSpace, r: int) -> int:
     """Ball volume recounted from the weight of every vector of the space.
 
     The weights come from :func:`_flat_weight_table`, built over F_p with no
-    closed form involved; the space is held to ``guards.oracle_space`` and
-    never to the enumeration guard.  The tests check the table against
-    :func:`weight`.
+    closed form involved; the space is held to ``ORACLE_SPACE`` and never to
+    the enumeration guard.  The tests check the table against :func:`weight`.
     """
-    guards = guards or Guards()
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
-    counts = _weight_distribution(space, guards.oracle_space)
+    counts = _weight_distribution(space)
     return sum(counts[: min(r, space.diameter) + 1])
 
 

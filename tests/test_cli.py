@@ -55,7 +55,7 @@ def test_volume_oracle_accepts_a_prime_power_q_for_hamming(capsys):
 
 
 def test_volume_oracle_ignores_the_enumeration_guard(capsys, monkeypatch):
-    # the oracle is held to Guards.oracle_space, never to the enumeration cap
+    # the oracle is held to ORACLE_SPACE, never to the enumeration cap
     monkeypatch.setenv(ENV_GUARD, "0")
     code, out, _ = run_cli(
         capsys, "volume", "--metric", "sumrank", "--q", "3", "--s", "2", "--n", "2",
@@ -319,6 +319,21 @@ def test_estimate_beyond_the_weight_table_guard_exits_three(capsys, monkeypatch)
     )
     assert code == 3 and out == ""
     assert f"weight table entries: exact count {2**40} exceeds guard 1000000" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("estimate", "--metric", "hamming", "--q", "2", "--s", "25", "--n", "1", "--S", "2",
+          "--d", "1", "--trials", "1"), "tower extension degree: exact count 25 exceeds guard 24"),
+        (("volume", "--metric", "hamming", "--q", "2", "--s", "17", "--n", "1", "--radius", "1",
+          "--oracle"), f"volume oracle space size: exact count {2**17} exceeds guard {2**16}"),
+    ],
+)
+def test_fixed_caps_exit_three(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert message in err
 
 
 _SPACE_ARGS = ("--metric", "hamming", "--q", "2", "--ell", "1", "--s", "1")

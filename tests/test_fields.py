@@ -12,7 +12,6 @@ from codedensity.combinat import qbinom
 from codedensity.fields import (
     SubspaceBasis,
     _PrimeField,
-    _fp_invert,
     _is_irreducible,
     build_tower,
     enumerate_subspaces,
@@ -129,36 +128,45 @@ def test_subfield_basis_is_frobenius_fixed():
         assert len(tower.relative_basis) == s
 
 
-def test_flatten_commutes_with_subfield_scalars():
-    tower = build_tower(2, 2, 2)
-    for x in range(0, tower.order, 3):
-        flat = tower.flatten((x,))
-        for c in range(tower.subfield_order):
-            scaled = tower.mul(tower.k_to_residue(c), x)
-            expect = tuple(tower.k_mul(c, v) for v in flat)
-            assert tower.flatten((scaled,)) == expect
+# (tower, n) pairs: F_{p^ell}^(n*s) onto F_{p^m}^n for middle fields F_2,
+# F_3, F_4 and F_8
+_UNFLATTEN_CASES = (
+    (build_tower(2, 1, 2), 2),
+    (build_tower(3, 1, 2), 2),
+    (build_tower(2, 2, 2), 1),
+    (build_tower(2, 3, 2), 1),
+)
 
 
-def test_flatten_unflatten_roundtrip_and_linearity():
-    t = build_tower(2, 1, 2)
-    for word in itertools.product(range(4), repeat=2):
-        assert t.unflatten(t.flatten(word), 2) == word
-    assert t.flatten((0, 0)) == (0, 0, 0, 0)
-
-    t9 = build_tower(3, 1, 2)
-    for x in range(9):
-        for y in range(9):
-            lhs = t9.flatten((t9.add(x, y),))
-            rhs = tuple(
-                t9.k_add(a, b) for a, b in zip(t9.flatten((x,)), t9.flatten((y,)))
-            )
-            assert lhs == rhs
+def _middle_vectors(tower, n):
+    return itertools.product(range(tower.subfield_order), repeat=n * tower.s)
 
 
-def test_flatten_is_bijective():
-    t = build_tower(2, 1, 2)
-    images = {t.flatten(w) for w in itertools.product(range(4), repeat=2)}
-    assert len(images) == 2 ** (1 * 2 * 2)
+def test_unflatten_is_a_bijection():
+    for tower, n in _UNFLATTEN_CASES:
+        images = {tower.unflatten(vec, n) for vec in _middle_vectors(tower, n)}
+        assert images == set(itertools.product(range(tower.order), repeat=n)), (tower.p, tower.m, n)
+
+
+def test_unflatten_is_additive():
+    for tower, n in _UNFLATTEN_CASES:
+        vecs = list(_middle_vectors(tower, n))
+        for u in vecs[::3]:
+            for v in vecs[::5]:
+                total = tuple(tower.k_add(a, b) for a, b in zip(u, v))
+                want = tuple(tower.add(x, y) for x, y in zip(tower.unflatten(u, n), tower.unflatten(v, n)))
+                assert tower.unflatten(total, n) == want
+
+
+def test_unflatten_is_subfield_linear():
+    # scaling the coordinates by c in F_{p^ell} scales the word by c's residue
+    for tower, n in _UNFLATTEN_CASES:
+        for vec in _middle_vectors(tower, n):
+            word = tower.unflatten(vec, n)
+            for c in range(tower.subfield_order):
+                scaled = tuple(tower.k_mul(c, v) for v in vec)
+                want = tuple(tower.mul(tower.k_to_residue(c), x) for x in word)
+                assert tower.unflatten(scaled, n) == want
 
 
 def test_rref_canonical_for_scrambled_bases():
@@ -220,36 +228,8 @@ def test_rref_invariants_and_row_space(field, order):
             assert len(reduced) == _fp_rank([tuple(r) for r in rows], 2)
 
 
-def test_fp_invert_is_a_true_inverse_and_rejects_singular():
-    rng = random.Random(7)
-    for p in (2, 3, 5):
-        inverted = singular = 0
-        for _ in range(60):
-            n = rng.randint(1, 3)
-            mat = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-            try:
-                inv = _fp_invert(mat, p)
-            except ValueError:
-                # singular: some nonzero x has x * mat = 0
-                assert any(
-                    not any(sum(x[i] * mat[i][j] for i in range(n)) % p for j in range(n))
-                    for x in itertools.product(range(p), repeat=n)
-                    if any(x)
-                )
-                singular += 1
-                continue
-            for i in range(n):
-                for j in range(n):
-                    entry = sum(mat[i][t] * inv[t][j] for t in range(n)) % p
-                    assert entry == (1 if i == j else 0)
-            inverted += 1
-        assert inverted and singular
-    with pytest.raises(ValueError):
-        _fp_invert([[1, 2], [2, 4]], 5)
-
-
 def test_tower_bases_are_pinned():
-    # the bases a tower is built on fix every flatten map, histogram and draw
+    # the bases a tower is built on fix every unflatten map, histogram and draw
     pinned = {
         (2, 2, 2): ([1, 6], [1, 2]),
         (3, 2, 1): ([1, 3], [1]),

@@ -177,6 +177,31 @@ def test_tail_side_is_chosen_by_the_threshold(monkeypatch):
     assert exact_runs == []
 
 
+def test_exact_fallback_decides_ties_on_either_side(monkeypatch):
+    # a threshold equal to the tail lies inside every enclosure, so the
+    # exact sum runs, on the side the threshold chose
+    from codedensity import harness
+
+    exact_runs = []
+    exact = harness._exact_ge_tail_cmp
+    monkeypatch.setattr(
+        harness, "_exact_ge_tail_cmp", lambda *args: exact_runs.append(args) or exact(*args)
+    )
+    # P(X >= 1) = 3/4 for X ~ Bin(2, 1/2): summed as P(2 - X >= 2) = 1/4
+    assert harness._ge_tail_cmp(2, 1, 1, 2, 3, 4) == 0
+    # P(X >= 2) = 1/2 for X ~ Bin(3, 1/2): summed as the tail itself
+    assert harness._ge_tail_cmp(3, 2, 1, 2, 1, 2) == 0
+    assert exact_runs == [(2, 2, 1, 1, 1, 4), (3, 2, 1, 1, 1, 2)]
+    # with an enclosure that never decides, the fallback alone must give
+    # the reference sign on both sides, ties or not
+    monkeypatch.setattr(harness, "_enclosed_tail_cmp", lambda *args: None)
+    thresholds = [Fraction(1, 10**9), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(999, 1000)]
+    for n, x, num, den in ((2, 1, 1, 2), (3, 2, 1, 2), (50, 30, 7, 16), (40, 1, 1, 1024), (9, 9, 5, 6)):
+        for t in thresholds:
+            want = _reference_ge_tail_cmp(n, x, num, den, t.numerator, t.denominator)
+            assert harness._ge_tail_cmp(n, x, num, den, t.numerator, t.denominator) == want, (n, x, num, t)
+
+
 def test_guided_search_finds_the_boundary_from_any_guess():
     from codedensity.harness import _last_true
 
@@ -273,22 +298,32 @@ def _partition(trials: int, streams: int, batch: int = 256):
 def test_estimate_density_stream_invariance(monkeypatch):
     import json
 
-    space = AmbientSpace(2, 1, 2, 2, "rank")
-    spec = CodeFamilySpec(1, 2, dim=2)
+    from codedensity import harness
+
     batches = _trial_batches(monkeypatch)
-    reports, seen = {}, {}
-    for streams in (1, 3, 4, 7):  # 401 trials: no partition divides evenly
-        batches.clear()
-        reports[streams] = estimate_density(space, spec, trials=401, seed=77, worker_streams=streams)
-        seen[streams] = list(batches)
-    one = reports[1]
-    for streams, report in reports.items():
-        assert report.worker_streams == streams
-        assert report.successes == one.successes
-        assert json.dumps(report.payload(), sort_keys=True) == json.dumps(one.payload(), sort_keys=True)
-        # the partitions are real: each cuts the trials into its own batches
-        assert seen[streams] == _partition(401, streams)
-    assert len({tuple(b) for b in seen.values()}) == 4
+    drawn, spied = [], harness.trial_generator
+    monkeypatch.setattr(
+        harness, "trial_generator", lambda seed, i, reuse=None: drawn.append(i) or spied(seed, i, reuse)
+    )
+    linear = AmbientSpace(2, 1, 2, 2, "rank"), CodeFamilySpec(1, 2, dim=2)
+    nonlinear = AmbientSpace(3, 1, 1, 2, "hamming"), CodeFamilySpec(0, 2, size=3)
+    for space, spec in (linear, nonlinear):
+        reports, seen = {}, {}
+        for streams in (1, 3, 4, 7):  # 401 trials: no partition divides evenly
+            batches.clear()
+            drawn.clear()
+            reports[streams] = estimate_density(space, spec, trials=401, seed=77, worker_streams=streams)
+            seen[streams] = list(batches)
+            assert drawn == list(range(401)), (spec, streams)  # each trial keyed once, in order
+        one = reports[1]
+        for streams, report in reports.items():
+            assert report.worker_streams == streams
+            assert report.successes == one.successes
+            assert json.dumps(report.payload(), sort_keys=True) == json.dumps(one.payload(), sort_keys=True)
+            if spec.linearity:
+                # the partitions are real: each cuts the trials into its own batches
+                assert seen[streams] == _partition(401, streams)
+        assert len({tuple(b) for b in seen.values()}) == (4 if spec.linearity else 1)
 
 
 def test_estimate_density_rejects_more_streams_than_trials():

@@ -10,7 +10,7 @@ import pytest
 
 from codedensity.combinat import compositions, is_prime, qbinom
 from codedensity.fields import build_tower, codeword_from_int, subspace_from_rows
-from codedensity.guards import Guards, GuardExceeded, UnsupportedAsymptotics
+from codedensity.guards import ORACLE_SPACE, GuardExceeded, UnsupportedAsymptotics
 from codedensity.harness import _criterion_volume_spaces, trial_generator
 from codedensity.metrics import (
     AmbientSpace,
@@ -72,7 +72,7 @@ def test_min_distance_nonlinear():
 def test_min_distance_linear_span_of_one_one():
     tower = build_tower(2, 1, 2)
     sp = AmbientSpace(2, 1, 2, 2, "hamming")
-    basis = subspace_from_rows([list(tower.flatten((1, 1)))], tower)
+    basis = subspace_from_rows([[1, 0, 1, 0]], tower)  # the word (1, 1)
     assert min_distance(basis, sp, tower=tower) == 2
     with pytest.raises(ValueError):
         min_distance(basis, sp)  # tower required
@@ -205,9 +205,10 @@ def test_sumrank_ball_volume_at_many_blocks():
 
 
 def test_ball_volume_oracle_guard():
-    sp = AmbientSpace(2, 1, 4, 4, "hamming")
-    with pytest.raises(GuardExceeded):
-        ball_volume_oracle(sp, 1, Guards(oracle_space=2**10))
+    sp = AmbientSpace(2, 1, 17, 1, "hamming")
+    with pytest.raises(GuardExceeded) as err:
+        ball_volume_oracle(sp, 1)
+    assert (err.value.count, err.value.limit) == (2**17, ORACLE_SPACE)
 
 
 def _check_table_against_weight(space: AmbientSpace) -> None:
@@ -220,7 +221,7 @@ def _check_table_against_weight(space: AmbientSpace) -> None:
     counts = [0] * (space.diameter + 1)
     for w in scalar:
         counts[w] += 1
-    distribution = _weight_distribution.__wrapped__(space, space.size)
+    distribution = _weight_distribution.__wrapped__(space)
     assert distribution == tuple(counts) and all(type(c) is int for c in distribution)
 
 
@@ -234,7 +235,7 @@ def test_weight_table_matches_weight_on_small_oracle_spaces(space):
 
 @pytest.mark.nightly
 def test_weight_table_matches_weight_on_every_oracle_space():
-    spaces = _criterion_volume_spaces(Guards().oracle_space)
+    spaces = _criterion_volume_spaces(ORACLE_SPACE)
     assert len(spaces) == 107
     for space in spaces:
         _check_table_against_weight(space)
@@ -258,7 +259,7 @@ def test_hamming_oracle_over_prime_power_q():
         counts = [0] * (n + 1)
         for word in itertools.product(range(q**m), repeat=n):
             counts[weight(space, word)] += 1
-        assert _weight_distribution.__wrapped__(space, 2**16) == tuple(counts), space
+        assert _weight_distribution.__wrapped__(space) == tuple(counts), space
         for r in range(n + 1):
             assert ball_volume_oracle(space, r) == ball_volume(space, r)
 
