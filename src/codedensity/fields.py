@@ -13,7 +13,11 @@ Frobenius^ell - id.  Its elements are addressed by a dense *index* in
 arithmetic is backed by multiplication tables for small fields.  Vectors over
 F_{p^ell} (used for subspace enumeration and sampling) are tuples of such
 indices, and ``unflatten`` maps F_{p^ell}^(n*s) onto F_{p^m}^n through a
-fixed relative basis.
+fixed relative basis.  ``build_tower`` keeps one tower per (p, ell, s).
+
+Subspaces are RREF bases.  Enumeration walks the pivot profiles, and within
+one profile takes the Cartesian product of each row's own choices, since an
+RREF row's free cells lie in that row alone.
 
 Randomness is never global: samplers take a numpy ``Generator`` (the callers
 key a counter-based Philox stream per trial), so independent streams can run
@@ -406,9 +410,10 @@ class FieldTower:
         return tuple(self.unflatten_coord(tuple(vec[j * s : (j + 1) * s])) for j in range(n))
 
 
+@lru_cache(maxsize=64)
 def build_tower(p: int, ell: int, s: int) -> FieldTower:
-    """Construct the tower F_p <= F_{p^ell} <= F_{p^(ell*s)}, of degree at
-    most ``TOWER_DEGREE``."""
+    """The tower F_p <= F_{p^ell} <= F_{p^(ell*s)}, of degree at most
+    ``TOWER_DEGREE``; one shared instance per (p, ell, s)."""
     return FieldTower(p, ell, s)
 
 
@@ -471,8 +476,18 @@ def subspace_from_rows(rows: list[list[int]], tower: FieldTower) -> SubspaceBasi
 def enumerate_subspaces(
     k: int, tower: FieldTower, n: int, guards: Guards = Guards()
 ) -> Iterator[SubspaceBasis]:
-    """All k-dimensional subspaces of F_{p^ell}^(n*s), once each, via RREF
-    pivot-profile enumeration."""
+    """All k-dimensional subspaces of F_{p^ell}^(n*s), once each, as RREF
+    bases, pivot profile by pivot profile.
+
+    The free cells of an RREF row lie in that row alone (right of its pivot,
+    off the other pivot columns), so the bases of one profile are the
+    Cartesian product of per-row choice lists, the first row varying
+    slowest and each row's last free cell fastest.  Rows 2..k are built once
+    per profile and held; row 1, whose free cells are a superset of every
+    other row's, is generated lazily, so memory stays near k times the
+    square root of the profile's count.  The guard is checked at the first
+    ``next()``.
+    """
     ns = n * tower.s
     if k < 0 or k > ns:
         raise ValueError(f"dimension k={k} out of range for ambient dimension {ns}")
@@ -482,22 +497,23 @@ def enumerate_subspaces(
     if k == 0:
         yield SubspaceBasis((), ())
         return
-    q_range = range(tower.subfield_order)
     for pivots in itertools.combinations(range(ns), k):
-        free_cells = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, ns)
-            if j not in pivots
-        ]
-        base = [[0] * ns for _ in range(k)]
-        for i, pc in enumerate(pivots):
-            base[i][pc] = tower.one_index
-        for assignment in itertools.product(q_range, repeat=len(free_cells)):
-            rows = [row[:] for row in base]
-            for (i, j), val in zip(free_cells, assignment):
-                rows[i][j] = val
-            yield SubspaceBasis(tuple(tuple(r) for r in rows), tuple(pivots))
+        choices = [_row_choices(pc, pivots, ns, tower) for pc in pivots]
+        rest = [tuple(row) for row in choices[1:]]
+        for first in choices[0]:
+            for others in itertools.product(*rest):
+                yield SubspaceBasis((first,) + others, pivots)
+
+
+def _row_choices(
+    pc: int, pivots: tuple[int, ...], ns: int, tower: FieldTower
+) -> Iterator[tuple[int, ...]]:
+    """Every RREF row with its pivot at column ``pc``: zero left of it and on
+    the other pivot columns, any value elsewhere, in lexicographic order."""
+    head = (0,) * pc + (tower.one_index,)
+    q_range = range(tower.subfield_order)
+    tail = [(0,) if j in pivots else q_range for j in range(pc + 1, ns)]
+    return (head + cells for cells in itertools.product(*tail))
 
 
 def sample_subspace(gen, k: int, tower: FieldTower, n: int) -> SubspaceBasis:

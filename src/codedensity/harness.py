@@ -184,9 +184,12 @@ def _code_min_weights(
     """Minimum weights of the k-dimensional codes ``bases`` span, scored in
     chunks of at most _CHUNK_WORDS codewords; bases are consumed lazily."""
     score, per_chunk = _scorer(space, tower, k, guards)
+    ns = space.n * tower.s
     bases = iter(bases)
     while chunk := [basis.rows for basis in itertools.islice(bases, per_chunk)]:
-        yield score(np.array(chunk, dtype=np.int64))
+        cells = itertools.chain.from_iterable(itertools.chain.from_iterable(chunk))
+        stack = np.fromiter(cells, np.int64, count=len(chunk) * k * ns)
+        yield score(stack.reshape(len(chunk), k, ns))
 
 
 def _trial_successes(

@@ -329,9 +329,9 @@ def _flat_weight_table(space: AmbientSpace, tower: FieldTower, limit: int) -> np
 
 
 def ball_volume(space: AmbientSpace, r: int) -> int:
-    """Exact number of vectors at distance <= r from the origin.  Radii past
-    the metric diameter clamp to the full space (callers pass d-1 where d may
-    be diameter+1).
+    """Exact number of vectors at distance <= r from the origin.  A ball of
+    radius at least the metric diameter is the whole space, q^(m n), with no
+    shell summed (callers pass d-1 where d may be diameter+1).
 
     Hamming volumes sum C(n, i) (q^m - 1)^i.  Rank volumes sum the rank
     shells of F_{q^m}^n (see :func:`_rank_shells`).  A sum-rank weight is the
@@ -343,7 +343,8 @@ def ball_volume(space: AmbientSpace, r: int) -> int:
     """
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
-    r = min(r, space.diameter)
+    if r >= space.diameter:
+        return space.size
     q, m, n = space.q, space.m, space.n
     if space.metric == HAMMING:
         return sum(binom(n, i) * (q**m - 1) ** i for i in range(r + 1))

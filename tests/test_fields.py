@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -21,7 +22,7 @@ from codedensity.fields import (
     subspace_from_rows,
 )
 from codedensity.guards import GuardExceeded, Guards
-from codedensity.harness import trial_generator
+from codedensity.harness import _linear_bracket_cases, trial_generator
 from codedensity.metrics import AmbientSpace, _fp_rank, weight
 
 CHI2_CRIT_DF2_999 = 13.8155  # chi-square 0.999 quantile, 2 degrees of freedom
@@ -270,10 +271,86 @@ def test_enumerate_subspaces_zero_dim():
 
 
 def test_enumerate_subspaces_guard():
-    tower = build_tower(2, 1, 1)
+    # a generator: the call itself does no work, the first next() refuses
+    subspaces = enumerate_subspaces(8, build_tower(2, 1, 1), 16, Guards(enumeration=10))
     with pytest.raises(GuardExceeded) as err:
-        list(enumerate_subspaces(8, tower, 16, Guards(enumeration=10)))
+        next(subspaces)
     assert err.value.count == qbinom(16, 8, 2)
+
+
+def _enumerate_subspaces_stepwise(k, tower, n):
+    """The enumerator as first written, kept as the reference: one k x ns
+    RREF template per pivot profile, and one assignment of all its free
+    cells at a time, row 1's cells slowest."""
+    ns = n * tower.s
+    if k == 0:
+        yield SubspaceBasis((), ())
+        return
+    q_range = range(tower.subfield_order)
+    for pivots in itertools.combinations(range(ns), k):
+        free_cells = [
+            (i, j)
+            for i in range(k)
+            for j in range(pivots[i] + 1, ns)
+            if j not in pivots
+        ]
+        base = [[0] * ns for _ in range(k)]
+        for i, pc in enumerate(pivots):
+            base[i][pc] = tower.one_index
+        for assignment in itertools.product(q_range, repeat=len(free_cells)):
+            rows = [row[:] for row in base]
+            for (i, j), val in zip(free_cells, assignment):
+                rows[i][j] = val
+            yield SubspaceBasis(tuple(tuple(r) for r in rows), tuple(pivots))
+
+
+def _assert_same_sequence(k, tower, n):
+    count = 0
+    for fast, slow in itertools.zip_longest(
+        enumerate_subspaces(k, tower, n), _enumerate_subspaces_stepwise(k, tower, n)
+    ):
+        assert fast == slow, (tower.p, tower.ell, tower.s, n, k, count)
+        count += 1
+    assert count == qbinom(n * tower.s, k, tower.subfield_order)
+
+
+def test_enumerator_matches_stepwise_on_the_desk_grid():
+    # every (tower, n, k) the desk bracket grid enumerates, in the same order
+    enumerations = {
+        (space.q, spec.linearity, space.m // spec.linearity, space.n, spec.dim)
+        for space, spec in _linear_bracket_cases()
+    }
+    assert len(enumerations) == 35
+    for p, ell, s, n, k in sorted(enumerations):
+        _assert_same_sequence(k, build_tower(p, ell, s), n)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_enumerator_matches_stepwise_over_odd_primes(p, ell):
+    tower = build_tower(p, ell, 1)
+    cases = 0
+    for n in range(1, 7):
+        for k in range(n + 1):
+            # k = 0 and k = n (one subspace each) at every n
+            if k in (0, n) or qbinom(n, k, tower.subfield_order) <= 3000:
+                _assert_same_sequence(k, tower, n)
+                cases += 1
+    assert cases > 12  # more than the k = 0 and k = n cases
+
+
+def test_enumerator_keeps_the_first_row_lazy():
+    # k = 1 on F_4^10: the first pivot profile alone has 4^9 first rows,
+    # about 34 MB if built as a list; generated lazily the walk stays flat
+    tower = build_tower(2, 2, 1)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_subspaces(1, tower, 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == qbinom(10, 1, 4) == 349_525
+    assert peak < 1 << 20, peak
 
 
 def test_sample_subspace_full_space_and_rank():

@@ -653,12 +653,18 @@ def test_scorer_needs_no_middle_field_tables(monkeypatch):
 
     spaces = (AmbientSpace(2, 2, 1, 2, "hamming"), AmbientSpace(3, 2, 1, 2, "rank"))
     expected = [linear_distance_histogram.__wrapped__(space, 2, 1) for space in spaces]
+    # towers are shared per (p, ell, s): build fresh ones under the patch,
+    # and leave no table-less tower to later tests
+    fields.build_tower.cache_clear()
     monkeypatch.setattr(fields, "_K_TABLE_LIMIT", 1)
-    for space, want in zip(spaces, expected):
-        assert fields.build_tower(space.q, 2, 1)._k_mul_table is None
-        assert linear_distance_histogram.__wrapped__(space, 2, 1) == want
-    with pytest.raises(ValueError, match="nonzero code"):
-        linear_distance_histogram.__wrapped__(spaces[0], 2, 0)
+    try:
+        for space, want in zip(spaces, expected):
+            assert fields.build_tower(space.q, 2, 1)._k_mul_table is None
+            assert linear_distance_histogram.__wrapped__(space, 2, 1) == want
+        with pytest.raises(ValueError, match="nonzero code"):
+            linear_distance_histogram.__wrapped__(spaces[0], 2, 0)
+    finally:
+        fields.build_tower.cache_clear()
 
 
 @pytest.mark.parametrize("q", [2, 3])

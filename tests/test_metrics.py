@@ -8,13 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from codedensity.combinat import compositions, is_prime, qbinom
+from codedensity.combinat import binom, compositions, is_prime, qbinom
 from codedensity.fields import build_tower, codeword_from_int, subspace_from_rows
 from codedensity.guards import ORACLE_SPACE, GuardExceeded, UnsupportedAsymptotics
 from codedensity.harness import _criterion_volume_spaces, trial_generator
 from codedensity.metrics import (
     AmbientSpace,
     _flat_weight_table,
+    _rank_shells,
     _weight_distribution,
     ball_volume,
     ball_volume_oracle,
@@ -202,6 +203,35 @@ def test_sumrank_ball_volume_at_many_blocks():
         sp = AmbientSpace(1009, 1, 4, 4 * t, "sumrank", t=t)
         assert ball_volume(sp, sp.diameter) == sp.size
         assert ball_volume(sp, sp.diameter - 1) == sp.size - full_rank_block**t
+
+
+def _shells_to_the_diameter(space: AmbientSpace) -> int:
+    """Every weight shell of the space summed, as ball_volume summed them at
+    the diameter before it returned q^(m n) there: the reference that keeps
+    the last shell checked."""
+    q, m, n, r = space.q, space.m, space.n, space.diameter
+    if space.metric == "hamming":
+        return sum(binom(n, i) * (q**m - 1) ** i for i in range(r + 1))
+    if space.metric == "rank":
+        return sum(_rank_shells(q, m, n, r))
+    block = _rank_shells(q, m, space.eta, r)
+    dist = [1]
+    for _ in range(space.t):
+        conv = [0] * min(len(dist) + len(block) - 1, r + 1)
+        for i, a in enumerate(dist):
+            for j, b in enumerate(block[: r + 1 - i]):
+                conv[i + j] += a * b
+        dist = conv
+    return sum(dist)
+
+
+def test_shells_sum_to_the_whole_space_at_the_diameter():
+    spaces = _criterion_volume_spaces(ORACLE_SPACE)
+    assert len(spaces) == 107
+    spaces += [AmbientSpace(1009, 1, 4, 4 * t, "sumrank", t=t) for t in (9, 32)]
+    for space in spaces:
+        whole = ball_volume(space, space.diameter)
+        assert _shells_to_the_diameter(space) == whole == space.size, space
 
 
 def test_ball_volume_oracle_guard():
