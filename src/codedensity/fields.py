@@ -468,11 +468,6 @@ def rref(rows: list[list[int]], field) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
-def subspace_from_rows(rows: list[list[int]], tower: FieldTower) -> SubspaceBasis:
-    reduced, pivots = rref(rows, tower)
-    return SubspaceBasis(tuple(tuple(r) for r in reduced), tuple(pivots))
-
-
 def enumerate_subspaces(
     k: int, tower: FieldTower, n: int, guards: Guards = Guards()
 ) -> Iterator[SubspaceBasis]:
@@ -547,9 +542,9 @@ def codeword_from_int(value: int, tower: FieldTower, n: int) -> Codeword:
     return tuple(out)
 
 
-def sample_code_subset(gen, size: int, tower: FieldTower, n: int) -> tuple[Codeword, ...]:
-    """Uniformly random size-element subset of F_{p^m}^n (Floyd's algorithm
-    over integer codeword indices), returned in sorted order."""
+def sample_code_subset(gen, size: int, tower: FieldTower, n: int) -> tuple[int, ...]:
+    """Uniformly random size-element subset of F_{p^m}^n by Floyd's
+    algorithm, as the sorted indices v of its words ``codeword_from_int(v)``."""
     space = tower.order**n
     if not 2 <= size <= space:
         raise ValueError(f"subset size {size} out of range [2, {space}]")
@@ -557,7 +552,7 @@ def sample_code_subset(gen, size: int, tower: FieldTower, n: int) -> tuple[Codew
     for j in range(space - size, space):
         pick = _randbelow(gen, j + 1)
         chosen.add(j if pick in chosen else pick)
-    return tuple(codeword_from_int(v, tower, n) for v in sorted(chosen))
+    return tuple(sorted(chosen))
 
 
 def _randbelow(gen, bound: int) -> int:

@@ -32,11 +32,12 @@ of dimension k does, so such draws are found by the scorer and redrawn from
 the trial's own stream, as ``fields.sample_subspace`` redraws them.  The
 subset walk reads each pair distance from the table at the index of the
 pair's difference, and the reduction check compares two tables built on one
-tower.
+tower.  Nonlinear Monte Carlo trials run on spaces far beyond any table, so
+they weigh the pair differences of a whole batch of drawn subsets with the
+table's own kernel, ``metrics._weights``.
 The tests check the scorer against ``metrics.min_distance``, the subset walk
-against ``metrics.distance`` and the table against ``metrics.weight``.
-Nonlinear Monte Carlo trials keep the scalar ``metrics.weight``, because
-they run on spaces far beyond any table.
+against ``metrics.distance``, the table against ``metrics.weight`` and the
+nonlinear trials against ``metrics.min_distance``.
 """
 
 from __future__ import annotations
@@ -76,10 +77,9 @@ from .metrics import (
     _digit_dtype,
     _flat_weight_table,
     _fp_span,
+    _weights,
     ball_volume,
     ball_volume_oracle,
-    subtract,
-    weight,
 )
 
 DEFAULT_SEED = 1729
@@ -87,15 +87,14 @@ _CP_BITS = 21  # dyadic grid of width 2^-21 < 10^-6
 _TAIL_BITS = 160  # fraction bits of the fixed-point binomial tail enclosure
 _SEED_LIMIT = 1 << 64  # seeds are Philox key words
 # Most codeword entries the linear-code scorer expands at once: a chunk of B
-# bases of dimension k over F_{p^ell} holds B * p^(k*ell) codewords.
+# bases of dimension k over F_{p^ell} holds B * p^(k*ell) codewords.  A
+# nonlinear Monte Carlo batch holds about as many digit cells, S*n*m a trial.
 _CHUNK_WORDS = 1 << 13
-# Most trials a linear Monte Carlo batch draws at once; batch slot j keeps one
-# Philox generator, re-keyed for the j-th trial of each batch, and a trial's
-# redraws continue from its slot until the batch is scored.  Nonlinear trials
-# run in batches of one.
+# Most trials a Monte Carlo batch draws at once, linear or nonlinear; batch
+# slot j keeps one Philox generator, re-keyed for the j-th trial of each
+# batch, and a linear trial's redraws continue from its slot until the batch
+# is scored.
 _TRIAL_BATCH = 256
-# Most pair-difference weights one nonlinear Monte Carlo estimate keeps.
-_WEIGHT_CACHE_LIMIT = 1 << 16
 
 
 def trial_generator(seed: int, trial: int, reuse: Generator | None = None) -> Generator:
@@ -259,29 +258,37 @@ def _nonlinear_successes(
     space: AmbientSpace, spec: CodeFamilySpec, trials: int, seed: int, worker_streams: int
 ) -> int:
     """Number of trials whose uniform S-subset of the space has minimum
-    distance >= d, one trial per batch, with pair distances from the scalar
-    ``weight`` of the pair's difference."""
-    tower = build_tower(space.q, 1, space.m)
-    d = spec.d
-    weights_cache: dict[tuple[int, ...], int] = {}
+    distance >= d.
 
-    def succeeds(gen: Generator) -> bool:
-        words = sample_code_subset(gen, spec.size, tower, space.n)
-        best = None
-        for a, b in itertools.combinations(words, 2):
-            diff = subtract(space, a, b)
-            w = weights_cache.get(diff)
-            if w is None:
-                w = weight(space, diff)
-                if len(weights_cache) < _WEIGHT_CACHE_LIMIT:
-                    weights_cache[diff] = w
-            if best is None or w < best:
-                best = w
-                if best < d:
-                    break
-        return best >= d
+    Trial i draws the sorted word indices v of ``codeword_from_int(v)`` from
+    ``trial_generator(seed, i)``.  A batch splits its indices into the
+    coordinates the weight kernel takes (residues for p = 2, base-p digits
+    otherwise) through Python-int arithmetic, so spaces past 2^64 words take
+    the same path.  The S(S-1)/2 pair differences of every trial in the batch
+    go through one ``_weights`` call, and a trial succeeds when its smallest
+    pair weight is >= d.  A batch holds at most _TRIAL_BATCH trials and about
+    _CHUNK_WORDS digit cells, S*n*m per trial.
+    """
+    tower = space_tower(space, 1)
+    p, n, size = space.q, space.n, spec.size
+    base, width = (tower.order, 1) if p == 2 else (p, space.m)
+    dtype = np.min_scalar_type(base - 1) if p == 2 else _digit_dtype(p)
+    first, second = np.triu_indices(size, 1)
 
-    return _trial_successes(trials, seed, worker_streams, 1, lambda gens: succeeds(gens[0]))
+    def score_batch(gens: list[Generator]) -> int:
+        rest = np.array([sample_code_subset(gen, size, tower, n) for gen in gens], dtype=object)
+        digits = np.empty((n, width) + rest.shape, dtype=dtype)
+        for cell in np.ndindex(n, width):
+            digits[cell] = rest % base
+            rest //= base
+        words = digits.transpose(0, 2, 3, 1)  # (n, trials, S, width)
+        a, b = words[:, :, first], words[:, :, second]
+        diffs = a ^ b if p == 2 else (a + (p - b)) % p
+        weights = _weights(space, diffs.reshape((n, -1) if p == 2 else (n, -1, width)))
+        return int(np.count_nonzero(weights.reshape(len(gens), -1).min(axis=1) >= spec.d))
+
+    per_chunk = max(1, _CHUNK_WORDS // (size * n * space.m))
+    return _trial_successes(trials, seed, worker_streams, min(per_chunk, _TRIAL_BATCH), score_batch)
 
 
 @lru_cache(maxsize=64)

@@ -6,14 +6,17 @@ eta = n/t).  Weights act on codewords over F_{q^m} encoded as int tuples;
 rank weights expand coordinates to base-q digit columns, so they require a
 prime q (the formula-only operations accept any prime power).
 
-Every exhaustive word-level job reads weights from one numpy table,
-``_flat_weight_table``, which holds the weight of every word of a space.
-The volume oracle counts it, and ``harness`` scores linear codes, walks
-subsets and checks the metric reductions with it.  A metric is
-translation-invariant, d(x, y) = w(x - y), so the weights of single words
-serve pair distances too.  The scalar ``weight`` stays as the reference the
-tests check the table against, and as the weight of nonlinear Monte Carlo
-trials on spaces far beyond any table.
+Every word-level job weighs words with one numpy kernel, ``_weights``, over
+coordinate columns: packed residues for p = 2, base-p digit arrays
+otherwise.  ``_flat_weight_table`` applies it to every word of a space; the
+volume oracle counts that table, and ``harness`` scores linear codes, walks
+subsets and checks the metric reductions with it.  Nonlinear Monte Carlo
+trials, on spaces far beyond any table, apply the kernel to the pair
+differences of their drawn words.  A metric is translation-invariant,
+d(x, y) = w(x - y), so the weights of single words serve pair distances
+too.  The scalar ``weight``, ``subtract``, ``distance`` and
+``min_distance`` are the public API and the reference the tests check the
+kernel against; no job of the library calls them.
 
 ``ball_volume`` is the closed-form exact count; ``ball_volume_oracle``
 recounts from the weight table and exists purely to check the former.  Rank
@@ -280,17 +283,32 @@ def _fp_ranks(cols: list[np.ndarray], p: int) -> np.ndarray:
     return basis.any(axis=2).sum(axis=1)
 
 
+def _weights(space: AmbientSpace, cols: list[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Weights of N words of the space, given by their n coordinate columns:
+    packed residues of shape (N,) for p = 2, base-p digit arrays of shape
+    (N, m) otherwise.  The sum runs in the smallest unsigned dtype that holds
+    the diameter, so no weight wraps."""
+    p, dtype = space.q, np.min_scalar_type(space.diameter)
+    if space.metric == HAMMING:
+        blocks = ((col != 0) if p == 2 else col.any(axis=1) for col in cols)
+    else:
+        eta = space.eta if space.metric == SUMRANK else space.n
+        blocks = (_fp_ranks(cols[b : b + eta], p) for b in range(0, space.n, eta))
+    return sum(w.astype(dtype) for w in blocks)
+
+
 def _flat_weight_table(space: AmbientSpace, tower: FieldTower, limit: int) -> np.ndarray:
-    """Weight of every vector of F_{p^ell}^(n*s), as a uint8 array indexed by
-    the packed F_p-coordinate encoding sum_i vec[i] * p^(ell*i).
+    """Weight of every vector of F_{p^ell}^(n*s), as an array indexed by the
+    packed F_p-coordinate encoding sum_i vec[i] * p^(ell*i).
 
     ``tower.unflatten`` is F_p-linear, so the codewords of all p^(ell*n*s)
     vectors follow by doubling from the images of the ell*n*s F_p-unit
-    vectors; the weights are then computed over the whole array.  On a
+    vectors; :func:`_weights` then weighs the whole array.  On a
     linearity-1 tower, index v holds the weight of ``codeword_from_int(v)``.
     The table has one entry per word of the space, so its size is held to
     ``limit``: the enumeration guard for linear jobs and subset walks,
-    ``ORACLE_SPACE`` for the volume oracle and the reduction check.
+    ``ORACLE_SPACE`` for the volume oracle and the reduction check.  No
+    such space has a diameter past 255, so the table is uint8.
     """
     if space.size > limit:
         raise GuardExceeded("weight table entries", space.size, limit)
@@ -307,20 +325,11 @@ def _flat_weight_table(space: AmbientSpace, tower: FieldTower, limit: int) -> np
         words = _fp_span(np.array([packed], dtype=np.min_scalar_type((1 << n * m) - 1)), p)[0]
         col_dtype = np.min_scalar_type((1 << m) - 1)
         cols = [(words >> (j * m) & ((1 << m) - 1)).astype(col_dtype) for j in range(n)]
-        nonzero = [col != 0 for col in cols]
     else:
         digits = [[d for x in word for d in tower.digits(x)] for word in units]
         words = _fp_span(np.array([digits], dtype=_digit_dtype(p)), p)[0].reshape(-1, n, m)
         cols = [words[:, j] for j in range(n)]
-        nonzero = [col.any(axis=1) for col in cols]
-    if space.metric == HAMMING:
-        weights = sum(nz.astype(np.uint8) for nz in nonzero)
-    elif space.metric == RANK:
-        weights = _fp_ranks(cols, p)
-    else:
-        eta = space.eta
-        weights = sum(_fp_ranks(cols[b * eta : (b + 1) * eta], p) for b in range(space.t))
-    return np.asarray(weights, dtype=np.uint8)
+    return _weights(space, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,20 @@ def test_fixed_caps_exit_three(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "--S", "3", "--d", "2"),
+        ("estimate", "--k", "1", "--d", "2"),
+        ("exact", "--S", "3", "--d", "2"),
+    ],
+)
+def test_codeword_commands_need_a_prime_q(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--metric", "hamming", "--q", "4", "--s", "1", "--n", "2")
+    assert code == 2 and out == ""
+    assert "codeword-level operations need a prime q (towers over F_q); got q=4" in err
+
+
 _SPACE_ARGS = ("--metric", "hamming", "--q", "2", "--ell", "1", "--s", "1")
 
 

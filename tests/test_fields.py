@@ -19,7 +19,6 @@ from codedensity.fields import (
     rref,
     sample_code_subset,
     sample_subspace,
-    subspace_from_rows,
 )
 from codedensity.guards import GuardExceeded, Guards
 from codedensity.harness import _linear_bracket_cases, trial_generator
@@ -187,7 +186,8 @@ def test_rref_canonical_for_scrambled_bases():
                 if c:
                     vec = [t.k_add(v, b) for v, b in zip(vec, brow)]
             rows.append(vec)
-        assert subspace_from_rows(rows, t) == basis
+        reduced, pivots = rref(rows, t)
+        assert SubspaceBasis(tuple(map(tuple, reduced)), tuple(pivots)) == basis
 
 
 def _span(rows, ncols, field, order):
@@ -384,10 +384,10 @@ def test_sample_subspace_uniform_chi_square():
 def test_sample_code_subset_contract():
     tower = build_tower(2, 1, 2)
     gen = trial_generator(5, 0)
-    words = sample_code_subset(gen, 5, tower, 2)
-    assert len(words) == len(set(words)) == 5
-    full = sample_code_subset(gen, 16, tower, 2)
-    assert len(full) == 16
+    words = sample_code_subset(gen, 5, tower, 2)  # indices v of codeword_from_int(v)
+    assert len(set(words)) == 5 and words == tuple(sorted(words))
+    assert all(0 <= v < 16 for v in words)
+    assert sample_code_subset(gen, 16, tower, 2) == tuple(range(16))
 
 
 def test_sample_code_subset_uniform_pairs_chi_square():

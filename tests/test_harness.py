@@ -264,24 +264,29 @@ def test_estimate_density_trial_one_degenerate():
 
 
 def _trial_batches(monkeypatch):
-    # spy: the trials whose generators each call of the linear scorer saw
-    # created since the previous call, as (first, last + 1) ranges; the
-    # calls that score only redraws create none and are left out
+    # spy: the trials whose generators each call of the linear scorer or the
+    # nonlinear weight kernel saw created since the previous call, as
+    # (first, last + 1) ranges; the calls that score only redraws create
+    # none and are left out
     from codedensity import harness
 
     batches, fresh = [], []
-    make, score = harness.trial_generator, harness._min_weights
+    make = harness.trial_generator
 
-    def scored(bases, *rest):
-        if fresh:
-            batches.append((fresh[0], fresh[-1] + 1))
-            fresh.clear()
-        return score(bases, *rest)
+    def spied(score):
+        def scored(*args):
+            if fresh:
+                batches.append((fresh[0], fresh[-1] + 1))
+                fresh.clear()
+            return score(*args)
+
+        return scored
 
     monkeypatch.setattr(
         harness, "trial_generator", lambda seed, i, reuse=None: fresh.append(i) or make(seed, i, reuse)
     )
-    monkeypatch.setattr(harness, "_min_weights", scored)
+    monkeypatch.setattr(harness, "_min_weights", spied(harness._min_weights))
+    monkeypatch.setattr(harness, "_weights", spied(harness._weights))
     return batches
 
 
@@ -320,10 +325,9 @@ def test_estimate_density_stream_invariance(monkeypatch):
             assert report.worker_streams == streams
             assert report.successes == one.successes
             assert json.dumps(report.payload(), sort_keys=True) == json.dumps(one.payload(), sort_keys=True)
-            if spec.linearity:
-                # the partitions are real: each cuts the trials into its own batches
-                assert seen[streams] == _partition(401, streams)
-        assert len({tuple(b) for b in seen.values()}) == (4 if spec.linearity else 1)
+            # the partitions are real: each cuts the trials into its own batches
+            assert seen[streams] == _partition(401, streams)
+        assert len({tuple(b) for b in seen.values()}) == 4
 
 
 def test_estimate_density_rejects_more_streams_than_trials():
@@ -367,12 +371,17 @@ def test_scorer_reads_zero_exactly_on_rank_deficient_draws():
 
 def _reference_successes(space, spec, trials, seed):
     # one trial at a time: the RREF basis of an accepted draw, scored by
-    # the scalar projective-class walk
+    # the scalar projective-class walk, or the drawn subset's words, scored
+    # by the scalar distance of every pair
     from codedensity.harness import space_tower, trial_generator
-    from codedensity.fields import sample_subspace
+    from codedensity.fields import sample_code_subset, sample_subspace
     from codedensity.metrics import min_distance
 
-    tower = space_tower(space, spec.linearity)
+    tower = space_tower(space, max(spec.linearity, 1))
+    if spec.linearity == 0:
+        subset = lambda gen: sample_code_subset(gen, spec.size, tower, space.n)
+        code = lambda gen: [codeword_from_int(v, tower, space.n) for v in subset(gen)]
+        return sum(min_distance(code(trial_generator(seed, i)), space) >= spec.d for i in range(trials))
     return sum(
         min_distance(sample_subspace(trial_generator(seed, i), spec.dim, tower, space.n), space, tower=tower)
         >= spec.d
@@ -388,11 +397,19 @@ def _reference_successes(space, spec, trials, seed):
         (AmbientSpace(3, 1, 1, 3, "hamming"), CodeFamilySpec(1, 2, dim=2)),
         (AmbientSpace(2, 2, 1, 3, "hamming"), CodeFamilySpec(2, 2, dim=2)),
         (AmbientSpace(2, 1, 2, 4, "sumrank", t=2), CodeFamilySpec(1, 2, dim=3)),
+        # nonlinear: pair weights past 255, indices past 2^63 with odd p,
+        # and rank and sum-rank digits for p = 3 and 5
+        (AmbientSpace(2, 1, 1, 600, "hamming"), CodeFamilySpec(0, 290, size=3)),
+        (AmbientSpace(2, 1, 2, 400, "sumrank", t=200), CodeFamilySpec(0, 260, size=3)),
+        (AmbientSpace(3, 1, 1, 41, "hamming"), CodeFamilySpec(0, 25, size=3)),
+        (AmbientSpace(3, 1, 2, 3, "rank"), CodeFamilySpec(0, 2, size=4)),
+        (AmbientSpace(5, 1, 2, 4, "sumrank", t=2), CodeFamilySpec(0, 3, size=4)),
     ],
 )
 def test_batched_trials_match_one_trial_at_a_time(space, spec):
     for seed in (0, 5, 2**63 + 1):
         want = _reference_successes(space, spec, 120, seed)
+        assert spec.linearity or 0 < want < 120, seed  # a count that can go wrong either way
         assert estimate_density(space, spec, trials=120, seed=seed).successes == want, seed
         assert estimate_density(space, spec, trials=120, seed=seed, worker_streams=7).successes == want
 
@@ -447,19 +464,24 @@ def test_rekeyed_generator_matches_a_fresh_one():
 _REDRAW_SPACE, _REDRAW_SPEC = AmbientSpace(3, 1, 1, 3, "hamming"), CodeFamilySpec(1, 2, dim=2)
 
 
+# a nonlinear case on 81 words
+_SUBSET_SPACE, _SUBSET_SPEC = AmbientSpace(3, 1, 1, 4, "hamming"), CodeFamilySpec(0, 2, size=5)
+
+
 @pytest.mark.parametrize("batch", [1, 3])
 def test_trial_batch_size_does_not_change_successes(monkeypatch, batch):
     from codedensity import harness
 
-    want = [estimate_density(_REDRAW_SPACE, _REDRAW_SPEC, trials=50, seed=s).successes for s in (0, 9)]
-    assert want == [14, 17]
+    cases = ((_REDRAW_SPACE, _REDRAW_SPEC), (_SUBSET_SPACE, _SUBSET_SPEC))
+    runs = lambda streams: [
+        [estimate_density(space, spec, trials=50, seed=s, worker_streams=streams).successes for s in (0, 9)]
+        for space, spec in cases
+    ]
+    want = runs(1)
+    assert want == [[14, 17], [18, 16]]
     monkeypatch.setattr(harness, "_TRIAL_BATCH", batch)
     for streams in (1, 7):
-        got = [
-            estimate_density(_REDRAW_SPACE, _REDRAW_SPEC, trials=50, seed=s, worker_streams=streams).successes
-            for s in (0, 9)
-        ]
-        assert got == want, streams
+        assert runs(streams) == want, streams
 
 
 def test_pooled_generators_are_distinct_within_a_batch(monkeypatch):
@@ -510,19 +532,14 @@ def test_rekeyed_estimates_match_fresh_generators(monkeypatch):
     assert runs() == reused
 
 
-def test_nonlinear_weight_cache_is_capped(monkeypatch):
+def test_nonlinear_trials_hold_memory_flat(monkeypatch):
     import tracemalloc
 
-    from codedensity import harness
-
-    # 81 words, so pair differences repeat and a cap of 8 mixes hits and misses
-    space, spec = AmbientSpace(3, 1, 1, 4, "hamming"), CodeFamilySpec(0, 2, size=5)
-    want = estimate_density(space, spec, trials=300, seed=8).successes
-    assert want == 114
-    monkeypatch.setattr(harness, "_WEIGHT_CACHE_LIMIT", 8)
-    assert estimate_density(space, spec, trials=300, seed=8).successes == want
-    # on 2^64 words almost every difference is new; uncached, 100 trials of
-    # 66 pairs would keep about 4 MB of them
+    assert estimate_density(_SUBSET_SPACE, _SUBSET_SPEC, trials=300, seed=8).successes == 114
+    # on 2^64 words, S*n*m = 768 digit cells per trial: a batch holds at most
+    # _CHUNK_WORDS // 768 = 10 trials, so 100 trials of 66 pairs run in ten
+    # batches and never hold all 6600 pair differences at once
+    batches = _trial_batches(monkeypatch)
     tracemalloc.start()
     try:
         big = AmbientSpace(2, 1, 1, 64, "hamming")
@@ -531,6 +548,11 @@ def test_nonlinear_weight_cache_is_capped(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    assert batches == [(start, start + 10) for start in range(0, 100, 10)]
+    # a trial past _CHUNK_WORDS cells still runs, alone in its batch
+    batches.clear()
+    estimate_density(AmbientSpace(2, 1, 1, 3000, "hamming"), CodeFamilySpec(0, 2, size=3), trials=3, seed=5)
+    assert batches == [(0, 1), (1, 2), (2, 3)]
 
 
 @pytest.mark.parametrize("level", [Fraction(0), Fraction(1), Fraction(2)])

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from codedensity.combinat import binom, compositions, is_prime, qbinom
-from codedensity.fields import build_tower, codeword_from_int, subspace_from_rows
+from codedensity.fields import SubspaceBasis, build_tower, codeword_from_int, rref
 from codedensity.guards import ORACLE_SPACE, GuardExceeded, UnsupportedAsymptotics
 from codedensity.harness import _criterion_volume_spaces, trial_generator
 from codedensity.metrics import (
@@ -73,7 +73,8 @@ def test_min_distance_nonlinear():
 def test_min_distance_linear_span_of_one_one():
     tower = build_tower(2, 1, 2)
     sp = AmbientSpace(2, 1, 2, 2, "hamming")
-    basis = subspace_from_rows([[1, 0, 1, 0]], tower)  # the word (1, 1)
+    reduced, pivots = rref([[1, 0, 1, 0]], tower)  # the word (1, 1)
+    basis = SubspaceBasis(tuple(map(tuple, reduced)), tuple(pivots))
     assert min_distance(basis, sp, tower=tower) == 2
     with pytest.raises(ValueError):
         min_distance(basis, sp)  # tower required
