@@ -196,14 +196,12 @@ def _cmd_volume(args, guards: Guards) -> int:
         counted = ball_volume_oracle(space, args.radius)
         result["oracle"] = counted
         result["match"] = vol == counted
-    config = _config_of(args, ("metric", "q", "ell", "s", "m", "n", "t", "radius", "oracle"))
-    _emit(_document("volume", config, result, approx=args.approx), args.output)
+    _emit(_document("volume", _config_of(args), result, approx=args.approx), args.output)
     return 0 if result.get("match", True) else 1
 
 
 def _cmd_bound(args, guards: Guards) -> int:
     space = _space_within(args)
-    config = _config_of(args, ("kind", "metric", "q", "ell", "s", "m", "n", "t", "d", "S", "k"))
     if args.kind == "singleton":
         result = {"max_cardinality": singleton_max(space, args.d)}
     elif args.kind == "gv":
@@ -230,7 +228,7 @@ def _cmd_bound(args, guards: Guards) -> int:
             "raw_upper": bracket.raw_upper,
             **extra,
         }
-    _emit(_document("bound", config, result, approx=args.approx), args.output)
+    _emit(_document("bound", _config_of(args), result, approx=args.approx), args.output)
     return 0
 
 
@@ -322,25 +320,17 @@ def _classification_result(sc: Scenario) -> dict:
     return result
 
 
-_SCENARIO_KEYS = (
-    "family", "growing", "metric", "q", "ell", "s", "m", "n", "t", "eta", "d",
-    "k", "k_slope", "k_intercept", "S", "S_coeff", "S_slope", "S_intercept",
-)
-
-
 def _cmd_classify(args, guards: Guards) -> int:
     sc = _scenario_from(args)
     result = _classification_result(sc)
-    config = _config_of(args, _SCENARIO_KEYS)
-    _emit(_document("classify", config, result, approx=args.approx), args.output)
+    _emit(_document("classify", _config_of(args), result, approx=args.approx), args.output)
     return 0
 
 
 def _cmd_region(args, guards: Guards) -> int:
     cells = msrd_eta_region(args.t_max, args.eta_max)
-    config = {"t_max": args.t_max, "eta_max": args.eta_max}
     rows = [(t, eta, label) for t, eta, label in cells]
-    _emit(_csv_output("region", config, ["t", "eta", "verdict"], rows), args.output)
+    _emit(_csv_output("region", _config_of(args), ["t", "eta", "verdict"], rows), args.output)
     return 0
 
 
@@ -362,7 +352,7 @@ def _cmd_table1(args, guards: Guards) -> int:
         if len(verdicts) != 1:
             raise AssertionError(f"table row (eta={eta_label}, t={t_label}) is not homogeneous: {verdicts}")
         rows.append((eta_label, t_label, d_label, verdicts.pop()))
-    _emit(_csv_output("table1", {}, ["eta", "t", "d", "verdict"], rows), args.output)
+    _emit(_csv_output("table1", _config_of(args), ["eta", "t", "d", "verdict"], rows), args.output)
     return 0
 
 
@@ -378,10 +368,7 @@ def _cmd_estimate(args, guards: Guards) -> int:
         worker_streams=args.streams,
         guards=guards,
     )
-    config = _config_of(
-        args, ("metric", "q", "ell", "s", "m", "n", "t", "S", "k", "d", "trials", "level", "streams")
-    )
-    _emit(_document("estimate", config, report.payload(), seed=args.seed), args.output)
+    _emit(_document("estimate", _config_of(args), report.payload(), seed=args.seed), args.output)
     return 0
 
 
@@ -397,13 +384,12 @@ def _cmd_probe(args, guards: Guards) -> int:
     sc = _scenario_from(args)
     probes = [int(v) for v in args.probes.split(",") if v.strip()]
     rows = convergence_experiment(sc, probes)
-    config = _config_of(args, _SCENARIO_KEYS + ("probes",))
     out_rows = [
         (r.probe, _fmt(r.rho, args.approx), _fmt(r.lower, args.approx), _fmt(r.upper, args.approx))
         for r in rows
     ]
     _emit(
-        _csv_output("probe", config, ["probe", "rho", "bracket_lower", "bracket_upper"], out_rows),
+        _csv_output("probe", _config_of(args), ["probe", "rho", "bracket_lower", "bracket_upper"], out_rows),
         args.output,
     )
     return 0
@@ -425,14 +411,16 @@ def _cmd_verify(args, guards: Guards) -> int:
     return 0 if not failed else 1
 
 
-def _config_of(args, keys) -> dict:
-    out = {}
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"), None)
-        if isinstance(val, Fraction):
-            val = str(val)
-        out[key] = val
-    return out
+def _config_of(args) -> dict:
+    """The resolved configuration a document records: every parsed option
+    but the command, its handler, where the output goes, its rendering, and
+    the seed, which the document carries on its own."""
+    skip = ("command", "func", "output", "approx", "seed")
+    return {
+        key: str(val) if isinstance(val, Fraction) else val
+        for key, val in vars(args).items()
+        if key not in skip
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ smallest, so a tower is reproducible across runs and platforms.
 The middle field F_{p^ell} is realized inside F_{p^m} as the fixed set of the
 ell-fold Frobenius x -> x^(p^ell), found as the kernel of the F_p-linear map
 Frobenius^ell - id.  Its elements are addressed by a dense *index* in
-[0, p^ell) encoding coordinates over a fixed F_p-basis of that kernel; index
-arithmetic is backed by multiplication tables for small fields.  Vectors over
-F_{p^ell} (used for subspace enumeration and sampling) are tuples of such
-indices, and ``unflatten`` maps F_{p^ell}^(n*s) onto F_{p^m}^n through a
+[0, p^ell) encoding coordinates over a fixed F_p-basis of that kernel.  Index
+addition is residue addition, since both are digitwise mod p; index products
+and inverses go through the residues, one path for every field size.  Vectors
+over F_{p^ell} (used for subspace enumeration and sampling) are tuples of
+such indices, and ``unflatten`` maps F_{p^ell}^(n*s) onto F_{p^m}^n through a
 fixed relative basis.  ``build_tower`` keeps one tower per (p, ell, s).
 
 Subspaces are RREF bases.  Enumeration walks the pivot profiles, and within
@@ -35,8 +36,6 @@ from .combinat import is_prime, qbinom
 from .guards import TOWER_DEGREE, Guards, GuardExceeded
 
 Codeword = tuple[int, ...]
-
-_K_TABLE_LIMIT = 512  # build dense index tables only for fields up to this order
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +214,18 @@ class FieldTower:
         self.relative_basis = self._relative_basis()
         assert len(self.relative_basis) == s, "relative basis has wrong size"
 
-        self._k_index_to_res: list[int] | None = None
-        self._k_res_to_index: dict[int, int] | None = None
-        self._k_mul_table: list[list[int]] | None = None
-        self._k_inv_table: list[int] | None = None
-        self.one_index = self._build_k_maps_and_one()
+        # index sum_u c_u p^u <-> residue sum_u c_u kappa_u, by doubling: the
+        # indices below p^(u+1) are those below p^u plus c * kappa_u, c < p
+        index_to_res = [0]
+        for kappa in self.subfield_basis:
+            multiples = [0]
+            for _ in range(p - 1):
+                multiples.append(self.add(multiples[-1], kappa))
+            index_to_res = [self.add(x, y) for y in multiples for x in index_to_res]
+        self._k_index_to_res = index_to_res
+        self._k_res_to_index = {res: i for i, res in enumerate(index_to_res)}
+        assert len(self._k_res_to_index) == self.subfield_order
+        self.one_index = self._k_res_to_index[1]
 
     # -- element arithmetic on residues (ints in [0, p^m)) ------------------
 
@@ -328,71 +334,24 @@ class FieldTower:
                 break
         return basis
 
-    def _build_k_maps_and_one(self) -> int:
-        p, ell = self.p, self.ell
-        index_to_res = []
-        for idx in range(self.subfield_order):
-            coords = _digits(idx, p, ell)
-            # c * kappa with c in F_p is repeated addition (c < p stays tiny)
-            res = 0
-            for c, kappa in zip(coords, self.subfield_basis):
-                for _ in range(c):
-                    res = self.add(res, kappa)
-            index_to_res.append(res)
-        res_to_index = {res: i for i, res in enumerate(index_to_res)}
-        assert len(res_to_index) == self.subfield_order
-        self._k_index_to_res = index_to_res
-        self._k_res_to_index = res_to_index
-        if self.subfield_order <= _K_TABLE_LIMIT:
-            tbl = []
-            for a_res in index_to_res:
-                tbl.append([res_to_index[self.mul(a_res, b_res)] for b_res in index_to_res])
-            self._k_mul_table = tbl
-            inv_tbl = [0] * self.subfield_order
-            for i, a_res in enumerate(index_to_res):
-                if a_res:
-                    inv_tbl[i] = res_to_index[self.inv(a_res)]
-            self._k_inv_table = inv_tbl
-        return res_to_index[1]
-
     # -- middle-field index arithmetic --------------------------------------
 
     def k_to_residue(self, idx: int) -> int:
-        assert self._k_index_to_res is not None
         return self._k_index_to_res[idx]
 
     def k_from_residue(self, res: int) -> int:
-        assert self._k_res_to_index is not None
         return self._k_res_to_index[res]
 
-    def k_add(self, i: int, j: int) -> int:
-        if self.p == 2:
-            return i ^ j
-        p = self.p
-        return _undigits(
-            tuple((a + b) % p for a, b in zip(_digits(i, p, self.ell), _digits(j, p, self.ell))),
-            p,
-        )
-
-    def k_neg(self, i: int) -> int:
-        if self.p == 2:
-            return i
-        p = self.p
-        return _undigits(tuple((-a) % p for a in _digits(i, p, self.ell)), p)
-
-    def k_sub(self, i: int, j: int) -> int:
-        return self.k_add(i, self.k_neg(j))
+    # an index below p^ell has no base-p digits past ell, so residue addition
+    # is index addition
+    k_add, k_neg, k_sub = add, neg, sub
 
     def k_mul(self, i: int, j: int) -> int:
-        if self._k_mul_table is not None:
-            return self._k_mul_table[i][j]
         return self.k_from_residue(self.mul(self.k_to_residue(i), self.k_to_residue(j)))
 
     def k_inv(self, i: int) -> int:
         if i == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._k_inv_table is not None:
-            return self._k_inv_table[i]
         return self.k_from_residue(self.inv(self.k_to_residue(i)))
 
     # -- coordinate maps ------------------------------------------------------

@@ -77,6 +77,7 @@ from .metrics import (
     _digit_dtype,
     _flat_weight_table,
     _fp_span,
+    _hold_table_size,
     _weights,
     ball_volume,
     ball_volume_oracle,
@@ -129,10 +130,14 @@ def _rat(x: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
-def space_tower(space: AmbientSpace, ell: int) -> FieldTower:
+def _check_linearity(space: AmbientSpace, ell: int) -> None:
     space.requires_prime_q()
     if space.m % ell:
         raise ValueError(f"linearity {ell} must divide m={space.m}")
+
+
+def space_tower(space: AmbientSpace, ell: int) -> FieldTower:
+    _check_linearity(space, ell)
     return build_tower(space.q, ell, space.m // ell)
 
 
@@ -238,8 +243,11 @@ def _linear_successes(
     nonzero combination is the zero word and ``_min_weights`` reads 0, while
     every code of dimension k has minimum weight >= 1.  Draws that score 0
     are redrawn from their own trial's stream.  Trials are scored in batches
-    of at most _TRIAL_BATCH.
+    of at most _TRIAL_BATCH.  The weight-table guard is checked before the
+    tower is built.
     """
+    _check_linearity(space, spec.linearity)
+    _hold_table_size(space, guards.enumeration)
     tower = space_tower(space, spec.linearity)
     score, per_chunk = _scorer(space, tower, spec.dim, guards)
     draw = lambda gen: _draw_matrix(gen, spec.dim, tower, space.n)
@@ -296,14 +304,20 @@ def linear_distance_histogram(
     space: AmbientSpace, ell: int, k: int, guards: Guards = Guards()
 ) -> tuple[tuple[int, int], ...]:
     """(min_distance, count) pairs over all dimension-k middle-field-linear
-    codes in the space; one enumeration serves every distance target."""
+    codes in the space; one enumeration serves every distance target.
+
+    The subspace-count and weight-table guards are checked from the space
+    and ell alone, before the tower is built: a large middle field makes the
+    tower the costliest step of a job that would be refused anyway.
+    """
     if k < 1:
         raise ValueError("minimum distance needs a nonzero code (k >= 1)")
-    tower = space_tower(space, ell)
-    ns = space.n * tower.s
-    total = qbinom(ns, k, tower.subfield_order)
+    _check_linearity(space, ell)
+    total = qbinom(space.n * (space.m // ell), k, space.q**ell)
     if total > guards.enumeration:
         raise GuardExceeded("linear code enumeration", total, guards.enumeration)
+    _hold_table_size(space, guards.enumeration)
+    tower = space_tower(space, ell)
     counts = np.zeros(space.diameter + 1, dtype=np.int64)
     bases = enumerate_subspaces(k, tower, space.n, guards)
     for weights in _code_min_weights(space, tower, k, bases, guards):
@@ -728,15 +742,18 @@ def _criterion_volume_spaces(limit: int) -> list[AmbientSpace]:
     return spaces
 
 
+def _desk_spaces(q: int, ell: int, s: int, n: int) -> list[AmbientSpace]:
+    """F_{q^m}^n under Hamming, rank, and sum-rank for each t >= 2 dividing n."""
+    spaces = [AmbientSpace(q, ell, s, n, HAMMING), AmbientSpace(q, ell, s, n, RANK)]
+    spaces += [AmbientSpace(q, ell, s, n, SUMRANK, t=t) for t in range(2, n + 1) if n % t == 0]
+    return spaces
+
+
 def _linear_bracket_cases():
     for ell, s in ((1, 1), (1, 2), (2, 1), (2, 2)):
         for n in (1, 2, 3):
-            metrics = [AmbientSpace(2, ell, s, n, HAMMING), AmbientSpace(2, ell, s, n, RANK)]
-            for t in range(2, n + 1):
-                if n % t == 0:
-                    metrics.append(AmbientSpace(2, ell, s, n, SUMRANK, t=t))
             ns = n * s
-            for space in metrics:
+            for space in _desk_spaces(2, ell, s, n):
                 for k in range(1, ns + 1):
                     if qbinom(ns, k, 2**ell) > 10**5:
                         continue
@@ -747,11 +764,7 @@ def _linear_bracket_cases():
 def _nonlinear_bracket_cases():
     for q in (2, 3):
         for n in (2, 3):
-            metrics = [AmbientSpace(q, 1, 1, n, HAMMING), AmbientSpace(q, 1, 1, n, RANK)]
-            for t in range(2, n + 1):
-                if n % t == 0:
-                    metrics.append(AmbientSpace(q, 1, 1, n, SUMRANK, t=t))
-            for space in metrics:
+            for space in _desk_spaces(q, 1, 1, n):
                 for size in (2, 3, 4):
                     for d in range(1, space.diameter + 2):
                         yield space, CodeFamilySpec(linearity=0, d=d, size=size)
@@ -793,8 +806,7 @@ def run_verification(grid: str, guards: Guards = Guards()) -> list[Verdict]:
     else:
         verdicts += volume_verification(_criterion_volume_spaces(ORACLE_SPACE))
         for q, m, n in ((2, 1, 2), (2, 2, 2), (2, 1, 4), (2, 3, 1), (3, 1, 2), (3, 2, 1)):
-            if q ** (m * n) <= 2**12:
-                verdicts += reduction_verification(q, 1, m, n)
+            verdicts += reduction_verification(q, 1, m, n)
         verdicts += bracket_verification("desk", guards)
     return verdicts
 

@@ -297,6 +297,12 @@ def _weights(space: AmbientSpace, cols: list[np.ndarray] | np.ndarray) -> np.nda
     return sum(w.astype(dtype) for w in blocks)
 
 
+def _hold_table_size(space: AmbientSpace, limit: int) -> None:
+    """Refuse a weight table of more than ``limit`` entries, one per word."""
+    if space.size > limit:
+        raise GuardExceeded("weight table entries", space.size, limit)
+
+
 def _flat_weight_table(space: AmbientSpace, tower: FieldTower, limit: int) -> np.ndarray:
     """Weight of every vector of F_{p^ell}^(n*s), as an array indexed by the
     packed F_p-coordinate encoding sum_i vec[i] * p^(ell*i).
@@ -310,8 +316,7 @@ def _flat_weight_table(space: AmbientSpace, tower: FieldTower, limit: int) -> np
     ``ORACLE_SPACE`` for the volume oracle and the reduction check.  No
     such space has a diameter past 255, so the table is uint8.
     """
-    if space.size > limit:
-        raise GuardExceeded("weight table entries", space.size, limit)
+    _hold_table_size(space, limit)
     p, m, n = tower.p, tower.m, space.n
     ns = n * tower.s
     units = []

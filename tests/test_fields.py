@@ -242,6 +242,69 @@ def test_tower_bases_are_pinned():
         assert tower.relative_basis == relative
 
 
+def test_index_maps_are_pinned():
+    # index sum_u c_u p^u stands for sum_u c_u * subfield_basis[u]
+    pinned = {
+        (2, 2, 3): [0, 1, 58, 59],
+        (2, 3, 2): [0, 1, 14, 15, 22, 23, 24, 25],
+        (3, 2, 2): [0, 1, 2, 42, 43, 44, 75, 76, 77],
+    }
+    for params, residues in pinned.items():
+        tower = build_tower(*params)
+        assert [tower.k_to_residue(i) for i in range(tower.subfield_order)] == residues
+        assert [tower.k_from_residue(x) for x in residues] == list(range(tower.subfield_order))
+        assert tower.one_index == 1
+
+
+# every middle field of degree <= 3 over p <= 7 but F_343, whose 1.2 * 10^5
+# pairs would take longer than all the others together
+_INDEX_TOWERS = [
+    (p, ell, s)
+    for p in (2, 3, 5, 7)
+    for ell in (1, 2, 3)
+    for s in (1, 2)
+    if p**ell <= 125
+]
+
+
+@pytest.mark.parametrize("params", _INDEX_TOWERS, ids=str)
+def test_index_arithmetic_agrees_with_residue_arithmetic(params):
+    tower = build_tower(*params)
+    res = [tower.k_to_residue(i) for i in range(tower.subfield_order)]
+    assert len(set(res)) == tower.subfield_order
+    assert all(tower.is_subfield_element(x) for x in res)
+    assert res[tower.one_index] == 1
+    for i, a in enumerate(res):
+        assert res[tower.k_neg(i)] == tower.neg(a)
+        if i:
+            assert res[tower.k_inv(i)] == tower.inv(a)
+        for j, b in enumerate(res):
+            assert res[tower.k_add(i, j)] == tower.add(a, b)
+            assert res[tower.k_sub(i, j)] == tower.sub(a, b)
+            assert res[tower.k_mul(i, j)] == tower.mul(a, b)
+    with pytest.raises(ZeroDivisionError):
+        tower.k_inv(0)
+
+
+def test_building_a_middle_field_needs_no_product_table(monkeypatch):
+    # the index maps are built from additions alone: a table of all
+    # 2^9 x 2^9 products would take about 1.3 * 10^5 polynomial products
+    from codedensity import fields
+
+    calls = 0
+    poly_mul = fields._poly_mul
+
+    def counting(a, b, p):
+        nonlocal calls
+        calls += 1
+        return poly_mul(a, b, p)
+
+    monkeypatch.setattr(fields, "_poly_mul", counting)
+    tower = fields.FieldTower(2, 9, 1)
+    assert tower.subfield_order == 2**9
+    assert calls < 10 * 2**9
+
+
 def test_enumerate_subspaces_counts():
     cases = [(2, 1, 1), (3, 1, 1), (2, 2, 1)]  # middle-field orders 2, 3, 4
     for p, ell, s in cases:

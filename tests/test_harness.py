@@ -44,6 +44,32 @@ def test_exact_density_guard():
     assert err.value.count > 100
 
 
+def test_linear_guards_are_checked_before_the_tower_is_built(monkeypatch):
+    # a refused linear job builds no tower, however large its middle field;
+    # invalid parameters are still reported as such first
+    from codedensity import harness
+
+    def no_tower(*args):
+        raise AssertionError("tower built before the guards were checked")
+
+    monkeypatch.setattr(harness, "build_tower", no_tower)
+    histogram = harness.linear_distance_histogram.__wrapped__
+    big = AmbientSpace(2, 20, 1, 1, "hamming")
+    small = AmbientSpace(2, 1, 2, 4, "hamming")
+    for job, what in (
+        (lambda: histogram(big, 20, 1), "weight table entries"),
+        (lambda: estimate_density(big, CodeFamilySpec(20, 1, dim=1), trials=1), "weight table entries"),
+        (lambda: histogram(small, 1, 2, Guards(enumeration=100)), "linear code enumeration"),
+    ):
+        with pytest.raises(GuardExceeded) as err:
+            job()
+        assert err.value.what == what
+    with pytest.raises(ValueError, match="prime q"):
+        exact_density(AmbientSpace(4, 20, 1, 1, "hamming"), CodeFamilySpec(20, 1, dim=1))
+    with pytest.raises(ValueError, match="must divide"):
+        histogram(AmbientSpace(2, 1, 3, 1, "hamming"), 2, 1)
+
+
 def test_clopper_pearson_interval_properties():
     level = Fraction(99, 100)
     lo, hi = clopper_pearson(60, 100, level)
@@ -667,21 +693,19 @@ def test_fast_min_weight_agrees_with_public_min_distance():
                 assert got == min_distance(basis, space, tower=tower), (space, k, basis)
 
 
-def test_scorer_needs_no_middle_field_tables(monkeypatch):
-    # above fields._K_TABLE_LIMIT a tower has no index multiplication table;
-    # the scorer only needs the products with the F_p-basis units
+def test_scorer_needs_no_middle_field_tables():
+    # the scorer only needs the products with the F_p-basis units, and a
+    # freshly built tower gives the histograms of the shared one
     from codedensity import fields
     from codedensity.harness import linear_distance_histogram
 
     spaces = (AmbientSpace(2, 2, 1, 2, "hamming"), AmbientSpace(3, 2, 1, 2, "rank"))
     expected = [linear_distance_histogram.__wrapped__(space, 2, 1) for space in spaces]
-    # towers are shared per (p, ell, s): build fresh ones under the patch,
-    # and leave no table-less tower to later tests
+    # towers are shared per (p, ell, s): build fresh ones, and leave a fresh
+    # cache to later tests
     fields.build_tower.cache_clear()
-    monkeypatch.setattr(fields, "_K_TABLE_LIMIT", 1)
     try:
         for space, want in zip(spaces, expected):
-            assert fields.build_tower(space.q, 2, 1)._k_mul_table is None
             assert linear_distance_histogram.__wrapped__(space, 2, 1) == want
         with pytest.raises(ValueError, match="nonzero code"):
             linear_distance_histogram.__wrapped__(spaces[0], 2, 0)
