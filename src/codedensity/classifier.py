@@ -8,9 +8,12 @@ is a symbolic comparison of exact growth data:
 * linear families compare the ball volume v(d-1) against q^(ell*(ns+1-k)),
 * nonlinear families compare v(d-1) * S^2 against q^(m*n),
 
-where each side is represented as  coefficient * X^degree * q^(slope*X + b)
-with exact rational entries.  A strictly smaller exponent gives "dense", a
-strictly larger one "sparse", and a bounded nonzero limiting ratio c gives
+where each side is a :class:`~codedensity.metrics.GrowthProfile` in the
+growing parameter X, coefficient * X^degree * q^(slope*X + b) with exact
+rational entries.  Linear families take one comparison for all four growing
+parameters; when ell itself grows, the template's ell is 1 and ell enters
+the exponents as X.  A strictly smaller exponent gives "dense", a strictly
+larger one "sparse", and a bounded nonzero limiting ratio c gives
 "not-dense" with upper bound 1/(1+c) (linear) or 1/(1+c/2) (nonlinear).
 
 Quasi-extremal dimensions floor-divide the Singleton exponent by ell.  When
@@ -36,6 +39,7 @@ from .metrics import (
     RANK,
     SUMRANK,
     AmbientSpace,
+    GrowthProfile,
     ball_volume,
     volume_growth,
 )
@@ -59,7 +63,8 @@ class Scenario:
     ``ell`` is the linearity degree: 0 means nonlinear, a positive value is
     the fixed degree, and None means ell itself is the growing parameter.
     The field named by ``growing`` must be left None.  For the sum-rank
-    metric ``n`` may be given via ``eta`` (n = eta * t).
+    metric a fixed ``n`` may be given via ``eta`` (n = eta * t).  A
+    cardinality family's ``card_coeff`` must be positive.
     """
 
     metric: str
@@ -87,7 +92,11 @@ class Scenario:
             raise ValueError(f"unknown family {self.family!r}")
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.eta is not None and self.growing != "n":
+        if self.card_coeff <= 0:
+            raise ValueError("cardinality coefficient must be positive")
+        if self.eta is not None:
+            if self.growing == "n":
+                raise ValueError("eta fixes n = eta*t; leave it unset when n grows")
             if self.n is None:
                 object.__setattr__(self, "n", self.eta * self.t)
             elif self.n != self.eta * self.t:
@@ -130,36 +139,6 @@ class Classification:
         if self.verdict == NOT_DENSE:
             if self.upper_bound is None or not self.upper_bound < 1:
                 raise ValueError("not-dense requires an upper bound strictly below 1")
-
-
-@dataclass(frozen=True)
-class _Asym:
-    """value ~ coeff * X^deg * q^(slope*X + intercept); for growing q the
-    exponent is the plain rational ``intercept``."""
-
-    coeff: Fraction
-    deg: int = 0
-    slope: Fraction = Fraction(0)
-    intercept: Fraction = Fraction(0)
-
-    def times(self, other: "_Asym") -> "_Asym":
-        return _Asym(
-            self.coeff * other.coeff,
-            self.deg + other.deg,
-            self.slope + other.slope,
-            self.intercept + other.intercept,
-        )
-
-    def over(self, other: "_Asym") -> "_Asym":
-        return _Asym(
-            self.coeff / other.coeff,
-            self.deg - other.deg,
-            self.slope - other.slope,
-            self.intercept - other.intercept,
-        )
-
-    def squared(self) -> "_Asym":
-        return self.times(self)
 
 
 def _qpow(q: int, e: Fraction) -> Fraction:
@@ -205,19 +184,19 @@ def _template_space(sc: Scenario, ell_for_m: int) -> AmbientSpace:
     return AmbientSpace(q, ell, s, n, sc.metric, t=t)
 
 
-def _volume_asym(sc: Scenario, ell_fixed: int) -> _Asym:
-    prof = volume_growth(_template_space(sc, ell_fixed), sc.d - 1, sc.growing)
-    return _Asym(prof.coefficient, prof.poly_degree, prof.exp_slope, prof.exp_intercept)
+def _exponential(sc: Scenario, slope: Fraction, intercept: Fraction) -> GrowthProfile:
+    """q^(slope*X + intercept) in the scenario's growing parameter X."""
+    return GrowthProfile(Fraction(1), sc.growing, slope, intercept)
 
 
 def _verdict_from_ratio(
-    ratio: _Asym, sc: Scenario, q_fixed: int | None, osc_max: int, upper_of_c, source: str
+    ratio: GrowthProfile, sc: Scenario, osc_max: int, upper_of_c, source: str
 ) -> Classification:
     witness = {
-        "ratio_coefficient": str(ratio.coeff),
-        "ratio_poly_degree": str(ratio.deg),
-        "ratio_exponent_slope": str(ratio.slope),
-        "ratio_exponent_intercept": str(ratio.intercept),
+        "ratio_coefficient": str(ratio.coefficient),
+        "ratio_poly_degree": str(ratio.poly_degree),
+        "ratio_exponent_slope": str(ratio.exp_slope),
+        "ratio_exponent_intercept": str(ratio.exp_intercept),
     }
     notes = ()
     if osc_max:
@@ -227,24 +206,23 @@ def _verdict_from_ratio(
             f"period dividing the linearity degree; constants use amplitude {osc_max}",
         )
     if sc.growing == "q":
-        e = ratio.intercept
+        e = ratio.exp_intercept
         if e < 0:
             return Classification(DENSE, source, witness=witness, notes=notes)
         if e > 0:
             return Classification(SPARSE, source, witness=witness, notes=notes)
-        c = ratio.coeff
+        c = ratio.coefficient
         witness["limit_constant"] = str(c)
         return Classification(NOT_DENSE, source, upper_of_c(c), witness, notes)
-    if ratio.slope < 0:
+    if ratio.exp_slope < 0:
         return Classification(DENSE, source, witness=witness, notes=notes)
-    if ratio.slope > 0:
+    if ratio.exp_slope > 0:
         return Classification(SPARSE, source, witness=witness, notes=notes)
-    if ratio.deg > 0:
+    if ratio.poly_degree > 0:
         return Classification(SPARSE, source, witness=witness, notes=notes)
-    if ratio.deg < 0:
+    if ratio.poly_degree < 0:
         return Classification(DENSE, source, witness=witness, notes=notes)
-    assert q_fixed is not None
-    c = ratio.coeff * _qpow(q_fixed, ratio.intercept - osc_max)
+    c = ratio.coefficient * _qpow(sc.q, ratio.exp_intercept - osc_max)
     witness["limit_constant"] = str(c)
     return Classification(NOT_DENSE, source, upper_of_c(c), witness, notes)
 
@@ -255,23 +233,22 @@ def _verdict_from_ratio(
 
 
 def _classify_linear(sc: Scenario) -> Classification:
-    d = sc.d
-    if sc.growing == "ell":
-        return _classify_linear_growing_ell(sc)
-    ell = sc.ell
-    assert ell is not None and ell >= 1
-
+    # a growing ell enters every exponent as X, so the template's ell is 1
+    ell = 1 if sc.growing == "ell" else sc.ell
+    source = f"exponent comparison, linear, growing {sc.growing}"
     if sc.family == GV:
         # cardinality pinned to q^(ell*ns) / v: the ratio is exactly q^(-ell)
-        source = "exponent comparison, linear, Gilbert-Varshamov family"
-        ratio = _Asym(Fraction(1), 0, Fraction(0), Fraction(-ell))
-        return _verdict_from_ratio(ratio, sc, sc.q, 0, _linear_upper, source)
+        if sc.growing == "ell":
+            ratio = _exponential(sc, Fraction(-1), Fraction(0))
+        else:
+            source = "exponent comparison, linear, Gilbert-Varshamov family"
+            ratio = _exponential(sc, Fraction(0), Fraction(-ell))
+        return _verdict_from_ratio(ratio, sc, 0, _linear_upper, source)
 
     comp_slope, comp_intercept, osc_max = _comparison_exponent(sc, ell)
-    vol = _volume_asym(sc, ell)
-    ratio = vol.over(_Asym(Fraction(1), 0, comp_slope, comp_intercept))
-    source = f"exponent comparison, linear, growing {sc.growing}"
-    return _verdict_from_ratio(ratio, sc, sc.q, osc_max, _linear_upper, source)
+    vol = volume_growth(_template_space(sc, ell), sc.d - 1, sc.growing)
+    ratio = vol / _exponential(sc, comp_slope, comp_intercept)
+    return _verdict_from_ratio(ratio, sc, osc_max, _linear_upper, source)
 
 
 def _linear_upper(c: Fraction) -> Fraction:
@@ -286,6 +263,8 @@ def _comparison_exponent(sc: Scenario, ell: int) -> tuple[Fraction, Fraction, in
     """(slope, intercept, oscillation) of ell*(ns+1-k) in the growing
     parameter, for extremal and explicit-dimension families."""
     d, growing = sc.d, sc.growing
+    if growing == "ell" and d > sc.n:
+        raise ValueError(f"d={d} exceeds the eventual diameter n={sc.n}")
     if sc.family == DIMENSION:
         return _dimension_comparison(sc, ell)
     assert sc.family == EXTREMAL
@@ -299,6 +278,10 @@ def _comparison_exponent(sc: Scenario, ell: int) -> tuple[Fraction, Fraction, in
         if k_star < 1:
             raise ValueError("extremal family is empty: Singleton exponent below ell")
         return Fraction(0), Fraction(ell * (n * s + 1 - k_star)), 0
+    if growing == "ell":
+        # the middle-field dimension settles to s(n-d+1) once m >= n
+        return Fraction(sc.s * (d - 1) + 1), Fraction(0), 0
+    # only Hamming and rank get here: other sum-rank limits classify as unknown
     if sc.metric == HAMMING:
         if growing == "n":
             # ell*k(n) = m(n-d+1) exactly (ell divides m), so the comparison
@@ -308,29 +291,33 @@ def _comparison_exponent(sc: Scenario, ell: int) -> tuple[Fraction, Fraction, in
             raise ValueError(f"d={d} exceeds the Hamming diameter n={sc.n}")
         # growing == "s": ell*(s(d-1)+1)
         return Fraction(ell * (d - 1)), Fraction(ell), 0
-    if sc.metric == RANK:
-        if growing == "n":
-            m = ell * sc.s
-            if d > m:
-                raise ValueError(f"d={d} exceeds the eventual rank diameter m={m}")
-            # ell*k(n) = n(m-d+1) - rem(n) with rem oscillating in [0, ell);
-            # constants use the full amplitude ell, the closed-form worst case
-            return Fraction(d - 1), Fraction(ell), ell
-        if d > sc.n:
-            raise ValueError(f"d={d} exceeds the eventual rank diameter n={sc.n}")
-        return Fraction(ell * (d - 1)), Fraction(ell), 0
-    raise UnsupportedAsymptotics("sum-rank comparison exponents exist for growing q only")
+    if growing == "n":
+        m = ell * sc.s
+        if d > m:
+            raise ValueError(f"d={d} exceeds the eventual rank diameter m={m}")
+        # ell*k(n) = n(m-d+1) - rem(n) with rem oscillating in [0, ell);
+        # constants use the full amplitude ell, the closed-form worst case
+        return Fraction(d - 1), Fraction(ell), ell
+    if d > sc.n:
+        raise ValueError(f"d={d} exceeds the eventual rank diameter n={sc.n}")
+    return Fraction(ell * (d - 1)), Fraction(ell), 0
 
 
 def _dimension_comparison(sc: Scenario, ell: int) -> tuple[Fraction, Fraction, int]:
     a, b = sc.dim_slope, sc.dim_intercept
-    if sc.growing == "q":
+    if sc.growing in ("q", "ell"):
         if a != 0:
-            raise ValueError("a dimension cannot grow with q; it counts coordinates")
+            raise ValueError(
+                "a dimension cannot grow with q; it counts coordinates"
+                if sc.growing == "q"
+                else "growing ell needs a constant dimension k"
+            )
         k = b
         ns = sc.n * sc.s
         if not 1 <= k <= ns:
             raise ValueError(f"k={k} out of range [1, {ns}]")
+        if sc.growing == "ell":
+            return ns + 1 - k, Fraction(0), 0
         return Fraction(0), Fraction(ell) * (ns + 1 - k), 0
     if sc.growing == "n":
         slope = Fraction(ell) * (sc.s - a)
@@ -341,34 +328,6 @@ def _dimension_comparison(sc: Scenario, ell: int) -> tuple[Fraction, Fraction, i
     if slope < 0 or (slope == 0 and intercept < ell):
         raise ValueError("dimension eventually exceeds the ambient dimension ns")
     return slope, intercept, 0
-
-
-def _classify_linear_growing_ell(sc: Scenario) -> Classification:
-    """ell -> infinity with q, n, s, d fixed.  The middle-field dimension of
-    an extremal family settles to s*(n-d+1) once m >= n, and the volume
-    estimates for growing m apply."""
-    d, q, n, s = sc.d, sc.q, sc.n, sc.s
-    source = "exponent comparison, linear, growing ell"
-    if sc.family == GV:
-        ratio = _Asym(Fraction(1), 0, Fraction(-1), Fraction(0))
-        return _verdict_from_ratio(ratio, sc, q, 0, _linear_upper, source)
-    if sc.metric == SUMRANK:
-        raise UnsupportedAsymptotics("sum-rank asymptotics support growing q only")
-    if d > n:
-        raise ValueError(f"d={d} exceeds the eventual diameter n={n}")
-    if sc.family == DIMENSION:
-        if sc.dim_slope != 0:
-            raise ValueError("growing ell needs a constant dimension k")
-        k = sc.dim_intercept
-        ns = n * s
-        if not 1 <= k <= ns:
-            raise ValueError(f"k={k} out of range [1, {ns}]")
-        comp = _Asym(Fraction(1), 0, Fraction(ns + 1 - k), Fraction(0))
-    else:
-        comp = _Asym(Fraction(1), 0, Fraction(s * (d - 1) + 1), Fraction(0))
-    vol = _volume_asym(sc, ell_fixed=1)  # coefficient/slope do not consult ell
-    ratio = vol.over(comp)
-    return _verdict_from_ratio(ratio, sc, q, 0, _linear_upper, source)
 
 
 # ---------------------------------------------------------------------------
@@ -383,46 +342,42 @@ def _classify_nonlinear(sc: Scenario) -> Classification:
             "for m -> infinity limits use a linear scenario"
         )
     source = f"exponent comparison, nonlinear, growing {sc.growing}"
-    ell_ambient = 1 if sc.ell == 0 else sc.ell
-    s = sc.s
-    m = ell_ambient * s
+    # a nonlinear family's words live in F_{q^s}^n: the template's ell is 1
+    space = _template_space(sc, 1)
+    m = space.m
     ambient = (
-        _Asym(Fraction(1), 0, Fraction(0), Fraction(m * sc.n))
+        _exponential(sc, Fraction(0), Fraction(m * sc.n))
         if sc.growing == "q"
-        else _Asym(Fraction(1), 0, Fraction(m), Fraction(0))
+        else _exponential(sc, Fraction(m), Fraction(0))
     )
-    vol = _volume_asym(sc, ell_ambient)
+    vol = volume_growth(space, sc.d - 1, sc.growing)
     if sc.family == GV:
-        space = _template_space(sc, ell_ambient)
         if sc.growing == "q" and sc.d - 1 >= space.diameter:
             raise ValueError("Gilbert-Varshamov family needs d - 1 below the diameter")
-        ratio = ambient.over(vol)
-        return _verdict_from_ratio(ratio, sc, sc.q, 0, _nonlinear_upper, source)
-    size = _nonlinear_size_asym(sc, m)
-    ratio = vol.times(size.squared()).over(ambient)
-    return _verdict_from_ratio(ratio, sc, sc.q, 0, _nonlinear_upper, source)
+        return _verdict_from_ratio(ambient / vol, sc, 0, _nonlinear_upper, source)
+    size = _nonlinear_size(sc, space)
+    ratio = vol * (size * size) / ambient
+    return _verdict_from_ratio(ratio, sc, 0, _nonlinear_upper, source)
 
 
-def _nonlinear_size_asym(sc: Scenario, m: int) -> _Asym:
+def _nonlinear_size(sc: Scenario, space: AmbientSpace) -> GrowthProfile:
     if sc.family == CARDINALITY:
-        return _Asym(sc.card_coeff, 0, sc.card_slope, sc.card_intercept)
+        return GrowthProfile(sc.card_coeff, sc.growing, sc.card_slope, sc.card_intercept)
     assert sc.family == EXTREMAL
-    d = sc.d
+    d, m = sc.d, space.m
     if sc.growing == "q":
-        space = _template_space(sc, 1 if sc.ell == 0 else sc.ell)
         if d > space.diameter:
             raise ValueError(f"d={d} exceeds the metric diameter {space.diameter}")
         expo = singleton_exponent(space, d)
         if expo < 1:
             raise ValueError("extremal family is empty at this distance")
-        return _Asym(Fraction(1), 0, Fraction(0), Fraction(expo))
+        return _exponential(sc, Fraction(0), Fraction(expo))
+    # only Hamming and rank get here: other sum-rank limits classify as unknown
     if sc.metric == HAMMING:
-        return _Asym(Fraction(1), 0, Fraction(m), Fraction(m * (1 - d)))
-    if sc.metric == RANK:
-        if d > m:
-            raise ValueError(f"d={d} exceeds the eventual rank diameter m={m}")
-        return _Asym(Fraction(1), 0, Fraction(m - d + 1), Fraction(0))
-    raise UnsupportedAsymptotics("sum-rank asymptotics support growing q only")
+        return _exponential(sc, Fraction(m), Fraction(m * (1 - d)))
+    if d > m:
+        raise ValueError(f"d={d} exceeds the eventual rank diameter m={m}")
+    return _exponential(sc, Fraction(m - d + 1), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ Frobenius^ell - id.  Its elements are addressed by a dense *index* in
 addition is residue addition, since both are digitwise mod p; index products
 and inverses go through the residues, one path for every field size.  Vectors
 over F_{p^ell} (used for subspace enumeration and sampling) are tuples of
-such indices, and ``unflatten`` maps F_{p^ell}^(n*s) onto F_{p^m}^n through a
-fixed relative basis.  ``build_tower`` keeps one tower per (p, ell, s).
+such indices, and ``unflatten`` maps F_{p^ell}^(n*s) onto F_{p^m}^n through the
+relative power basis 1, x, ..., x^(s-1) of F_{p^m} over F_{p^ell}.
+``build_tower`` keeps one tower per (p, ell, s).
 
 Subspaces are RREF bases.  Enumeration walks the pivot profiles, and within
 one profile takes the Cartesian product of each row's own choices, since an
@@ -211,8 +212,9 @@ class FieldTower:
         self._mul_cache: dict[tuple[int, int], int] = {}
         self.subfield_basis = self._frobenius_kernel_basis()
         assert len(self.subfield_basis) == ell, "subfield has wrong dimension"
-        self.relative_basis = self._relative_basis()
-        assert len(self.relative_basis) == s, "relative basis has wrong size"
+        # x generates F_{p^m} over F_p, so its minimal polynomial over
+        # F_{p^ell} has degree s, and 1, x, ..., x^(s-1) are a basis
+        self.relative_basis = [p**i for i in range(s)]
 
         # index sum_u c_u p^u <-> residue sum_u c_u kappa_u, by doubling: the
         # indices below p^(u+1) are those below p^u plus c * kappa_u, c < p
@@ -312,27 +314,6 @@ class FieldTower:
                 vec[c] = (-reduced[r_idx][f]) % p
             basis.append(_undigits(tuple(vec), p))
         return sorted(basis)
-
-    def _relative_basis(self) -> list[int]:
-        """Greedy F_{p^ell}-basis of F_{p^m} drawn from the power basis
-        1, x, x^2, ...; each accepted candidate enlarges the F_p-span by all
-        of its subfield multiples."""
-        p, m = self.p, self.m
-        fp = _PrimeField(p)
-        span_rows: list[list[int]] = []
-        basis: list[int] = []
-        for i in range(m):
-            cand = _undigits(tuple(1 if j == i else 0 for j in range(m)), p)
-            probe, _ = rref(span_rows + [list(self.digits(cand))], fp)
-            if len(probe) == len(span_rows):
-                continue
-            basis.append(cand)
-            for kappa in self.subfield_basis:
-                span_rows.append(list(self.digits(self.mul(kappa, cand))))
-            span_rows, _ = rref(span_rows, fp)
-            if len(basis) == self.s:
-                break
-        return basis
 
     # -- middle-field index arithmetic --------------------------------------
 

@@ -172,9 +172,16 @@ def _scorer(
     products, and the most k-row matrices it should score at once
     (_CHUNK_WORDS codewords)."""
     table = _flat_weight_table(space, tower, guards.enumeration)
-    units = [tower.p**u for u in range(tower.ell)]
-    unit_mul = np.array([[tower.k_mul(c, x) for x in range(tower.subfield_order)] for c in units])
-    per_chunk = max(1, _CHUNK_WORDS // tower.p ** (k * tower.ell))
+    p, ell = tower.p, tower.ell
+    # x -> kappa_u * x is F_p-linear, so row u of the table is the F_p-span
+    # of the ell products kappa_u * kappa_v
+    products = np.array([[tower.k_mul(p**u, p**v) for v in range(ell)] for u in range(ell)])
+    if p == 2:
+        unit_mul = _fp_span(products, p)
+    else:
+        powers = p ** np.arange(ell)
+        unit_mul = _fp_span(products[..., None] // powers % p, p) @ powers
+    per_chunk = max(1, _CHUNK_WORDS // p ** (k * ell))
     return (lambda bases: _min_weights(bases, tower, table, unit_mul)), per_chunk
 
 

@@ -445,6 +445,32 @@ class GrowthProfile:
         if self.var not in GROWING:
             raise ValueError(f"unknown growing parameter {self.var!r}")
 
+    def __mul__(self, other: GrowthProfile) -> GrowthProfile:
+        """Leading behavior of the product of two quantities along one limit."""
+        self._same_limit(other)
+        return GrowthProfile(
+            self.coefficient * other.coefficient,
+            self.var,
+            self.exp_slope + other.exp_slope,
+            self.exp_intercept + other.exp_intercept,
+            self.poly_degree + other.poly_degree,
+        )
+
+    def __truediv__(self, other: GrowthProfile) -> GrowthProfile:
+        """Leading behavior of the quotient of two quantities along one limit."""
+        self._same_limit(other)
+        return GrowthProfile(
+            self.coefficient / other.coefficient,
+            self.var,
+            self.exp_slope - other.exp_slope,
+            self.exp_intercept - other.exp_intercept,
+            self.poly_degree - other.poly_degree,
+        )
+
+    def _same_limit(self, other: GrowthProfile) -> None:
+        if other.var != self.var:
+            raise ValueError(f"profiles along {self.var} and {other.var} do not combine")
+
 
 def volume_growth(space: AmbientSpace, r: int, growing: str) -> GrowthProfile:
     """Leading coefficient and exponent of the radius-r ball volume as the

@@ -13,6 +13,7 @@ from codedensity.classifier import (
     NOT_DENSE,
     SPARSE,
     UNKNOWN,
+    Classification,
     Scenario,
     classify,
     instantiate,
@@ -147,6 +148,17 @@ def test_scenario_validation():
         Scenario("sumrank", "q", "extremal", 2, ell=1, n=6, s=1, t=2, eta=2)  # n != eta*t
 
 
+@pytest.mark.parametrize("coeff", [Fraction(-1), Fraction(0)])
+def test_cardinality_coefficient_must_be_positive(coeff):
+    with pytest.raises(ValueError, match="cardinality coefficient must be positive"):
+        Scenario("hamming", "q", "cardinality", 2, ell=0, n=4, s=1, card_coeff=coeff)
+
+
+def test_eta_is_rejected_when_n_grows():
+    with pytest.raises(ValueError, match="leave it unset when n grows"):
+        Scenario("hamming", "n", "extremal", 2, ell=1, q=2, s=1, eta=7)
+
+
 def test_explicit_dimension_family():
     # constant k = ns: volume exponent (d-1)m = 1 ties ell(ns+1-k) = 1, so the
     # limiting ratio is binom(2,1) = 2 and the family is not dense
@@ -175,6 +187,107 @@ def test_explicit_dimension_family():
         dim_intercept=Fraction(-1),
     )
     assert classify(sc).verdict == SPARSE
+
+
+def _ratio_witness(coeff, deg, slope, intercept, limit=None):
+    witness = {
+        "ratio_coefficient": coeff,
+        "ratio_poly_degree": deg,
+        "ratio_exponent_slope": slope,
+        "ratio_exponent_intercept": intercept,
+    }
+    if limit is not None:
+        witness["limit_constant"] = limit
+    return witness
+
+
+_ELL = "exponent comparison, linear, growing ell"
+
+
+@pytest.mark.parametrize(
+    "sc, expected",
+    [
+        (
+            Scenario("hamming", "ell", "dimension", 2, ell=None, q=2, n=3, s=1, dim_intercept=Fraction(2)),
+            Classification(DENSE, _ELL, witness=_ratio_witness("3", "0", "-1", "0")),
+        ),
+        (
+            Scenario("hamming", "ell", "dimension", 2, ell=None, q=2, n=3, s=1, dim_intercept=Fraction(3)),
+            Classification(NOT_DENSE, _ELL, Fraction(1, 4), _ratio_witness("3", "0", "0", "0", "3")),
+        ),
+        (
+            Scenario("rank", "ell", "dimension", 3, ell=None, q=3, n=4, s=2, dim_intercept=Fraction(5)),
+            Classification(NOT_DENSE, _ELL, Fraction(1, 131), _ratio_witness("130", "0", "0", "0", "130")),
+        ),
+        (
+            Scenario("rank", "ell", "dimension", 2, ell=None, q=2, n=3, s=1, dim_intercept=Fraction(2)),
+            Classification(DENSE, _ELL, witness=_ratio_witness("7", "0", "-1", "0")),
+        ),
+        (
+            Scenario("hamming", "ell", "gv", 2, ell=None, q=2, n=3, s=1),
+            Classification(DENSE, _ELL, witness=_ratio_witness("1", "0", "-1", "0")),
+        ),
+        (
+            Scenario("hamming", "ell", "extremal", 2, ell=None, q=2, n=3, s=1),
+            Classification(DENSE, _ELL, witness=_ratio_witness("3", "0", "-1", "0")),
+        ),
+        (
+            Scenario("hamming", "q", "gv", 2, ell=2, n=3, s=1),
+            Classification(
+                DENSE,
+                "exponent comparison, linear, Gilbert-Varshamov family",
+                witness=_ratio_witness("1", "0", "0", "-2"),
+            ),
+        ),
+        (
+            Scenario("rank", "n", "dimension", 2, ell=2, q=2, s=2, dim_slope=Fraction(1), dim_intercept=Fraction(1)),
+            Classification(
+                DENSE, "exponent comparison, linear, growing n", witness=_ratio_witness("15", "0", "-1", "0")
+            ),
+        ),
+        (
+            Scenario("hamming", "s", "dimension", 2, ell=1, q=3, n=3, dim_slope=Fraction(2)),
+            Classification(
+                NOT_DENSE,
+                "exponent comparison, linear, growing s",
+                Fraction(1, 2),
+                _ratio_witness("3", "0", "0", "-1", "1"),
+            ),
+        ),
+    ],
+)
+def test_linear_comparison_classifications_are_pinned(sc, expected):
+    got = classify(sc)
+    assert got == expected
+    assert list(got.witness) == list(expected.witness)
+
+
+@pytest.mark.parametrize(
+    "sc, message",
+    [
+        (
+            Scenario("hamming", "ell", "dimension", 2, ell=None, q=2, n=3, s=1, dim_slope=Fraction(1)),
+            "growing ell needs a constant dimension k",
+        ),
+        (
+            Scenario("hamming", "ell", "dimension", 2, ell=None, q=2, n=3, s=1, dim_intercept=Fraction(4)),
+            "k=4 out of range [1, 3]",
+        ),
+        # d > n is checked before the dimension
+        (
+            Scenario("rank", "ell", "dimension", 3, ell=None, q=2, n=2, s=1, dim_slope=Fraction(1)),
+            "d=3 exceeds the eventual diameter n=2",
+        ),
+        (
+            Scenario("rank", "ell", "extremal", 3, ell=None, q=2, n=2, s=1),
+            "d=3 exceeds the eventual diameter n=2",
+        ),
+    ],
+)
+def test_growing_ell_rejections_are_pinned(sc, message):
+    with pytest.raises(ValueError) as exc:
+        classify(sc)
+    assert str(exc.value) == message
 
 
 def test_msrd_theta_values():

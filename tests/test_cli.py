@@ -88,6 +88,32 @@ def test_classify_not_dense_has_rational_upper(capsys):
     assert doc["result"]["upper_bound"] == "2/9"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("--family", "custom", "--metric", "hamming", "--growing", "q", "--ell", "0", "--n", "4",
+             "--s", "1", "--d", "2", "--S-coeff", "-1", "--S-intercept", "2"),
+            "cardinality coefficient must be positive",
+        ),
+        (
+            ("--family", "custom", "--metric", "hamming", "--growing", "q", "--ell", "0", "--n", "4",
+             "--s", "1", "--d", "2", "--S-coeff", "0", "--S-intercept", "2"),
+            "cardinality coefficient must be positive",
+        ),
+        (
+            ("--family", "mds", "--growing", "n", "--ell", "1", "--q", "2", "--s", "1", "--d", "2",
+             "--eta", "7"),
+            "leave it unset when n grows",
+        ),
+    ],
+)
+def test_classify_rejects_meaningless_scenarios(capsys, argv, message):
+    code, out, err = run_cli(capsys, "classify", *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_bound_density_bracket(capsys):
     code, out, _ = run_cli(
         capsys, "bound", "--kind", "density-bracket", "--metric", "hamming",

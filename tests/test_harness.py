@@ -713,6 +713,25 @@ def test_scorer_needs_no_middle_field_tables():
         fields.build_tower.cache_clear()
 
 
+def test_scorer_builds_unit_products_from_a_basis(monkeypatch):
+    # the unit table is the F_p-span of ell^2 basis products: F_{2^12} takes
+    # 144 k_mul calls, not one per table entry (49 152)
+    from codedensity.fields import FieldTower
+    from codedensity.harness import linear_distance_histogram
+
+    calls = Counter()
+    k_mul = FieldTower.k_mul
+
+    def counted(self, i, j):
+        calls["k_mul"] += 1
+        return k_mul(self, i, j)
+
+    monkeypatch.setattr(FieldTower, "k_mul", counted)
+    space = AmbientSpace(2, 12, 1, 1, "hamming")
+    assert linear_distance_histogram.__wrapped__(space, 12, 1) == ((1, 1),)
+    assert 0 < calls["k_mul"] <= 144
+
+
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("metric,t", [("hamming", 1), ("rank", 1), ("sumrank", 2)])
 def test_weight_table_matches_metric_weight(q, metric, t):

@@ -14,6 +14,7 @@ from codedensity.guards import ORACLE_SPACE, GuardExceeded, UnsupportedAsymptoti
 from codedensity.harness import _criterion_volume_spaces, trial_generator
 from codedensity.metrics import (
     AmbientSpace,
+    GrowthProfile,
     _flat_weight_table,
     _rank_shells,
     _weight_distribution,
@@ -352,6 +353,15 @@ def test_growth_profile_examples():
     assert (prof.coefficient, prof.exp_intercept) == (1, 8)
     prof = volume_growth(AmbientSpace(2, 1, 2, 4, "sumrank", t=2), 3, "q")
     assert (prof.coefficient, prof.exp_intercept) == (2, 7)
+
+
+def test_growth_profile_product_and_quotient():
+    a = GrowthProfile(Fraction(3), "n", Fraction(2), Fraction(-1), poly_degree=2)
+    b = GrowthProfile(Fraction(1, 2), "n", Fraction(-1), Fraction(4), poly_degree=3)
+    assert a * b == GrowthProfile(Fraction(3, 2), "n", Fraction(1), Fraction(3), poly_degree=5)
+    assert a / b == GrowthProfile(Fraction(6), "n", Fraction(3), Fraction(-5), poly_degree=-1)
+    with pytest.raises(ValueError, match="profiles along n and q do not combine"):
+        a / GrowthProfile(Fraction(1), "q", Fraction(0), Fraction(1))
 
 
 def test_growth_profile_unsupported_pairs():
