@@ -237,6 +237,11 @@ def _classify_linear(sc: Scenario) -> Classification:
     ell = 1 if sc.growing == "ell" else sc.ell
     source = f"exponent comparison, linear, growing {sc.growing}"
     if sc.family == GV:
+        # once d - 1 reaches the diameter no code of dimension >= 1 has
+        # distance d, and every probe's bracket is [0, 0]
+        diameter = _eventual_diameter(sc, ell)
+        if diameter is not None and sc.d > diameter:
+            raise ValueError("Gilbert-Varshamov family needs d - 1 below the diameter")
         # cardinality pinned to q^(ell*ns) / v: the ratio is exactly q^(-ell)
         if sc.growing == "ell":
             ratio = _exponential(sc, Fraction(-1), Fraction(0))
@@ -249,6 +254,18 @@ def _classify_linear(sc: Scenario) -> Classification:
     vol = volume_growth(_template_space(sc, ell), sc.d - 1, sc.growing)
     ratio = vol / _exponential(sc, comp_slope, comp_intercept)
     return _verdict_from_ratio(ratio, sc, osc_max, _linear_upper, source)
+
+
+def _eventual_diameter(sc: Scenario, ell: int) -> int | None:
+    """The metric diameter once the growing parameter is large, or None
+    when it grows without bound."""
+    if sc.growing == "q":
+        return _template_space(sc, ell).diameter
+    # only Hamming and rank get here: other sum-rank limits classify as unknown
+    if sc.metric == HAMMING:
+        return None if sc.growing == "n" else sc.n
+    # rank: min(m, n), with m = ell*s fixed when n grows
+    return ell * sc.s if sc.growing == "n" else sc.n
 
 
 def _linear_upper(c: Fraction) -> Fraction:
@@ -314,6 +331,8 @@ def _dimension_comparison(sc: Scenario, ell: int) -> tuple[Fraction, Fraction, i
             )
         k = b
         ns = sc.n * sc.s
+        if k.denominator != 1:
+            raise ValueError(f"dimension k={k} is not an integer")
         if not 1 <= k <= ns:
             raise ValueError(f"k={k} out of range [1, {ns}]")
         if sc.growing == "ell":

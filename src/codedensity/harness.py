@@ -8,7 +8,10 @@ Linear and nonlinear trials run through one loop that cuts them into
 contiguous blocks and scores each block in batches.  The generators are
 pooled: each is built once and re-keyed for later trials by resetting its
 Philox state to that of a fresh ``Philox(key=(seed, i))``, so every draw is
-bit-identical to one from a generator built for the trial.
+bit-identical to one from a generator built for the trial.  A batch's first
+draws are computed at once by ``_philox_bounded``, which evaluates the same
+Philox streams and numpy's bounded-integer method over the whole batch;
+draws it cannot follow, and every redraw, come from the trial's generator.
 Confidence intervals are exact Clopper-Pearson bounds on a dyadic rational
 grid of width 2^-21 (< 10^-6), rounded outward so coverage is never
 understated.  Each endpoint is the last grid point where a monotone binomial
@@ -48,7 +51,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -119,6 +122,62 @@ def trial_generator(seed: int, trial: int, reuse: Generator | None = None) -> Ge
         "uinteger": 0,
     }
     return reuse
+
+
+# Philox4x64-10 multipliers of counter words 0 and 2, with their 32-bit
+# limbs, and the Weyl increments of key words 0 and 1 (Salmon et al., SC
+# 2011), stacked on a leading axis
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _SHIFT32
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
+
+
+def _philox_bounded(
+    seed: int, trial_ids: Sequence[int], bounds: int | np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``count`` values ``trial_generator(seed, i).integers(0,
+    bounds)`` gives for each trial i, as a (trials, count) int64 array, and
+    a per-trial flag set when numpy would have needed a rejection retry.
+
+    ``bounds`` is one bound in [2, 2^32] or one per position.  numpy draws
+    each such value from one uint32 (the low half of each uint64 of the
+    Philox stream first) by Lemire's multiply-and-shift, retrying when the
+    low 32 bits of the product fall below 2^32 mod bound.  Trial i's stream
+    is Philox4x64-10 with key (seed, i) and counters 1, 2, ..., so every
+    batch of first draws is computed at once; the values of a flagged trial
+    are wrong and it must draw from its own generator.  Every operand is
+    np.uint64, so numpy's integer promotion rules never apply.
+    """
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    if bounds.min() < 2 or bounds.max() > 1 << 32:
+        raise ValueError("Philox bounds must lie in [2, 2^32]")
+    trials = np.asarray(trial_ids, dtype=np.uint64)
+    blocks = -(-count // 8)  # each block is four uint64, eight uint32
+    key = np.empty((2, len(trials), 1), dtype=np.uint64)
+    key[0], key[1, :, 0] = np.uint64(seed), trials
+    # counter words 0 and 2, then 1 and 3, of every block of every trial
+    even = np.zeros((2, len(trials), blocks), dtype=np.uint64)
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)
+    # a round maps (c0, c1, c2, c3) to (hi(M1*c2) ^ c1 ^ k0, lo(M1*c2),
+    # hi(M0*c0) ^ c3 ^ k1, lo(M0*c0)), and bumps the key between rounds
+    for r in range(10):
+        if r:
+            key += _PHILOX_W
+        # the high words of the 128-bit products M * even, through 32-bit
+        # limbs; no partial sum reaches 2^64
+        lo, hi = even & _LOW32, even >> _SHIFT32
+        mid = _PHILOX_M_LO * hi + (_PHILOX_M_LO * lo >> _SHIFT32)
+        carry = _PHILOX_M_HI * lo + (mid & _LOW32)
+        high = _PHILOX_M_HI * hi + (mid >> _SHIFT32) + (carry >> _SHIFT32)
+        even, odd = high[::-1] ^ odd ^ key, (_PHILOX_M * even)[::-1]
+    words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1)
+    draws = np.stack([words & _LOW32, words >> _SHIFT32], axis=-1).reshape(len(trials), -1)
+    scaled = draws[:, :count] * bounds
+    rejected = ((scaled & _LOW32) < np.uint64(1 << 32) % bounds).any(axis=1)
+    return (scaled >> _SHIFT32).astype(np.int64), rejected
 
 
 def _rat(x: Fraction) -> str:
@@ -208,18 +267,18 @@ def _trial_successes(
     seed: int,
     worker_streams: int,
     batch: int,
-    score_batch: Callable[[list[Generator]], int],
+    score_batch: Callable[[range, list[Generator]], int],
 ) -> int:
     """Successes of trials 0..trials-1, each drawn from its own
     ``trial_generator(seed, i)``.
 
     The trials are cut into ``worker_streams`` contiguous blocks, and each
     block is scored in batches of at most ``batch`` trials: ``score_batch``
-    takes the generators of one batch, in trial order, and returns how many
-    of its trials succeed.  The generators form one pool with a slot per
-    batch position: slot j is built for the j-th trial of the first batch
-    and re-keyed for the j-th trial of each later one, once the batch before
-    has been scored.
+    takes the trial numbers of one batch and their generators, in trial
+    order, and returns how many of its trials succeed.  The generators form
+    one pool with a slot per batch position: slot j is built for the j-th
+    trial of the first batch and re-keyed for the j-th trial of each later
+    one, once the batch before has been scored.
     """
     pool: list[Generator | None] = [None] * min(batch, trials)
     successes = 0
@@ -229,7 +288,7 @@ def _trial_successes(
             trial_ids = range(start, min(start + batch, stop))
             gens = [trial_generator(seed, i, gen) for i, gen in zip(trial_ids, pool)]
             pool[: len(gens)] = gens
-            successes += score_batch(gens)
+            successes += score_batch(trial_ids, gens)
     return successes
 
 
@@ -248,19 +307,32 @@ def _linear_successes(
     has rank k, as :func:`sample_subspace` does, but without a row
     reduction: a rank-deficient draw has F_p-dependent generators, so some
     nonzero combination is the zero word and ``_min_weights`` reads 0, while
-    every code of dimension k has minimum weight >= 1.  Draws that score 0
-    are redrawn from their own trial's stream.  Trials are scored in batches
-    of at most _TRIAL_BATCH.  The weight-table guard is checked before the
-    tower is built.
+    every code of dimension k has minimum weight >= 1.  Trials are scored in
+    batches of at most _TRIAL_BATCH.  A batch's first matrices come from one
+    ``_philox_bounded`` call; a trial it flags draws its first matrix from
+    its own generator.  A draw that scores 0 is redrawn from its own trial's
+    stream, and a trial whose first matrix came from the evaluator first
+    replays that matrix on its still-fresh generator, which must give the
+    same matrix.  The weight-table guard is checked before the tower is
+    built.  The evaluator takes middle fields of up to 2^32 elements, far
+    past any weight table that fits in memory.
     """
     _check_linearity(space, spec.linearity)
     _hold_table_size(space, guards.enumeration)
     tower = space_tower(space, spec.linearity)
     score, per_chunk = _scorer(space, tower, spec.dim, guards)
-    draw = lambda gen: _draw_matrix(gen, spec.dim, tower, space.n)
+    k, ns = spec.dim, space.n * tower.s
+    draw = lambda gen: _draw_matrix(gen, k, tower, space.n)
 
-    def score_batch(gens: list[Generator]) -> int:
-        weights = score(np.stack([draw(gen) for gen in gens]))
+    def score_batch(trial_ids: range, gens: list[Generator]) -> int:
+        drawn, flagged = _philox_bounded(seed, trial_ids, tower.subfield_order, k * ns)
+        drawn = drawn.reshape(-1, k, ns)
+        for j in np.flatnonzero(flagged):
+            drawn[j] = draw(gens[j])
+        weights = score(drawn)
+        for j in np.flatnonzero((weights == 0) & ~flagged):
+            if not np.array_equal(draw(gens[j]), drawn[j]):
+                raise RuntimeError(f"Philox evaluator disagrees with numpy on trial {trial_ids[j]}")
         while (redraw := np.flatnonzero(weights == 0)).size:
             weights[redraw] = score(np.stack([draw(gens[j]) for j in redraw]))
         return int(np.count_nonzero(weights >= spec.d))
@@ -276,11 +348,17 @@ def _nonlinear_successes(
     distance >= d.
 
     Trial i draws the sorted word indices v of ``codeword_from_int(v)`` from
-    ``trial_generator(seed, i)``.  A batch splits its indices into the
-    coordinates the weight kernel takes (residues for p = 2, base-p digits
-    otherwise) through Python-int arithmetic, so spaces past 2^64 words take
-    the same path.  The S(S-1)/2 pair differences of every trial in the batch
-    go through one ``_weights`` call, and a trial succeeds when its smallest
+    ``trial_generator(seed, i)`` by Floyd's algorithm, as
+    :func:`sample_code_subset` does.  On spaces of at most 2^32 words the S
+    picks of a whole batch come from one ``_philox_bounded`` call, with
+    bounds space-S+1, ..., space, and Floyd's collision rule runs across the
+    batch in S vectorized steps; a trial the evaluator flags, and every
+    trial on a larger space, calls ``sample_code_subset`` on its own
+    generator.  A batch splits its indices into the coordinates the weight
+    kernel takes (residues for p = 2, base-p digits otherwise), in int64 or,
+    past 2^32 words, in Python ints, so spaces past 2^64 words take the same
+    path.  The S(S-1)/2 pair differences of every trial in the batch go
+    through one ``_weights`` call, and a trial succeeds when its smallest
     pair weight is >= d.  A batch holds at most _TRIAL_BATCH trials and about
     _CHUNK_WORDS digit cells, S*n*m per trial.
     """
@@ -289,9 +367,25 @@ def _nonlinear_successes(
     base, width = (tower.order, 1) if p == 2 else (p, space.m)
     dtype = np.min_scalar_type(base - 1) if p == 2 else _digit_dtype(p)
     first, second = np.triu_indices(size, 1)
+    space_size = space.size
 
-    def score_batch(gens: list[Generator]) -> int:
-        rest = np.array([sample_code_subset(gen, size, tower, n) for gen in gens], dtype=object)
+    def subsets(trial_ids: range, gens: list[Generator]) -> np.ndarray:
+        # at S = space_size Floyd's first bound is 1, which numpy meets with no draw
+        if not size < space_size <= 1 << 32:
+            return np.array([sample_code_subset(gen, size, tower, n) for gen in gens], dtype=object)
+        bounds = np.arange(space_size - size + 1, space_size + 1)
+        picks, flagged = _philox_bounded(seed, trial_ids, bounds, size)
+        chosen = np.empty_like(picks)
+        for j, pick in enumerate(picks.T):
+            taken = (chosen[:, :j] == pick[:, None]).any(axis=1)
+            chosen[:, j] = np.where(taken, bounds[j] - 1, pick)
+        chosen.sort(axis=1)
+        for t in np.flatnonzero(flagged):
+            chosen[t] = sample_code_subset(gens[t], size, tower, n)
+        return chosen
+
+    def score_batch(trial_ids: range, gens: list[Generator]) -> int:
+        rest = subsets(trial_ids, gens)
         digits = np.empty((n, width) + rest.shape, dtype=dtype)
         for cell in np.ndindex(n, width):
             digits[cell] = rest % base

@@ -114,6 +114,57 @@ def test_classify_rejects_meaningless_scenarios(capsys, argv, message):
     assert message in err
 
 
+_GV_REFUSAL = "Gilbert-Varshamov family needs d - 1 below the diameter"
+
+
+@pytest.mark.parametrize(
+    "argv, classify_message, probe_message",
+    [
+        # d - 1 = 4 exceeds the Hamming diameter 1
+        (
+            ("--family", "gv", "--metric", "hamming", "--growing", "q", "--ell", "1", "--n", "1",
+             "--s", "1", "--d", "5"),
+            _GV_REFUSAL,
+            "d=5 out of range [1, 2]",
+        ),
+        # d - 1 = 3 exceeds the eventual rank diameter m = 2
+        (
+            ("--family", "gv", "--metric", "rank", "--growing", "n", "--ell", "1", "--q", "2",
+             "--s", "2", "--d", "4"),
+            _GV_REFUSAL,
+            "d=4 out of range [1, 3]",
+        ),
+        (
+            ("--family", "custom", "--metric", "hamming", "--growing", "q", "--ell", "1", "--n", "3",
+             "--s", "1", "--d", "2", "--k-slope", "0", "--k-intercept", "5/2"),
+            "dimension k=5/2 is not an integer",
+            "dimension k=5/2 invalid",
+        ),
+    ],
+)
+def test_classify_refuses_what_probe_refuses(capsys, argv, classify_message, probe_message):
+    code, out, err = run_cli(capsys, "classify", *argv)
+    assert code == 2 and out == ""
+    assert classify_message in err
+    code, out, err = run_cli(capsys, "probe", *argv, "--probes", "2,3,5")
+    assert code == 2 and out == ""
+    assert probe_message in err
+
+
+def test_classify_gv_distance_stops_below_the_diameter(capsys):
+    # at d - 1 = n = 3 no code has distance d: probes bracket the density
+    # at [0, 0], so a "dense" verdict there would be wrong
+    argv = lambda d: ("--family", "gv", "--metric", "hamming", "--growing", "q", "--ell", "1", "--n", "3",
+                      "--s", "1", "--d", d)
+    for d in ("2", "3"):
+        assert run_cli(capsys, "classify", *argv(d))[0] == 0
+    code, out, err = run_cli(capsys, "classify", *argv("4"))
+    assert code == 2 and _GV_REFUSAL in err
+    code, out, _ = run_cli(capsys, "probe", *argv("4"), "--probes", "2,3,5")
+    assert code == 0
+    assert [row.split(",")[2:] for row in out.splitlines()[-3:]] == [["0", "0"]] * 3
+
+
 def test_bound_density_bracket(capsys):
     code, out, _ = run_cli(
         capsys, "bound", "--kind", "density-bracket", "--metric", "hamming",

@@ -486,12 +486,96 @@ def test_rekeyed_generator_matches_a_fresh_one():
                 assert reused.random() == fresh.random()
 
 
+def _uint32s_handed_out(gen):
+    # four uint64 per block before the current one, the used words of the
+    # current one, two uint32 halves each, less a buffered upper half
+    state = gen.bit_generator.state
+    blocks = int(state["state"]["counter"][0])
+    words = 4 * (blocks - 1) + state["buffer_pos"] if blocks else 0
+    return 2 * words - state["has_uint32"]
+
+
+def test_philox_evaluator_matches_numpy():
+    # counts cross block boundaries and leave a buffered half-word; bound
+    # 3 * 2^30 makes numpy retry about a quarter of its draws, and Floyd's
+    # bounds vary by position
+    from numpy.random import Generator, Philox
+
+    from codedensity.harness import _philox_bounded
+
+    rng = np.random.default_rng(15)
+    edges = [0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1]
+    seeds = edges + rng.integers(0, 2**64, 3, dtype=np.uint64).tolist()
+    trials = edges + rng.integers(0, 2**64, 6, dtype=np.uint64).tolist()
+    floyd = lambda space, size: np.arange(space - size + 1, space + 1)
+    flags = Counter()
+    for seed in seeds:
+        for count in (1, 7, 8, 9, 17, 64):
+            bounds = [2, 3, 4, 5, 7, 9, 16, 25, 2**32, 3 * 2**30, floyd(81, count), floyd(2**32, count)]
+            for bound in bounds:
+                values, flagged = _philox_bounded(seed, trials, bound, count)
+                assert values.shape == (len(trials), count) and values.dtype == np.int64
+                for trial, got, flag in zip(trials, values, flagged):
+                    gen = Generator(Philox(key=np.array([seed, trial], dtype=np.uint64)))
+                    want = gen.integers(0, bound, size=None if np.ndim(bound) else count)
+                    assert flag == (_uint32s_handed_out(gen) > count), (seed, trial, bound, count)
+                    if not flag:
+                        assert got.tolist() == want.tolist(), (seed, trial, bound, count)
+                    flags[np.ndim(bound) == 0 and bound & (bound - 1) == 0, bool(flag)] += 1
+    assert flags[True, True] == 0  # a power-of-two bound never retries
+    assert flags[False, True] > 100 and flags[False, False] > 100
+
+
+def test_philox_evaluator_refuses_bounds_it_cannot_follow():
+    from codedensity.harness import _philox_bounded
+
+    for bound in (1, 2**32 + 1, [5, 1]):
+        with pytest.raises(ValueError, match="bounds"):
+            _philox_bounded(3, range(4), bound, 2)
+
+
 # a linear case where about one draw in seven is rank-deficient and redrawn
 _REDRAW_SPACE, _REDRAW_SPEC = AmbientSpace(3, 1, 1, 3, "hamming"), CodeFamilySpec(1, 2, dim=2)
 
 
 # a nonlinear case on 81 words
 _SUBSET_SPACE, _SUBSET_SPEC = AmbientSpace(3, 1, 1, 4, "hamming"), CodeFamilySpec(0, 2, size=5)
+
+
+def test_redrawn_trials_replay_the_evaluator(monkeypatch):
+    # a linear trial that scores 0 first replays its evaluated matrix on its
+    # own generator; an evaluator that hands out a wrong matrix is caught
+    from codedensity import harness
+
+    evaluate = harness._philox_bounded
+
+    def corrupted(seed, trial_ids, bounds, count):
+        values, flagged = evaluate(seed, trial_ids, bounds, count)
+        values[3] = 0  # the zero matrix scores 0, so trial 3 is redrawn
+        return values, flagged
+
+    monkeypatch.setattr(harness, "_philox_bounded", corrupted)
+    with pytest.raises(RuntimeError, match="trial 3"):
+        estimate_density(_REDRAW_SPACE, _REDRAW_SPEC, trials=50, seed=0)
+
+
+def test_flagged_trials_draw_from_their_own_generators(monkeypatch):
+    # trials the evaluator flags ignore its values, linear or nonlinear
+    from codedensity import harness
+
+    cases = ((_REDRAW_SPACE, _REDRAW_SPEC), (_SUBSET_SPACE, _SUBSET_SPEC))
+    runs = lambda: [estimate_density(space, spec, trials=300, seed=6).successes for space, spec in cases]
+    want = runs()
+    evaluate = harness._philox_bounded
+
+    def flag_odd(seed, trial_ids, bounds, count):
+        values, flagged = evaluate(seed, trial_ids, bounds, count)
+        odd = np.asarray(trial_ids) % 2 == 1
+        values[odd] = 0
+        return values, flagged | odd
+
+    monkeypatch.setattr(harness, "_philox_bounded", flag_odd)
+    assert runs() == want
 
 
 @pytest.mark.parametrize("batch", [1, 3])
