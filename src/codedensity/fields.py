@@ -474,17 +474,11 @@ def _draw_matrix(gen, k: int, tower: FieldTower, n: int):
     return gen.integers(0, tower.subfield_order, size=k * n * tower.s).reshape(k, -1)
 
 
-def codeword_from_int(value: int, tower: FieldTower, n: int) -> Codeword:
-    out = []
-    for _ in range(n):
-        value, r = divmod(value, tower.order)
-        out.append(r)
-    return tuple(out)
-
-
 def sample_code_subset(gen, size: int, tower: FieldTower, n: int) -> tuple[int, ...]:
     """Uniformly random size-element subset of F_{p^m}^n by Floyd's
-    algorithm, as the sorted indices v of its words ``codeword_from_int(v)``."""
+    algorithm, as the sorted indices of its words: index v is the word whose
+    j-th coordinate is the j-th base-p^m digit of v, least significant
+    first."""
     space = tower.order**n
     if not 2 <= size <= space:
         raise ValueError(f"subset size {size} out of range [2, {space}]")

@@ -19,8 +19,8 @@ class Guards:
     """The settable limit for exhaustive work.
 
     ``enumeration`` caps how many codes/subspaces an exhaustive oracle may
-    walk, and the size of the weight table a linear job or subset walk
-    builds.  The environment variable ``CODE_DENSITY_GUARD`` overrides it.
+    walk, and the size of the weight table a linear job builds.  The
+    environment variable ``CODE_DENSITY_GUARD`` overrides it.
     The fixed caps ``ORACLE_SPACE``, ``TOWER_DEGREE`` and ``OUTPUT_BITS``
     are module constants that no setting changes.
     """

@@ -24,30 +24,30 @@ threshold lies inside the enclosure.  It sums the side of the distribution
 whose threshold is at most 1/2, the tail itself or its complement, so the
 enclosure keeps its relative precision at levels close to 1.
 
-Every exhaustive job reads weights from ``metrics._flat_weight_table``.
-Exhaustive linear histograms and linear Monte Carlo trials share one exact
-scorer: bases are stacked into numpy integer arrays, every codeword of each
-code is expanded, and its weight is read from the table.  A linear trial's
-drawn matrix goes to the scorer as drawn, with no row reduction, since a
-code's minimum weight depends only on its row space.  A draw of rank below k
-spans the zero word with a nonzero combination and scores 0, which no code
-of dimension k does, so such draws are found by the scorer and redrawn from
-the trial's own stream, as ``fields.sample_subspace`` redraws them.  The
-subset walk reads each pair distance from the table at the index of the
-pair's difference, and the reduction check compares two tables built on one
-tower.  Nonlinear Monte Carlo trials run on spaces far beyond any table, so
-they weigh the pair differences of a whole batch of drawn subsets with the
-table's own kernel, ``metrics._weights``.
-The tests check the scorer against ``metrics.min_distance``, the subset walk
-against ``metrics.distance``, the table against ``metrics.weight`` and the
-nonlinear trials against ``metrics.min_distance``.
+Linear jobs read weights from ``metrics._flat_weight_table``.  Exhaustive
+linear histograms and linear Monte Carlo trials share one exact scorer:
+bases are stacked into numpy integer arrays, every codeword of each code is
+expanded, and its weight is read from the table.  A linear trial's drawn
+matrix goes to the scorer as drawn, with no row reduction, since a code's
+minimum weight depends only on its row space.  A draw of rank below k spans
+the zero word with a nonzero combination and scores 0, which no code of
+dimension k does, so such draws are found by the scorer and redrawn from the
+trial's own stream, as ``fields.sample_subspace`` redraws them.  The
+reduction check compares two tables built on one tower.  Nonlinear codes,
+the exhaustive subset walk's and the Monte Carlo trials' alike, have one
+scorer too, ``_subset_min_weights``: it weighs the pair differences of a
+whole batch of word sets with the table's own kernel, ``metrics._weights``,
+and builds no table, so trials run on spaces far beyond any table.
+The tests check the linear scorer against ``metrics.min_distance``, the
+subset walk against ``metrics.distance``, the table against
+``metrics.weight`` and the nonlinear trials against
+``metrics.min_distance``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -92,7 +92,9 @@ _TAIL_BITS = 160  # fraction bits of the fixed-point binomial tail enclosure
 _SEED_LIMIT = 1 << 64  # seeds are Philox key words
 # Most codeword entries the linear-code scorer expands at once: a chunk of B
 # bases of dimension k over F_{p^ell} holds B * p^(k*ell) codewords.  A
-# nonlinear Monte Carlo batch holds about as many digit cells, S*n*m a trial.
+# nonlinear Monte Carlo batch holds about as many digit cells, S*n*m a trial,
+# a chunk of the subset walk about as many pairs, and the nonlinear scorer
+# takes at most as many pairs of a set at once.
 _CHUNK_WORDS = 1 << 13
 # Most trials a Monte Carlo batch draws at once, linear or nonlinear; batch
 # slot j keeps one Philox generator, re-keyed for the j-th trial of each
@@ -341,33 +343,67 @@ def _linear_successes(
     return _trial_successes(trials, seed, worker_streams, batch, score_batch)
 
 
+def _subset_min_weights(space: AmbientSpace, tower: FieldTower, indices: np.ndarray) -> np.ndarray:
+    """Smallest pair weight of each of B sets of S words, given as a (B, S)
+    array of word indices: int64, or Python ints in an object array, which
+    any number of words fits.
+
+    Index v is the word whose j-th coordinate is the j-th base-q^m digit of
+    v, least significant first.  The indices are split into the coordinates
+    the weight kernel takes, residues below q^m for p = 2 and base-p digits
+    otherwise, and the pair differences go through ``_weights``: the XOR of
+    the residues, or the digitwise difference mod p.  The pair triangle is
+    scored in slices of whole rows, the pairs (i, j) with top <= i < stop
+    and j > i: at most _CHUNK_WORDS pairs a set, or one row if it holds
+    more.  The running minimum is kept, so a set's pairs are never all held
+    at once.
+    """
+    p, n = space.q, space.n
+    base, width = (tower.order, 1) if p == 2 else (p, space.m)
+    dtype = np.min_scalar_type(base - 1) if p == 2 else _digit_dtype(p)
+    n_sets, size = indices.shape
+    digits = np.empty((n, width, n_sets, size), dtype=dtype)
+    rest = indices
+    for cell in np.ndindex(n, width):
+        digits[cell] = rest % base
+        rest = rest // base
+    words = digits.transpose(0, 2, 3, 1)  # (n, B, S, width)
+    # starts[i] pairs lie in the rows above row i
+    starts = np.concatenate(([0], np.cumsum(np.arange(size - 1, 0, -1))))
+    best = np.full(n_sets, space.diameter, dtype=np.min_scalar_type(space.diameter))
+    top = 0
+    while top < size - 1:
+        stop = max(top + 1, int(np.searchsorted(starts, starts[top] + _CHUNK_WORDS, "right")) - 1)
+        first, second = np.triu_indices(stop - top, top + 1, size)
+        a, b = words[:, :, first + top], words[:, :, second]
+        diffs = a ^ b if p == 2 else (a + (p - b)) % p
+        weights = _weights(space, diffs.reshape((n, -1) if p == 2 else (n, -1, width)))
+        np.minimum(best, weights.reshape(n_sets, -1).min(axis=1), out=best)
+        top = stop
+    return best
+
+
 def _nonlinear_successes(
     space: AmbientSpace, spec: CodeFamilySpec, trials: int, seed: int, worker_streams: int
 ) -> int:
     """Number of trials whose uniform S-subset of the space has minimum
     distance >= d.
 
-    Trial i draws the sorted word indices v of ``codeword_from_int(v)`` from
+    Trial i draws the sorted word indices of its subset from
     ``trial_generator(seed, i)`` by Floyd's algorithm, as
     :func:`sample_code_subset` does.  On spaces of at most 2^32 words the S
     picks of a whole batch come from one ``_philox_bounded`` call, with
     bounds space-S+1, ..., space, and Floyd's collision rule runs across the
     batch in S vectorized steps; a trial the evaluator flags, and every
     trial on a larger space, calls ``sample_code_subset`` on its own
-    generator.  A batch splits its indices into the coordinates the weight
-    kernel takes (residues for p = 2, base-p digits otherwise), in int64 or,
-    past 2^32 words, in Python ints, so spaces past 2^64 words take the same
-    path.  The S(S-1)/2 pair differences of every trial in the batch go
-    through one ``_weights`` call, and a trial succeeds when its smallest
-    pair weight is >= d.  A batch holds at most _TRIAL_BATCH trials and about
-    _CHUNK_WORDS digit cells, S*n*m per trial.
+    generator.  Past 2^32 words the indices are Python ints, so spaces past
+    2^64 words take the same path.  ``_subset_min_weights`` scores the whole
+    batch, and a trial succeeds when its smallest pair weight is >= d.  A
+    batch holds at most _TRIAL_BATCH trials and about _CHUNK_WORDS digit
+    cells, S*n*m per trial.
     """
     tower = space_tower(space, 1)
-    p, n, size = space.q, space.n, spec.size
-    base, width = (tower.order, 1) if p == 2 else (p, space.m)
-    dtype = np.min_scalar_type(base - 1) if p == 2 else _digit_dtype(p)
-    first, second = np.triu_indices(size, 1)
-    space_size = space.size
+    n, size, space_size = space.n, spec.size, space.size
 
     def subsets(trial_ids: range, gens: list[Generator]) -> np.ndarray:
         # at S = space_size Floyd's first bound is 1, which numpy meets with no draw
@@ -385,16 +421,8 @@ def _nonlinear_successes(
         return chosen
 
     def score_batch(trial_ids: range, gens: list[Generator]) -> int:
-        rest = subsets(trial_ids, gens)
-        digits = np.empty((n, width) + rest.shape, dtype=dtype)
-        for cell in np.ndindex(n, width):
-            digits[cell] = rest % base
-            rest //= base
-        words = digits.transpose(0, 2, 3, 1)  # (n, trials, S, width)
-        a, b = words[:, :, first], words[:, :, second]
-        diffs = a ^ b if p == 2 else (a + (p - b)) % p
-        weights = _weights(space, diffs.reshape((n, -1) if p == 2 else (n, -1, width)))
-        return int(np.count_nonzero(weights.reshape(len(gens), -1).min(axis=1) >= spec.d))
+        weights = _subset_min_weights(space, tower, subsets(trial_ids, gens))
+        return int(np.count_nonzero(weights >= spec.d))
 
     per_chunk = max(1, _CHUNK_WORDS // (size * n * space.m))
     return _trial_successes(trials, seed, worker_streams, min(per_chunk, _TRIAL_BATCH), score_batch)
@@ -432,38 +460,30 @@ def subset_distance_histogram(
 ) -> tuple[tuple[int, int], ...]:
     """(min_distance, count) pairs over all size-S subsets of the space.
 
-    Words are walked as indices v of ``codeword_from_int(v)``, which are also
-    the indices of the linearity-1 weight table, so d(a, b) is the table
-    entry at the index of a - b, whose base-q digits are those of a minus
-    those of b, mod q.  The distances from a to every word form one row,
-    built when the walk first pairs a with a later word and dropped once the
-    walk's first word has passed a, so no table of all pairs is ever held.
+    The subsets are walked as sorted word indices in lexicographic order, in
+    chunks of about _CHUNK_WORDS pairs, and ``_subset_min_weights`` scores
+    each chunk.  A set of more than half the space's words holds two at
+    distance 1: in all three metrics the Singleton-type maximum at d = 2 is
+    q^E with E <= mn - 1, at most half the space, so such a histogram is
+    known with no walk.
     """
     if size < 2:
         raise ValueError("minimum distance needs at least two codewords (S >= 2)")
     space.requires_prime_q()
-    total_space = space.size
-    total = binom(total_space, size)
+    total = binom(space.size, size)
     if total > guards.enumeration:
         raise GuardExceeded("subset code enumeration", total, guards.enumeration)
-    table = _flat_weight_table(space, space_tower(space, 1), guards.enumeration)
-    index = np.arange(total_space)
-    units = [space.q**i for i in range(space.n * space.m)]
-    rows: dict[int, list[int]] = {}
-    hist: Counter[int] = Counter()
-    for combo in itertools.combinations(range(total_space), size):
-        rows.pop(combo[0] - 1, None)  # combinations come in lexicographic order
-        best = None
-        for a, b in itertools.combinations(combo, 2):
-            if a not in rows:
-                rows[a] = table[sum((a // u - index // u) % space.q * u for u in units)].tolist()
-            dist = rows[a][b]
-            if best is None or dist < best:
-                best = dist
-                if best <= 1:
-                    break
-        hist[best] += 1
-    return tuple(sorted(hist.items()))
+    if 2 * size > space.size:
+        return ((1, total),)
+    tower = space_tower(space, 1)
+    counts = np.zeros(space.diameter + 1, dtype=np.int64)
+    cells = itertools.chain.from_iterable(itertools.combinations(range(space.size), size))
+    per_chunk = max(1, _CHUNK_WORDS // math.comb(size, 2))
+    for start in range(0, total, per_chunk):
+        chunk = np.fromiter(cells, np.int64, count=min(per_chunk, total - start) * size)
+        weights = _subset_min_weights(space, tower, chunk.reshape(-1, size))
+        counts += np.bincount(weights, minlength=counts.size)
+    return tuple((w, int(c)) for w, c in enumerate(counts) if c)
 
 
 def exact_density(

@@ -9,12 +9,12 @@ prime q (the formula-only operations accept any prime power).
 Every word-level job weighs words with one numpy kernel, ``_weights``, over
 coordinate columns: packed residues for p = 2, base-p digit arrays
 otherwise.  ``_flat_weight_table`` applies it to every word of a space; the
-volume oracle counts that table, and ``harness`` scores linear codes, walks
-subsets and checks the metric reductions with it.  Nonlinear Monte Carlo
-trials, on spaces far beyond any table, apply the kernel to the pair
-differences of their drawn words.  A metric is translation-invariant,
-d(x, y) = w(x - y), so the weights of single words serve pair distances
-too.  The scalar ``weight``, ``subtract``, ``distance`` and
+volume oracle counts that table, and ``harness`` scores linear codes and
+checks the metric reductions with it.  Nonlinear codes, walked exhaustively
+or drawn at random on spaces far beyond any table, are scored by applying
+the kernel to the pair differences of their words.  A metric is
+translation-invariant, d(x, y) = w(x - y), so the weights of single words
+serve pair distances too.  The scalar ``weight``, ``subtract``, ``distance`` and
 ``min_distance`` are the public API and the reference the tests check the
 kernel against; no job of the library calls them.
 
@@ -310,11 +310,12 @@ def _flat_weight_table(space: AmbientSpace, tower: FieldTower, limit: int) -> np
     ``tower.unflatten`` is F_p-linear, so the codewords of all p^(ell*n*s)
     vectors follow by doubling from the images of the ell*n*s F_p-unit
     vectors; :func:`_weights` then weighs the whole array.  On a
-    linearity-1 tower, index v holds the weight of ``codeword_from_int(v)``.
+    linearity-1 tower, index v holds the weight of the word whose j-th
+    coordinate is the j-th base-p^m digit of v, least significant first.
     The table has one entry per word of the space, so its size is held to
-    ``limit``: the enumeration guard for linear jobs and subset walks,
-    ``ORACLE_SPACE`` for the volume oracle and the reduction check.  No
-    such space has a diameter past 255, so the table is uint8.
+    ``limit``: the enumeration guard for linear jobs, ``ORACLE_SPACE`` for
+    the volume oracle and the reduction check.  No such space has a
+    diameter past 255, so the table is uint8.
     """
     _hold_table_size(space, limit)
     p, m, n = tower.p, tower.m, space.n

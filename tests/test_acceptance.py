@@ -23,7 +23,7 @@ from codedensity.classifier import (
     specialized_verdict,
 )
 from codedensity.combinat import binom, is_prime, qbinom
-from codedensity.fields import build_tower, codeword_from_int
+from codedensity.fields import build_tower
 from codedensity.guards import Guards
 from codedensity.harness import (
     DEFAULT_SEED,
@@ -41,6 +41,8 @@ from codedensity.metrics import (
     volume_growth,
     weight,
 )
+
+from helpers import codeword_from_int
 
 
 def _report(number: int, name: str, started: float) -> None:

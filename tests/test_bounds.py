@@ -18,9 +18,11 @@ from codedensity.bounds import (
     sublinear_bracket,
 )
 from codedensity.combinat import binom, qbinom
-from codedensity.fields import build_tower, codeword_from_int
+from codedensity.fields import build_tower
 from codedensity.harness import exact_density, subset_distance_histogram
 from codedensity.metrics import AmbientSpace, ball_volume, subtract, weight
+
+from helpers import codeword_from_int
 
 
 def _max_code_size_bruteforce(space: AmbientSpace, d: int) -> int:

@@ -24,8 +24,10 @@ from codedensity.harness import (
     subset_distance_histogram,
     verify_bracket,
 )
-from codedensity.fields import build_tower, codeword_from_int
+from codedensity.fields import build_tower
 from codedensity.metrics import AmbientSpace, distance
+
+from helpers import codeword_from_int
 
 
 def test_exact_density_worked_cases():
@@ -290,8 +292,8 @@ def test_estimate_density_trial_one_degenerate():
 
 
 def _trial_batches(monkeypatch):
-    # spy: the trials whose generators each call of the linear scorer or the
-    # nonlinear weight kernel saw created since the previous call, as
+    # spy: the trials whose generators each call of the linear or the
+    # nonlinear scorer saw created since the previous call, as
     # (first, last + 1) ranges; the calls that score only redraws create
     # none and are left out
     from codedensity import harness
@@ -312,7 +314,7 @@ def _trial_batches(monkeypatch):
         harness, "trial_generator", lambda seed, i, reuse=None: fresh.append(i) or make(seed, i, reuse)
     )
     monkeypatch.setattr(harness, "_min_weights", spied(harness._min_weights))
-    monkeypatch.setattr(harness, "_weights", spied(harness._weights))
+    monkeypatch.setattr(harness, "_subset_min_weights", spied(harness._subset_min_weights))
     return batches
 
 
@@ -663,6 +665,16 @@ def test_nonlinear_trials_hold_memory_flat(monkeypatch):
     batches.clear()
     estimate_density(AmbientSpace(2, 1, 1, 3000, "hamming"), CodeFamilySpec(0, 2, size=3), trials=3, seed=5)
     assert batches == [(0, 1), (1, 2), (2, 3)]
+    # a set of 2000 words has about 2M pairs; its pair triangle is scored a
+    # few rows at a time, so their differences are never all held at once
+    tracemalloc.start()
+    try:
+        report = estimate_density(AmbientSpace(2, 1, 1, 16, "hamming"), CodeFamilySpec(0, 2, size=2000), trials=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.successes == 0
+    assert peak < 1 << 24
 
 
 @pytest.mark.parametrize("level", [Fraction(0), Fraction(1), Fraction(2)])
@@ -836,18 +848,29 @@ def test_weight_table_matches_metric_weight(q, metric, t):
 
 def test_chunked_scoring_matches_one_code_per_chunk(monkeypatch):
     # default chunks split these runs several times; a chunk constant of 1
-    # scores one code at a time, and both must give the same exact results
+    # scores one code or one set at a time, and one row of a set's pair
+    # triangle at a time, and both must give the same exact results
     from codedensity import harness
 
     hist_space = AmbientSpace(2, 1, 2, 4, "hamming")  # 10795 codes, 2048 per chunk
-    est_space = AmbientSpace(2, 1, 2, 3, "rank")  # 1024 codes per chunk
-    spec = CodeFamilySpec(1, 2, dim=3)
-    hist = harness.linear_distance_histogram.__wrapped__(hist_space, 1, 2)
-    report = estimate_density(est_space, spec, trials=3000, seed=11)
+    walk_space = AmbientSpace(2, 1, 2, 2, "sumrank", t=2)  # 1820 sets of 6 pairs, 1365 per chunk
+    estimates = (
+        (AmbientSpace(2, 1, 2, 3, "rank"), CodeFamilySpec(1, 2, dim=3), 3000, 11),  # 1024 codes per chunk
+        (AmbientSpace(3, 1, 1, 6, "hamming"), CodeFamilySpec(0, 3, size=12), 2000, 5),  # 113 trials per batch
+        # 2^64 words: indices in object arrays, 10 trials per batch
+        (AmbientSpace(2, 1, 1, 64, "hamming"), CodeFamilySpec(0, 22, size=12), 300, 5),
+    )
+    runs = lambda: (
+        harness.linear_distance_histogram.__wrapped__(hist_space, 1, 2),
+        harness.subset_distance_histogram.__wrapped__(walk_space, 4),
+        [estimate_density(space, spec, trials, seed).payload() for space, spec, trials, seed in estimates],
+    )
+    want = runs()
     monkeypatch.setattr(harness, "_CHUNK_WORDS", 1)
-    assert harness.linear_distance_histogram.__wrapped__(hist_space, 1, 2) == hist
-    assert estimate_density(est_space, spec, trials=3000, seed=11).payload() == report.payload()
-    assert sum(c for _, c in hist) == 10795
+    assert runs() == want
+    assert sum(c for _, c in want[0]) == 10795
+    assert want[1] == ((1, 1796), (2, 24))
+    assert [report["successes"] for report in want[2]] == [106, 1, 242]
 
 
 def test_subset_histogram_total():
@@ -881,9 +904,13 @@ CRITERION_2_NONLINEAR_SPACES = [
 ]
 
 
-@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
 def test_subset_histogram_matches_a_walk_with_metric_distance(size):
     spaces = list(CRITERION_2_NONLINEAR_SPACES)
+    if size > 3:
+        # N = 8 and 9 words: 2S = N, or just below it, is walked; 2S > N is
+        # answered without a walk
+        spaces = [space for space in spaces if space.size in (8, 9)]
     if size == 2:
         # odd p with m = 2, where a - b also subtracts digits inside a coordinate
         for metric, t in (("hamming", 1), ("rank", 1), ("sumrank", 2)):
@@ -896,10 +923,18 @@ def test_subset_histogram_matches_a_walk_with_metric_distance(size):
         assert all(type(d) is int and type(c) is int for d, c in got)
 
 
-def test_whole_space_subset_walk_builds_no_pair_table():
-    # 3^9 words: a table of all pair distances would hold 387 M entries
+def test_whole_space_subset_walk_builds_no_pair_table(monkeypatch):
+    # 3^9 words: a table of all pair distances would hold 387 M entries.  A
+    # set of more than half the words always holds a pair at distance 1, so
+    # the answer needs no tower and no table of the words, even on 2^21
     import tracemalloc
 
+    from codedensity import harness
+
+    def no_tower(*args):
+        raise AssertionError("tower built for a set of more than half the space")
+
+    monkeypatch.setattr(harness, "build_tower", no_tower)
     tracemalloc.start()
     try:
         hist = subset_distance_histogram.__wrapped__(AmbientSpace(3, 1, 1, 9, "hamming"), 3**9)
@@ -908,6 +943,12 @@ def test_whole_space_subset_walk_builds_no_pair_table():
         tracemalloc.stop()
     assert hist == ((1, 1),)
     assert peak < 1 << 24
+    space = AmbientSpace(2, 1, 1, 21, "hamming")
+    words = space.size
+    for size in (words, words - 1):
+        hist = subset_distance_histogram.__wrapped__(space, size, Guards(enumeration=words))
+        assert hist == ((1, math.comb(words, size)),)
+    assert exact_density(space, CodeFamilySpec(0, 2, size=words)) == 0
 
 
 def test_reduction_check_counts_pointwise_mismatches(monkeypatch):

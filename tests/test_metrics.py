@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from codedensity.combinat import binom, compositions, is_prime, qbinom
-from codedensity.fields import SubspaceBasis, build_tower, codeword_from_int, rref
+from codedensity.fields import SubspaceBasis, build_tower, rref
 from codedensity.guards import ORACLE_SPACE, GuardExceeded, UnsupportedAsymptotics
 from codedensity.harness import _criterion_volume_spaces, trial_generator
 from codedensity.metrics import (
@@ -26,6 +26,8 @@ from codedensity.metrics import (
     volume_growth,
     weight,
 )
+
+from helpers import codeword_from_int
 
 PRIMES_7_TO_101 = [p for p in range(7, 102) if is_prime(p)]
 
