@@ -10,6 +10,7 @@ as an unstructured metric space over an alphabet of size q^m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,6 +99,19 @@ class DensityBracket:
         return self.lower <= value <= self.upper
 
 
+def _reduced(num: int, den: int) -> Fraction:
+    """The Fraction num/den, built with no gcd.
+
+    Contract: the caller has proved gcd(num, den) = 1 and den > 0; nothing
+    here checks either.  The two slots are set directly because the private
+    ``_normalize`` argument of ``Fraction`` is gone from Python 3.12 on.
+    """
+    value = object.__new__(Fraction)
+    value._numerator = num
+    value._denominator = den
+    return value
+
+
 def _clamped(raw_lower: Fraction, raw_upper: Fraction) -> DensityBracket:
     return DensityBracket(
         lower=max(raw_lower, Fraction(0)),
@@ -157,6 +171,22 @@ def nonlinear_bracket(
     where Theta = 1 + beta1 (S-2)/(N-2) + beta0 (S-2)(S-3)/((N-2)(N-3)),
     beta0 = N(v-1)/2 - 2v + 3 and beta1 = 2v - 4.  d = 1 makes v = 1 and both
     bounds collapse to 1 exactly.
+
+    Every fraction is built from integers and reduced against the known
+    factors of its denominator, so each gcd has one operand no larger than
+    about v S^2, never two of the size of N^2 (a gcd's cost follows its
+    smaller operand).  With A = N-2, B = N-3 and P = 2 beta0:
+
+    - Theta = T / (2AB), T = 2AB + 2 beta1 (S-2) B + P (S-2)(S-3).  T is
+      -beta1 (S-2)(S-1) mod A and (3-v)(S-2)(S-3) mod B, so gcd(T, A) and
+      gcd(T, B) are taken with those remainders.  A and B are coprime, and
+      one parity step settles the factor 2.
+    - spoiled = (v-1) S(S-1) / (2(N-1)) takes one gcd with its numerator,
+      and raw_lower = 1 - spoiled needs none.
+    - raw_upper = 1 - spoiled / Theta: the numerators' gcd is taken with
+      spoiled's numerator, and the denominators' gcd divides
+      gcd(2(N-1), 2AB), which divides 4.
+    - beta0 = P/2 is reduced by parity; beta1 is an integer.
     """
     if size < 2:
         raise ValueError("nonlinear bracket needs S >= 2")
@@ -173,17 +203,31 @@ def nonlinear_bracket(
     if v == 1:
         terms = NonlinearBoundTerms(Fraction(1), Fraction(-2), Fraction(1))
         return _clamped(Fraction(1), Fraction(1)), terms
-    beta0 = Fraction(ambient * (v - 1), 2) - 2 * v + 3
-    beta1 = Fraction(2 * v - 4)
-    theta = (
-        1
-        + beta1 * Fraction(size - 2, ambient - 2)
-        + beta0 * Fraction((size - 2) * (size - 3), (ambient - 2) * (ambient - 3))
-    )
-    spoiled = Fraction((v - 1) * size * (size - 1), 2 * (ambient - 1))
-    raw_lower = 1 - spoiled
-    raw_upper = 1 - spoiled / theta
-    return _clamped(raw_lower, raw_upper), NonlinearBoundTerms(beta0, beta1, theta)
+    a, b = ambient - 2, ambient - 3
+    p = ambient * (v - 1) - 4 * v + 6
+    beta1 = 2 * v - 4
+    beta0 = _reduced(p, 2) if p % 2 else Fraction(p // 2)
+    # Theta = t_num / t_den
+    g_a = math.gcd(a, beta1 * (size - 2) * (size - 1))
+    g_b = math.gcd(b, (3 - v) * (size - 2) * (size - 3))
+    t_num = (2 * a * b + 2 * beta1 * (size - 2) * b + p * (size - 2) * (size - 3)) // (g_a * g_b)
+    t_den = 2 * (a // g_a) * (b // g_b)
+    if t_num % 2 == 0:
+        t_num, t_den = t_num // 2, t_den // 2
+    # spoiled = s_num / s_den
+    s_num = (v - 1) * size * (size - 1)
+    s_den = 2 * (ambient - 1)
+    g = math.gcd(s_den, s_num)
+    s_num, s_den = s_num // g, s_den // g
+    # spoiled / Theta = u_num / u_den
+    g_num = math.gcd(s_num, t_num)
+    g_den = math.gcd(s_den & 3, t_den & 3, 4)
+    u_num = (s_num // g_num) * (t_den // g_den)
+    u_den = (s_den // g_den) * (t_num // g_num)
+    raw_lower = _reduced(s_den - s_num, s_den)
+    raw_upper = _reduced(u_den - u_num, u_den)
+    terms = NonlinearBoundTerms(beta0, Fraction(beta1), _reduced(t_num, t_den))
+    return _clamped(raw_lower, raw_upper), terms
 
 
 def _qbinom_step_ratio(a: int, b: int, base: int) -> Fraction:

@@ -42,13 +42,20 @@ class Guards:
 
 
 class GuardExceeded(Exception):
-    """An enumeration would exceed a guard; carries the exact offending count."""
+    """An enumeration would exceed a guard.
 
-    def __init__(self, what: str, count: int, limit: int):
+    ``count`` is the exact offending count, or with ``exact=False`` a power
+    of two that the count is known to reach.  Such a bound stands in for a
+    count too costly to compute or to print, and the message writes it as
+    2^k.
+    """
+
+    def __init__(self, what: str, count: int, limit: int, *, exact: bool = True):
         self.what = what
         self.count = count
         self.limit = limit
-        super().__init__(f"{what}: exact count {count} exceeds guard {limit}")
+        shown = f"exact count {count}" if exact else f"count at least 2^{count.bit_length() - 1}"
+        super().__init__(f"{what}: {shown} exceeds guard {limit}")
 
 
 class UnsupportedAsymptotics(Exception):

@@ -466,10 +466,19 @@ def subset_distance_histogram(
     distance 1: in all three metrics the Singleton-type maximum at d = 2 is
     q^E with E <= mn - 1, at most half the space, so such a histogram is
     known with no walk.
+
+    C(N, S) >= 2^min(S, N-S), so the guard refuses a walk from that bound
+    first, before C(N, S) itself is computed, which for N = 2^21 and S near
+    N/2 takes most of a minute.  The refusal reports 2^j, j the guard's bit
+    length: the smallest power of two past the guard, and small to build
+    however large S is.
     """
     if size < 2:
         raise ValueError("minimum distance needs at least two codewords (S >= 2)")
     space.requires_prime_q()
+    bits = guards.enumeration.bit_length()
+    if min(size, space.size - size) >= bits:
+        raise GuardExceeded("subset code enumeration", 1 << bits, guards.enumeration, exact=False)
     total = binom(space.size, size)
     if total > guards.enumeration:
         raise GuardExceeded("subset code enumeration", total, guards.enumeration)

@@ -4,12 +4,14 @@ exhaustive enumeration."""
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from codedensity.bounds import (
     CodeFamilySpec,
+    _reduced,
     bad_code_count_brackets,
     gv_cardinality,
     max_linear_dimension,
@@ -131,6 +133,101 @@ def test_nonlinear_bracket_contains_exhaustive_density():
     dens = exact_density(space, CodeFamilySpec(0, 2, size=3))
     bracket, _ = nonlinear_bracket(space, 3, 2)
     assert bracket.lower <= dens <= bracket.upper
+
+
+def _nonlinear_bracket_by_fractions(ambient, v, size):
+    """Raw lower, raw upper, beta0, beta1 and Theta of the nonlinear bracket
+    in an ambient space of N words with ball volume v, by plain Fraction
+    arithmetic: the formula as the docstring writes it."""
+    if v == 1:
+        return Fraction(1), Fraction(1), Fraction(1), Fraction(-2), Fraction(1)
+    beta0 = Fraction(ambient * (v - 1), 2) - 2 * v + 3
+    beta1 = Fraction(2 * v - 4)
+    theta = (
+        1
+        + beta1 * Fraction(size - 2, ambient - 2)
+        + beta0 * Fraction((size - 2) * (size - 3), (ambient - 2) * (ambient - 3))
+    )
+    spoiled = Fraction((v - 1) * size * (size - 1), 2 * (ambient - 1))
+    return 1 - spoiled, 1 - spoiled / theta, beta0, beta1, theta
+
+
+def _nonlinear_bracket_grid():
+    """(space, S, d): q up to 9, m <= 3, n <= 5, all three metrics, every d up
+    to diameter+1, and S at both ends of its range and at N/2 and 1000."""
+    for q, m, n in itertools.product((2, 3, 4, 5, 7, 8, 9), (1, 2, 3), range(1, 6)):
+        spaces = [AmbientSpace(q, 1, m, n, "hamming"), AmbientSpace(q, 1, m, n, "rank")]
+        spaces += [AmbientSpace(q, 1, m, n, "sumrank", t=t) for t in range(2, n + 1) if n % t == 0]
+        for space in spaces:
+            ambient = space.size
+            if ambient < 4:
+                continue
+            sizes = {2, 3, 4, 5, ambient // 2, ambient - 1, ambient, 1000}
+            for d in range(1, space.diameter + 2):
+                for size in sorted(s for s in sizes if 2 <= s <= ambient):
+                    yield space, size, d
+
+
+def _assert_bracket_matches_the_fraction_formula(space, size, d, v):
+    bracket, terms = nonlinear_bracket(space, size, d)
+    outputs = (bracket.raw_lower, bracket.raw_upper, terms.beta0, terms.beta1, terms.theta)
+    assert outputs == _nonlinear_bracket_by_fractions(space.size, v, size), (space, size, d, v)
+    assert bracket.lower == max(bracket.raw_lower, 0)
+    assert bracket.upper == min(bracket.raw_upper, 1)
+    for value in outputs + (bracket.lower, bracket.upper):
+        num, den = value.numerator, value.denominator
+        assert den > 0 and math.gcd(num, den) == 1, (space, size, d, v)
+        plain = Fraction(num, den)
+        assert value == plain and hash(value) == hash(plain)
+
+
+def test_nonlinear_bracket_matches_the_fraction_formula():
+    # the grid, and the benchmark's paper-scale rank space F_{2^200}^400,
+    # whose Theta numerator runs to about 160 000 bits
+    big = AmbientSpace(2, 200, 1, 400, "rank")
+    cases = itertools.chain(_nonlinear_bracket_grid(), ((big, 2**40, 5), (big, 2**40, 65)))
+    count = 0
+    for space, size, d in cases:
+        _assert_bracket_matches_the_fraction_formula(space, size, d, ball_volume(space, d - 1))
+        count += 1
+    assert count > 8000
+
+
+def test_nonlinear_bracket_reduction_holds_for_any_volume(monkeypatch):
+    # A real ball volume is 1 mod q-1, so an odd N (odd q) comes with an odd
+    # v, and then the two denominators are never both even.  The reduction
+    # must not lean on that: every v from 2 to N, with every S, in a few
+    # small spaces of odd and even size.
+    from codedensity import bounds
+
+    for space in (
+        AmbientSpace(5, 1, 1, 1, "hamming"),
+        AmbientSpace(7, 1, 1, 1, "hamming"),
+        AmbientSpace(3, 1, 1, 3, "hamming"),
+        AmbientSpace(2, 1, 1, 4, "hamming"),
+    ):
+        ambient = space.size
+        for v in range(2, ambient + 1):
+            monkeypatch.setattr(bounds, "ball_volume", lambda space, r, v=v: v)
+            for size in range(2, ambient + 1):
+                _assert_bracket_matches_the_fraction_formula(space, size, 2, v)
+
+
+def test_reduced_fraction_acts_like_fraction():
+    # _reduced sets Fraction's slots directly; run this under every
+    # supported Python, since the slot layout is private
+    for num, den in ((0, 1), (1, 1), (-7, 3), (3**50, 2**70), (-(2**200 + 1), 6)):
+        value = _reduced(num, den)
+        plain = Fraction(num, den)
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (num, den)
+        assert value == plain and hash(value) == hash(plain)
+        assert (repr(value), str(value)) == (repr(plain), str(plain))
+        other = Fraction(-5, 12)
+        assert value + other == plain + other and value * other == plain * other
+        assert value - 1 == plain - 1 and other / (value or 1) == other / (plain or 1)
+        assert (value < other) == (plain < other) and value**2 == plain**2
+        assert {value: 1}[plain] == 1
 
 
 def test_sublinear_bracket_worked_case():

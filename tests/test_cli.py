@@ -382,6 +382,23 @@ def test_qbinom_prints_integers_of_any_size(capsys):
     assert value == expected
 
 
+def test_subset_walk_past_the_guard_is_refused_from_a_bound(capsys, monkeypatch):
+    # C(2^21, 2^20 + 1) has 631 303 digits and took most of a minute to
+    # compute: 2^min(S, N-S) already exceeds the guard, so it is never built
+    from codedensity import harness
+
+    def no_count(*args):
+        raise AssertionError("C(N, S) was being computed")
+
+    monkeypatch.setattr(harness, "binom", no_count)
+    code, out, err = run_cli(
+        capsys, "exact", "--metric", "hamming", "--q", "2", "--s", "1", "--n", "21",
+        "--S", "1048577", "--d", "2",
+    )
+    assert code == 3 and out == ""
+    assert "subset code enumeration: count at least 2^20 exceeds guard 1000000" in err
+
+
 def test_estimate_beyond_the_weight_table_guard_exits_three(capsys, monkeypatch):
     # 2^40 words would need a 1 TB weight table: refused before any of it exists
     from codedensity import metrics

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from codedensity.bounds import CodeFamilySpec, nonlinear_bracket
+from codedensity.combinat import binom
 from codedensity.classifier import Scenario
 from codedensity.guards import Guards, GuardExceeded
 from codedensity.harness import (
@@ -44,6 +45,33 @@ def test_exact_density_guard():
     with pytest.raises(GuardExceeded) as err:
         exact_density(space, CodeFamilySpec(0, 2, size=8), Guards(enumeration=100))
     assert err.value.count > 100
+
+
+def test_subset_guard_refuses_exactly_the_counts_past_it():
+    # the 2^min(S, N-S) bound refuses only counts past the guard, and the
+    # exact count decides the rest
+    space = AmbientSpace(2, 1, 1, 3, "hamming")
+    histogram = subset_distance_histogram.__wrapped__
+    for size in range(2, 9):
+        total = binom(8, size)
+        for limit in sorted({0, 1, 2, 3, 4, 7, 8, 15, 16, total - 1, total}):
+            guards = Guards(enumeration=limit)
+            if total <= limit:
+                assert sum(c for _, c in histogram(space, size, guards)) == total
+                continue
+            with pytest.raises(GuardExceeded) as err:
+                histogram(space, size, guards)
+            assert limit < err.value.count <= total
+            bits = limit.bit_length()
+            assert str(err.value).endswith(
+                f"count at least 2^{bits} exceeds guard {limit}"
+                if min(size, 8 - size) >= bits
+                else f"exact count {total} exceeds guard {limit}"
+            )
+    # the bound is built from the guard, not from S
+    with pytest.raises(GuardExceeded) as err:
+        histogram(AmbientSpace(2, 1, 1, 64, "hamming"), 2**63)
+    assert err.value.count == 2**20
 
 
 def test_linear_guards_are_checked_before_the_tower_is_built(monkeypatch):
