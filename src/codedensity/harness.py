@@ -22,7 +22,11 @@ result.  Each comparison first encloses the tail in fixed-point integers with
 directed rounding and falls back to the exact integer sum only when the
 threshold lies inside the enclosure.  It sums the side of the distribution
 whose threshold is at most 1/2, the tail itself or its complement, so the
-enclosure keeps its relative precision at levels close to 1.
+enclosure keeps its relative precision at levels close to 1.  The
+enclosure's start term C(n, x) a^x b^(n-x), an integer of about 21n bits, is
+never formed: it is held between a lower and an upper bound with mantissas
+of 2*_TAIL_BITS bits, so 10^5 or 10^6 trials need no quadratic-time division
+of integers that size.
 
 Linear jobs read weights from ``metrics._flat_weight_table``.  Exhaustive
 linear histograms and linear Monte Carlo trials share one exact scorer:
@@ -89,6 +93,7 @@ from .metrics import (
 DEFAULT_SEED = 1729
 _CP_BITS = 21  # dyadic grid of width 2^-21 < 10^-6
 _TAIL_BITS = 160  # fraction bits of the fixed-point binomial tail enclosure
+_START_BITS = 2 * _TAIL_BITS  # mantissa bits of the bounds on the enclosure's start term
 _SEED_LIMIT = 1 << 64  # seeds are Philox key words
 # Most codeword entries the linear-code scorer expands at once: a chunk of B
 # bases of dimension k over F_{p^ell} holds B * p^(k*ell) codewords.  A
@@ -522,11 +527,15 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _ge_tail_cmp(n: int, x: int, num: int, den: int, t_num: int, t_den: int) -> int:
+def _ge_tail_cmp(
+    n: int, x: int, num: int, den: int, t_num: int, t_den: int, binoms: dict | None = None
+) -> int:
     """Exact sign of P(X >= x | p = num/den) - t_num/t_den, X ~ Bin(n, p).
 
     A fixed-point enclosure of the tail decides the sign whenever the
     threshold lies outside it; the exact sum runs only when it lies inside.
+    ``binoms`` keeps the enclosure's binomial bounds between calls on the
+    same n, as ``clopper_pearson`` does for one interval's comparisons.
     """
     if x <= 0 or num >= den:
         return _cmp(t_den, t_num)  # tail probability is 1
@@ -538,35 +547,108 @@ def _ge_tail_cmp(n: int, x: int, num: int, den: int, t_num: int, t_den: int) -> 
         # sum the complement instead: P(X >= x) = 1 - P(n - X >= n - x + 1),
         # where n - X ~ Bin(n, 1 - p), against the threshold 1 - t < 1/2
         side, flip = (n, n - x + 1, den - num, num, t_den - t_num, t_den), -1
-    sign = _enclosed_tail_cmp(*side)
+    sign = _enclosed_tail_cmp(*side, {} if binoms is None else binoms)
     return flip * (_exact_ge_tail_cmp(*side) if sign is None else sign)
 
 
-def _enclosed_tail_cmp(n: int, x: int, a: int, b: int, t_num: int, t_den: int) -> int | None:
+def _mul_bound(u: tuple[int, int], v: tuple[int, int], up: bool) -> tuple[int, int]:
+    """The product of u = (m, e) and v, each meaning m * 2^e, with its
+    mantissa cut to at most _START_BITS bits, rounded down or up."""
+    m, e = u[0] * v[0], u[1] + v[1]
+    s = m.bit_length() - _START_BITS
+    if s <= 0:
+        return m, e
+    return (-(-m >> s) if up else m >> s), e + s
+
+
+def _pow_bound(base: int, k: int, up: bool) -> tuple[int, int]:
+    """(m, e) with m * 2^e <= base^k, or >= it when ``up``: powering by
+    squaring, every product rounded the same way.  Exact for powers of two."""
+    acc, sq = (1, 0), _mul_bound((base, 0), (1, 0), up)
+    while k:
+        if k & 1:
+            acc = _mul_bound(acc, sq, up)
+        k >>= 1
+        if k:
+            sq = _mul_bound(sq, sq, up)
+    return acc
+
+
+def _falling_bounds(top: int, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Lower and upper (m, e) bounds on top * (top - 1) * ... * (top - k + 1),
+    multiplied exactly 32 factors at a time."""
+    lo = hi = (1, 0)
+    for j in range(top - k + 1, top + 1, 32):
+        chunk = (math.prod(range(j, min(j + 32, top + 1))), 0)
+        lo, hi = _mul_bound(lo, chunk, False), _mul_bound(hi, chunk, True)
+    return lo, hi
+
+
+def _scaled_quotient(num: int, den: int, shift: int, up: bool) -> int:
+    """floor(num * 2^shift / den), or its ceiling when ``up``."""
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    q, r = divmod(num, den)
+    return q + (up and r != 0)
+
+
+def _binom_bounds(n: int, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Lower and upper (m, e) bounds on C(n, k) = n!/(n-k)! / k!."""
+    num, fact = _falling_bounds(n, k), _falling_bounds(k, k)
+    bounds = []
+    for up in (False, True):
+        (nm, ne), (fm, fe) = num[up], fact[not up]
+        s = _START_BITS + fm.bit_length()
+        bounds.append(_mul_bound((_scaled_quotient(nm, fm, s, up), ne - fe - s), (1, 0), up))
+    return bounds[0], bounds[1]
+
+
+def _enclosed_tail_cmp(
+    n: int, x: int, a: int, b: int, t_num: int, t_den: int, binoms: dict
+) -> int | None:
     """Sign of P(X >= x) - t_num/t_den for X ~ Bin(n, a/(a+b)), a, b >= 1 and
     1 <= x <= n, or None when the enclosure cannot decide it.
 
     With T_j = P(X = j), the tail exceeds t iff sum_{j >= x} T_j/T_x exceeds
-    theta = t / T_x.  T_x is computed exactly once, only to place theta
-    between two integers on the 2^-_TAIL_BITS scale.  The ratios T_j/T_x
+    theta = t / T_x = t (a+b)^n / start, start = C(n, x) a^x b^(n-x).  Neither
+    start nor (a+b)^n is formed: each is bounded by mantissas of at most
+    _START_BITS bits rounded down or up (exactly for (a+b)^n when a + b is a
+    power of two), and the bounds on C(n, x) are kept in ``binoms`` by
+    (n, min(x, n - x)).  That gives theta_lo and theta_hi, the ceiling of a
+    lower bound and the floor of an upper bound on theta on the
+    2^-_TAIL_BITS scale; an integer is below theta_lo only if it is below
+    theta, and above theta_hi only if it is above.  The ratios T_j/T_x
     follow the term-ratio recurrence on that scale, rounded down for the
     lower sum and up for the upper one, so both sums enclose the exact one.
     """
     if t_num <= 0:
         return 1  # the tail is positive
-    start = math.comb(n, x) * a**x * b ** (n - x)  # T_x * (a+b)^n
-    theta, rem = divmod((t_num * (a + b) ** n) << _TAIL_BITS, t_den * start)
-    theta_up = theta + (rem != 0)
+    key = (n, min(x, n - x))
+    if key not in binoms:
+        binoms[key] = _binom_bounds(*key)
+    start_lo, start_hi = (
+        _mul_bound(_mul_bound(binoms[key][up], _pow_bound(a, x, up), up), _pow_bound(b, n - x, up), up)
+        for up in (False, True)
+    )
+    total_lo, total_hi = (_pow_bound(a + b, n, up) for up in (False, True))
+    theta_lo = _scaled_quotient(
+        t_num * total_lo[0], t_den * start_hi[0], total_lo[1] - start_hi[1] + _TAIL_BITS, True
+    )
+    theta_hi = _scaled_quotient(
+        t_num * total_hi[0], t_den * start_lo[0], total_hi[1] - start_lo[1] + _TAIL_BITS, False
+    )
     term_lo = term_hi = sum_lo = sum_hi = 1 << _TAIL_BITS
     for j in range(x, n):
-        if sum_lo > theta:
+        if sum_lo > theta_hi:
             return 1
         num_r = (n - j) * a
         den_r = (j + 1) * b
         if num_r < den_r:
             # terms now decay geometrically with ratio num_r/den_r, so the
             # remaining mass is below term * num_r / (den_r - num_r)
-            if sum_hi + _ceil_div(term_hi * num_r, den_r - num_r) < theta_up:
+            if sum_hi + _ceil_div(term_hi * num_r, den_r - num_r) < theta_lo:
                 return -1
             if term_lo == 0:
                 return None  # the lower sum has stopped growing
@@ -574,9 +656,9 @@ def _enclosed_tail_cmp(n: int, x: int, a: int, b: int, t_num: int, t_den: int) -
         term_hi = _ceil_div(term_hi * num_r, den_r)
         sum_lo += term_lo
         sum_hi += term_hi
-    if sum_lo > theta:
+    if sum_lo > theta_hi:
         return 1
-    if sum_hi < theta_up:
+    if sum_hi < theta_lo:
         return -1
     return None
 
@@ -646,7 +728,8 @@ def clopper_pearson(successes: int, trials: int, level: Fraction) -> tuple[Fract
     half = (1 - level) / 2
     comp = 1 - half
     den = 1 << _CP_BITS
-    log_fact = np.array([math.lgamma(j + 1) for j in range(n + 1)])
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+    binoms: dict = {}  # the enclosures' bounds on C(n, x), shared by both endpoints
     log_half = math.log(half.numerator) - math.log(half.denominator)
     # the float64 guesses compare a tail with alpha/2, never with 1 - alpha/2,
     # so they keep their relative precision when alpha is tiny
@@ -657,7 +740,7 @@ def clopper_pearson(successes: int, trials: int, level: Fraction) -> tuple[Fract
         # it still does not exceed alpha/2
         upper_tail = np.arange(x, n + 1)
         guess = _bisect(lambda g: _log_mass(n, upper_tail, g / den, log_fact) <= log_half, 0, den)
-        holds = lambda g: _ge_tail_cmp(n, x, g, den, half.numerator, half.denominator) <= 0
+        holds = lambda g: _ge_tail_cmp(n, x, g, den, half.numerator, half.denominator, binoms) <= 0
         lower = Fraction(_last_true(holds, guess, den), den)
     if x == n:
         upper = Fraction(1)
@@ -666,7 +749,7 @@ def clopper_pearson(successes: int, trials: int, level: Fraction) -> tuple[Fract
         # upper endpoint is the grid point after the last one where it fails
         lower_tail = np.arange(x + 1)
         guess = _bisect(lambda g: _log_mass(n, lower_tail, g / den, log_fact) > log_half, 0, den)
-        fails = lambda g: _ge_tail_cmp(n, x + 1, g, den, comp.numerator, comp.denominator) < 0
+        fails = lambda g: _ge_tail_cmp(n, x + 1, g, den, comp.numerator, comp.denominator, binoms) < 0
         upper = Fraction(_last_true(fails, guess, den) + 1, den)
     return lower, upper
 

@@ -302,6 +302,169 @@ def test_tail_comparison_matches_the_reference_at_and_around_exact_tails(monkeyp
         assert len(exact_runs) == 1
 
 
+def _scaled(bound, shift):
+    # the integer m * 2^(e + shift) of a bound (m, e), for e + shift >= 0
+    m, e = bound
+    return m << (e + shift)
+
+
+def _check_bound_pair(lo, hi, exact, n):
+    # lo <= exact <= hi, with (hi - lo) / exact at most n * 2^-(2*_TAIL_BITS - 8)
+    from codedensity.harness import _TAIL_BITS
+
+    shift = max(0, -lo[1], -hi[1])
+    lo_int, hi_int, exact_int = _scaled(lo, shift), _scaled(hi, shift), exact << shift
+    assert lo_int <= exact_int <= hi_int
+    assert (hi_int - lo_int) << (2 * _TAIL_BITS - 8) <= n * exact_int
+
+
+def test_start_term_bounds_enclose_exact_powers_and_binomials():
+    # seeded grid, n up to 10^5: the powering-by-squaring and chunked-product
+    # bounds the enclosure uses in place of C(n, x) a^x b^(n-x) and (a+b)^n
+    import random
+
+    from codedensity.harness import _binom_bounds, _pow_bound
+
+    rng = random.Random(1934)
+    cases = [(1, 0), (1, 1), (2, 1), (100_000, 50_000), (100_000, 1), (100_000, 99_999), (99_991, 0)]
+    for _ in range(40):
+        n = round(10 ** rng.uniform(0, 5))
+        cases.append((n, rng.choice([0, 1, n // 2, n, rng.randint(0, n), rng.randint(0, n)])))
+    bases = [1, 2, 3, 2**21 - 1, 1_000_003]
+    for n, k in cases:
+        lo, hi = _binom_bounds(n, k)
+        _check_bound_pair(lo, hi, math.comb(n, k), max(n, 1))
+        base = rng.choice(bases + [rng.randint(1, 2**21)])
+        lo, hi = _pow_bound(base, k, False), _pow_bound(base, k, True)
+        _check_bound_pair(lo, hi, base**k, max(n, 1))
+        # a power of two is held exactly: (a+b)^n is a shift
+        assert _pow_bound(2**21, n, False) == _pow_bound(2**21, n, True)
+        assert _scaled(_pow_bound(2**21, n, False), 0) == 1 << (21 * n)
+
+
+def _tail_numerator(n, x, a, b):
+    # sum_{j >= x} C(n, j) a^j b^(n-j) = P(X >= x) (a+b)^n, X ~ Bin(n, a/(a+b))
+    term = total = math.comb(n, x) * a**x * b ** (n - x)
+    for j in range(x, n):
+        term = term * (n - j) * a // ((j + 1) * b)
+        total += term
+    return total
+
+
+def test_enclosure_signs_agree_with_the_exact_sum():
+    # seeded grid of (n, x, grid point, threshold), n up to 2*10^4: wherever
+    # the bounded-start enclosure returns a sign it is the exact sum's; it
+    # never decides a tie, and decides alone 2^-100 either side of one.  Each
+    # threshold is a multiple of the exact tail, so its sign is known; the
+    # exact fallback confirms it on every threshold for n <= 500 and on the
+    # tie up to n = 3000.  Above that, x stays within 1000 of n to keep the
+    # exact tails short.
+    import random
+
+    from codedensity import harness
+
+    rng = random.Random(18)
+    decided = 0
+    binoms = {}  # shared by every case, as one interval's comparisons share it
+    for case in range(40):
+        n = round(10 ** rng.uniform(0, math.log10(20_000))) if case else 20_000
+        if n <= 3000:
+            x = rng.choice([1, n, max(1, n // 2), rng.randint(1, n), rng.randint(1, n)])
+        else:
+            x = n - rng.randint(0, 1000)
+        den = rng.choice([2**21, 2**21, 1_000_003])
+        centre = round(den * x / n) + rng.randint(-2000, 2000)
+        num = min(max(rng.choice([centre, rng.randint(1, den - 1)]), 1), den - 1)
+        a, b = num, den - num
+        tail, total = _tail_numerator(n, x, a, b), (a + b) ** n
+        # the threshold t = tail * scale * (2^width + step) / (total * 2^width)
+        for scale, width, step in itertools.product((1, 3), (100, 20, 1, 0), (-1, 0, 1)):
+            t_num = tail * scale * ((1 << width) + step)
+            t_den = total << width
+            want = harness._cmp(1 << width, scale * ((1 << width) + step))  # tail against t
+            if n <= 500 or (n <= 3000 and (scale, step) == (1, 0)):
+                assert harness._exact_ge_tail_cmp(n, x, a, b, t_num, t_den) == want
+            got = harness._enclosed_tail_cmp(n, x, a, b, t_num, t_den, binoms)
+            if want == 0:
+                assert got is None, (n, x, a, b, width)
+            elif got is not None:
+                decided += 1
+                assert got == want, (n, x, a, b, scale, width, step)
+            if width == 100 and step:
+                assert got == want, (n, x, a, b, scale, step)
+    assert decided >= 40 * 18
+
+
+def test_clopper_pearson_at_1e5_trials_needs_no_exact_sum(monkeypatch):
+    # the enclosure alone settles every comparison of a 10^5-trial interval,
+    # so the bounded start term is the path under test
+    from codedensity import harness
+
+    enclosed, exact_runs = [], []
+    enclose = harness._enclosed_tail_cmp
+    monkeypatch.setattr(
+        harness, "_enclosed_tail_cmp", lambda *args: enclosed.append(args[:6]) or enclose(*args)
+    )
+    monkeypatch.setattr(harness, "_exact_ge_tail_cmp", lambda *args: exact_runs.append(args))
+    lo, hi = clopper_pearson(50_000, 100_000, Fraction(99, 100))
+    assert (lo, hi) == (Fraction(130003, 262144), Fraction(132141, 262144))
+    assert exact_runs == [] and len(enclosed) >= 4
+
+
+def _reference_enclosed_tail_cmp(n, x, a, b, t_num, t_den):
+    """``_enclosed_tail_cmp`` as it stood with the start term held as an
+    exact integer of about 21n bits; the reference for the bounded one."""
+    if t_num <= 0:
+        return 1
+    start = math.comb(n, x) * a**x * b ** (n - x)
+    theta, rem = divmod((t_num * (a + b) ** n) << 160, t_den * start)
+    theta_up = theta + (rem != 0)
+    term_lo = term_hi = sum_lo = sum_hi = 1 << 160
+    ceil_div = lambda p, q: -(-p // q)
+    for j in range(x, n):
+        if sum_lo > theta:
+            return 1
+        num_r = (n - j) * a
+        den_r = (j + 1) * b
+        if num_r < den_r:
+            if sum_hi + ceil_div(term_hi * num_r, den_r - num_r) < theta_up:
+                return -1
+            if term_lo == 0:
+                return None
+        term_lo = term_lo * num_r // den_r
+        term_hi = ceil_div(term_hi * num_r, den_r)
+        sum_lo += term_lo
+        sum_hi += term_hi
+    if sum_lo > theta:
+        return 1
+    if sum_hi < theta_up:
+        return -1
+    return None
+
+
+@pytest.mark.nightly
+def test_clopper_pearson_endpoints_match_the_exact_start_enclosure_at_1e5_trials(monkeypatch):
+    # endpoints on n = 10^5 are those of the enclosure with an exact start
+    # term; the reference takes seconds a call
+    from codedensity import harness
+
+    n = 100_000
+    cases = [
+        (0, Fraction(99, 100)),
+        (1, Fraction(95, 100)),
+        (37, Fraction(99, 100)),
+        (1000, Fraction(999, 1000)),
+        (50_000, Fraction(99, 100)),
+        (59_240, Fraction(1, 2)),
+        (99_999, Fraction(9, 10)),
+        (n, Fraction(99, 100)),
+    ]
+    got = [clopper_pearson(x, n, level) for x, level in cases]
+    enclose = lambda *args: _reference_enclosed_tail_cmp(*args[:6])
+    monkeypatch.setattr(harness, "_enclosed_tail_cmp", enclose)
+    assert got == [clopper_pearson(x, n, level) for x, level in cases]
+
+
 def test_estimate_density_ci_contains_exact():
     space = AmbientSpace(2, 1, 2, 2, "hamming")
     spec = CodeFamilySpec(1, 2, dim=1)
