@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import sys
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import __version__
@@ -37,7 +37,7 @@ from .classifier import (
     specialized_verdict,
 )
 from .combinat import qbinom
-from .guards import OUTPUT_BITS, Guards, GuardExceeded
+from .guards import OUTPUT_BITS, Guards, GuardExceeded, UnsupportedAsymptotics
 from .harness import (
     DEFAULT_SEED,
     convergence_experiment,
@@ -56,9 +56,10 @@ def _fmt(value, approx: int | None):
             return str(value.numerator)
         if approx is None:
             return f"{value.numerator}/{value.denominator}"
-        getcontext().prec = approx + 10
-        quantum = Decimal(1).scaleb(-approx)
-        return str((Decimal(value.numerator) / Decimal(value.denominator)).quantize(quantum))
+        with localcontext() as ctx:
+            ctx.prec = approx + 10
+            quantum = Decimal(1).scaleb(-approx)
+            return str((Decimal(value.numerator) / Decimal(value.denominator)).quantize(quantum))
     if isinstance(value, dict):
         return {k: _fmt(v, approx) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -136,6 +137,12 @@ def _family_from(args) -> CodeFamilySpec:
     if args.k is not None:
         return CodeFamilySpec(linearity=args.ell, d=args.d, dim=args.k)
     raise ValueError("give --S (nonlinear) or --k (linear)")
+
+
+def _digits_after_point(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _frac(text: str) -> Fraction:
@@ -453,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_args(p)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--approx", type=int, default=None)
+    p.add_argument("--approx", type=_digits_after_point, default=None)
 
     p = add("bound", _cmd_bound, help="Singleton/GV/k*/density-bracket bounds")
     p.add_argument("--kind", choices=("singleton", "gv", "density-bracket", "kstar"), required=True)
@@ -461,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--S", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--approx", type=int, default=None)
+    p.add_argument("--approx", type=_digits_after_point, default=None)
 
     for name, func, text in (
         ("classify", _cmd_classify, "asymptotic verdict"),
@@ -486,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--S-coeff", type=_frac, default=None)
         p.add_argument("--S-slope", type=_frac, default=None)
         p.add_argument("--S-intercept", type=_frac, default=None)
-        p.add_argument("--approx", type=int, default=None)
+        p.add_argument("--approx", type=_digits_after_point, default=None)
         p.add_argument("--output", "-o", default=None)
         if name == "probe":
             p.add_argument("--probes", required=True, help="comma-separated probe values")
@@ -514,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--S", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--approx", type=int, default=None)
+    p.add_argument("--approx", type=_digits_after_point, default=None)
 
     p = add("verify", _cmd_verify, help="run the verification suites")
     p.add_argument("--grid", choices=("micro", "desk"), default="micro")
@@ -531,7 +538,7 @@ def main(argv: list[str] | None = None) -> int:
     except GuardExceeded as exc:
         sys.stderr.write(f"guard violation: {exc}\n")
         return 3
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, UnsupportedAsymptotics) as exc:
         sys.stderr.write(f"error: {exc}\n")
         sys.stderr.write(parser.format_usage())
         return 2

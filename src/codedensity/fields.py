@@ -476,9 +476,10 @@ def _draw_matrix(gen, k: int, tower: FieldTower, n: int):
 
 def sample_code_subset(gen, size: int, tower: FieldTower, n: int) -> tuple[int, ...]:
     """Uniformly random size-element subset of F_{p^m}^n by Floyd's
-    algorithm, as the sorted indices of its words: index v is the word whose
-    j-th coordinate is the j-th base-p^m digit of v, least significant
-    first."""
+    algorithm, as the sorted indices of its words.  A word has one index:
+    index v is the word whose j-th coordinate is the j-th base-p^m digit of
+    v, least significant first, the index of ``metrics._word_columns`` and
+    of the weight tables."""
     space = tower.order**n
     if not 2 <= size <= space:
         raise ValueError(f"subset size {size} out of range [2, {space}]")

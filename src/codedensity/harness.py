@@ -28,20 +28,24 @@ never formed: it is held between a lower and an upper bound with mantissas
 of 2*_TAIL_BITS bits, so 10^5 or 10^6 trials need no quadratic-time division
 of integers that size.
 
-Linear jobs read weights from ``metrics._flat_weight_table``.  Exhaustive
-linear histograms and linear Monte Carlo trials share one exact scorer:
-bases are stacked into numpy integer arrays, every codeword of each code is
-expanded, and its weight is read from the table.  A linear trial's drawn
-matrix goes to the scorer as drawn, with no row reduction, since a code's
-minimum weight depends only on its row space.  A draw of rank below k spans
-the zero word with a nonzero combination and scores 0, which no code of
-dimension k does, so such draws are found by the scorer and redrawn from the
-trial's own stream, as ``fields.sample_subspace`` redraws them.  The
-reduction check compares two tables built on one tower.  Nonlinear codes,
-the exhaustive subset walk's and the Monte Carlo trials' alike, have one
-scorer too, ``_subset_min_weights``: it weighs the pair differences of a
-whole batch of word sets with the table's own kernel, ``metrics._weights``,
-and builds no table, so trials run on spaces far beyond any table.
+A word has one index, the integer whose j-th base-q^m digit is the word's
+j-th coordinate, and ``metrics._flat_weight_table`` is indexed by it.
+Exhaustive linear histograms and linear Monte Carlo trials share one exact
+scorer: bases are stacked into numpy integer arrays, every codeword of each
+code is expanded in the packed middle-field encoding, and its weight is read
+from the table.  That encoding is private to the scorer, which gathers the
+table once through the word of every packed vector, ``_word_map``.  A linear
+trial's drawn matrix goes to the scorer as drawn, with no row reduction,
+since a code's minimum weight depends only on its row space.  A draw of rank
+below k spans the zero word with a nonzero combination and scores 0, which
+no code of dimension k does, so such draws are found by the scorer and
+redrawn from the trial's own stream, as ``fields.sample_subspace`` redraws
+them.  The reduction check compares two weight tables entry by entry.
+Nonlinear codes, the exhaustive subset walk's and the Monte Carlo trials'
+alike, have one scorer too, ``_subset_min_weights``: it splits word indices
+with ``metrics._word_columns`` and weighs the pair differences of a whole
+batch of word sets with the table's own kernel, ``metrics._weights``, and
+builds no table, so trials run on spaces far beyond any table.
 The tests check the linear scorer against ``metrics.min_distance``, the
 subset walk against ``metrics.distance``, the table against
 ``metrics.weight`` and the nonlinear trials against
@@ -83,9 +87,9 @@ from .metrics import (
     SUMRANK,
     _digit_dtype,
     _flat_weight_table,
-    _fp_span,
     _hold_table_size,
     _weights,
+    _word_columns,
     ball_volume,
     ball_volume_oracle,
 )
@@ -207,6 +211,24 @@ def space_tower(space: AmbientSpace, ell: int) -> FieldTower:
     return build_tower(space.q, ell, space.m // ell)
 
 
+def _fp_span(gens: np.ndarray, p: int) -> np.ndarray:
+    """Every F_p-combination of G generators, for each of B rows at once.
+
+    Vectors over F_p are packed bit masks of shape (B, G) when p = 2 and
+    digit arrays of shape (B, G, D) otherwise.  The combination
+    sum_g c_g * gens[:, g] lands at index sum_g c_g * p^g of axis 1.  It is
+    built by doubling: XOR for p = 2, digitwise addition mod p otherwise.
+    """
+    out = np.zeros_like(gens[:, :1])
+    for g in range(gens.shape[1]):
+        gen = gens[:, g : g + 1]
+        if p == 2:
+            out = np.concatenate((out, out ^ gen), axis=1)
+        else:
+            out = np.concatenate([(out + c * gen) % p for c in range(p)], axis=1)
+    return out
+
+
 def _min_weights(
     bases: np.ndarray, tower: FieldTower, table: np.ndarray, unit_mul: np.ndarray
 ) -> np.ndarray:
@@ -231,22 +253,50 @@ def _min_weights(
     return table[words[:, 1:]].min(axis=1)
 
 
+def _index_span(gens: list, p: int, width: int, dtype: np.dtype) -> np.ndarray:
+    """``_fp_span`` of B rows of G generators given by index: a vector of
+    F_p^width is the integer below p^width whose base-p digits are its
+    coordinates.  The combinations come back as indices too, in ``dtype``;
+    for p = 2 the indices are spanned by XOR, otherwise through their
+    digits, which are summed back one at a time, so no digit array is ever
+    held in ``dtype``."""
+    gens = np.array(gens, dtype=dtype)
+    if p == 2:
+        return _fp_span(gens, p)
+    digits = (gens[..., None] // p ** np.arange(width, dtype=dtype) % p).astype(_digit_dtype(p))
+    span = _fp_span(digits, p)
+    return sum(span[..., i].astype(dtype) * p**i for i in range(width))
+
+
+def _word_map(space: AmbientSpace, tower: FieldTower) -> np.ndarray:
+    """Word index of every vector of F_{p^ell}^(n*s), as an array indexed by
+    the packed F_p-coordinate encoding sum_i vec[i] * p^(ell*i) in which
+    ``_min_weights`` expands codewords.
+
+    ``tower.unflatten`` is F_p-linear, so the words of all p^(ell*n*s)
+    vectors follow by doubling from the words of the ell*n*s F_p-unit
+    vectors.  The map is held in the narrowest unsigned dtype that holds
+    every word index.
+    """
+    n, ns, p = space.n, space.n * tower.s, tower.p
+    units = (tuple(p**u * (j == i) for j in range(ns)) for i in range(ns) for u in range(tower.ell))
+    words = [sum(x * tower.order**j for j, x in enumerate(tower.unflatten(vec, n))) for vec in units]
+    return _index_span([words], p, n * tower.m, np.min_scalar_type(space.size - 1))[0]
+
+
 def _scorer(
     space: AmbientSpace, tower: FieldTower, k: int, guards: Guards
 ) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-    """``_min_weights`` bound to the space's weight table and the unit
-    products, and the most k-row matrices it should score at once
-    (_CHUNK_WORDS codewords)."""
-    table = _flat_weight_table(space, tower, guards.enumeration)
+    """``_min_weights`` bound to the space's weight table, re-indexed by the
+    packed encoding through ``_word_map``, and to the unit products; and the
+    most k-row matrices it should score at once (_CHUNK_WORDS codewords).
+    The table is held to the guard before the word map is built."""
+    table = _flat_weight_table(space, guards.enumeration)[_word_map(space, tower)]
     p, ell = tower.p, tower.ell
     # x -> kappa_u * x is F_p-linear, so row u of the table is the F_p-span
     # of the ell products kappa_u * kappa_v
-    products = np.array([[tower.k_mul(p**u, p**v) for v in range(ell)] for u in range(ell)])
-    if p == 2:
-        unit_mul = _fp_span(products, p)
-    else:
-        powers = p ** np.arange(ell)
-        unit_mul = _fp_span(products[..., None] // powers % p, p) @ powers
+    products = [[tower.k_mul(p**u, p**v) for v in range(ell)] for u in range(ell)]
+    unit_mul = _index_span(products, p, ell, np.int64)
     per_chunk = max(1, _CHUNK_WORDS // p ** (k * ell))
     return (lambda bases: _min_weights(bases, tower, table, unit_mul)), per_chunk
 
@@ -348,31 +398,23 @@ def _linear_successes(
     return _trial_successes(trials, seed, worker_streams, batch, score_batch)
 
 
-def _subset_min_weights(space: AmbientSpace, tower: FieldTower, indices: np.ndarray) -> np.ndarray:
+def _subset_min_weights(space: AmbientSpace, indices: np.ndarray) -> np.ndarray:
     """Smallest pair weight of each of B sets of S words, given as a (B, S)
     array of word indices: int64, or Python ints in an object array, which
     any number of words fits.
 
-    Index v is the word whose j-th coordinate is the j-th base-q^m digit of
-    v, least significant first.  The indices are split into the coordinates
-    the weight kernel takes, residues below q^m for p = 2 and base-p digits
-    otherwise, and the pair differences go through ``_weights``: the XOR of
-    the residues, or the digitwise difference mod p.  The pair triangle is
+    ``_word_columns`` splits the indices into the coordinates the weight
+    kernel takes, residues below q^m for p = 2 and base-p digits otherwise,
+    and the pair differences go through ``_weights``: the XOR of the
+    residues, or the digitwise difference mod p.  The pair triangle is
     scored in slices of whole rows, the pairs (i, j) with top <= i < stop
     and j > i: at most _CHUNK_WORDS pairs a set, or one row if it holds
     more.  The running minimum is kept, so a set's pairs are never all held
     at once.
     """
     p, n = space.q, space.n
-    base, width = (tower.order, 1) if p == 2 else (p, space.m)
-    dtype = np.min_scalar_type(base - 1) if p == 2 else _digit_dtype(p)
     n_sets, size = indices.shape
-    digits = np.empty((n, width, n_sets, size), dtype=dtype)
-    rest = indices
-    for cell in np.ndindex(n, width):
-        digits[cell] = rest % base
-        rest = rest // base
-    words = digits.transpose(0, 2, 3, 1)  # (n, B, S, width)
+    words = _word_columns(space, indices)  # (n, B, S), or (n, B, S, m) for odd p
     # starts[i] pairs lie in the rows above row i
     starts = np.concatenate(([0], np.cumsum(np.arange(size - 1, 0, -1))))
     best = np.full(n_sets, space.diameter, dtype=np.min_scalar_type(space.diameter))
@@ -382,7 +424,7 @@ def _subset_min_weights(space: AmbientSpace, tower: FieldTower, indices: np.ndar
         first, second = np.triu_indices(stop - top, top + 1, size)
         a, b = words[:, :, first + top], words[:, :, second]
         diffs = a ^ b if p == 2 else (a + (p - b)) % p
-        weights = _weights(space, diffs.reshape((n, -1) if p == 2 else (n, -1, width)))
+        weights = _weights(space, diffs.reshape(n, -1, *diffs.shape[3:]))
         np.minimum(best, weights.reshape(n_sets, -1).min(axis=1), out=best)
         top = stop
     return best
@@ -426,7 +468,7 @@ def _nonlinear_successes(
         return chosen
 
     def score_batch(trial_ids: range, gens: list[Generator]) -> int:
-        weights = _subset_min_weights(space, tower, subsets(trial_ids, gens))
+        weights = _subset_min_weights(space, subsets(trial_ids, gens))
         return int(np.count_nonzero(weights >= spec.d))
 
     per_chunk = max(1, _CHUNK_WORDS // (size * n * space.m))
@@ -489,13 +531,12 @@ def subset_distance_histogram(
         raise GuardExceeded("subset code enumeration", total, guards.enumeration)
     if 2 * size > space.size:
         return ((1, total),)
-    tower = space_tower(space, 1)
     counts = np.zeros(space.diameter + 1, dtype=np.int64)
     cells = itertools.chain.from_iterable(itertools.combinations(range(space.size), size))
     per_chunk = max(1, _CHUNK_WORDS // math.comb(size, 2))
     for start in range(0, total, per_chunk):
         chunk = np.fromiter(cells, np.int64, count=min(per_chunk, total - start) * size)
-        weights = _subset_min_weights(space, tower, chunk.reshape(-1, size))
+        weights = _subset_min_weights(space, chunk.reshape(-1, size))
         counts += np.bincount(weights, minlength=counts.size)
     return tuple((w, int(c)) for w, c in enumerate(counts) if c)
 
@@ -910,7 +951,7 @@ def volume_verification(spaces: list[AmbientSpace]) -> list[Verdict]:
 def reduction_verification(q: int, ell: int, s: int, n: int) -> list[Verdict]:
     """Sum-rank with t=1 must match rank, and with eta=1 must match Hamming:
     exact ball volumes at every radius, and pointwise weights compared as two
-    weight tables built on one tower (spaces up to ``ORACLE_SPACE``)."""
+    weight tables indexed by word (spaces up to ``ORACLE_SPACE``, prime q)."""
     out = []
     rank_space = AmbientSpace(q, ell, s, n, RANK)
     one_block = AmbientSpace(q, ell, s, n, SUMRANK, t=1)
@@ -927,8 +968,8 @@ def reduction_verification(q: int, ell: int, s: int, n: int) -> list[Verdict]:
                 )
             )
         if a.size <= ORACLE_SPACE:
-            tower = space_tower(a, 1)
-            wa, wb = (_flat_weight_table(x, tower, ORACLE_SPACE) for x in (a, b))
+            a.requires_prime_q()
+            wa, wb = (_flat_weight_table(x, ORACLE_SPACE) for x in (a, b))
             mismatch = int(np.count_nonzero(wa != wb))
             out.append(
                 Verdict(

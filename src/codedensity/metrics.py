@@ -6,13 +6,16 @@ eta = n/t).  Weights act on codewords over F_{q^m} encoded as int tuples;
 rank weights expand coordinates to base-q digit columns, so they require a
 prime q (the formula-only operations accept any prime power).
 
-Every word-level job weighs words with one numpy kernel, ``_weights``, over
-coordinate columns: packed residues for p = 2, base-p digit arrays
-otherwise.  ``_flat_weight_table`` applies it to every word of a space; the
-volume oracle counts that table, and ``harness`` scores linear codes and
-checks the metric reductions with it.  Nonlinear codes, walked exhaustively
-or drawn at random on spaces far beyond any table, are scored by applying
-the kernel to the pair differences of their words.  A metric is
+A word has one index: the integer whose j-th base-q^m digit is the word's
+j-th coordinate, least significant first.  Every word-level job weighs words
+with one numpy kernel, ``_weights``, over coordinate columns: residues for
+p = 2, base-p digit arrays otherwise, and ``_word_columns`` is the one split
+of word indices into those columns.  ``_flat_weight_table`` weighs every
+word of a space, indexed by word; the volume oracle counts that table, and
+``harness`` scores linear codes and checks the metric reductions with it.
+Nonlinear codes, walked exhaustively or drawn at random on spaces far beyond
+any table, are scored by applying the kernel to the pair differences of
+their words.  A metric is
 translation-invariant, d(x, y) = w(x - y), so the weights of single words
 serve pair distances too.  The scalar ``weight``, ``subtract``, ``distance`` and
 ``min_distance`` are the public API and the reference the tests check the
@@ -40,7 +43,7 @@ from functools import lru_cache
 from .combinat import binom, is_prime, prime_power, qbinom
 import numpy as np
 
-from .fields import Codeword, FieldTower, SubspaceBasis, _PrimeField, build_tower, rref
+from .fields import Codeword, FieldTower, SubspaceBasis, _PrimeField, rref
 from .guards import ORACLE_SPACE, GuardExceeded, UnsupportedAsymptotics
 
 HAMMING = "hamming"
@@ -212,44 +215,26 @@ def min_distance(
 
 def projective_span(basis: SubspaceBasis, tower: FieldTower):
     """One coefficient combination per projective class (first nonzero
-    coefficient normalized to one), yielding flattened vectors."""
+    coefficient normalized to one), yielding flattened vectors.  The q - 1
+    nonzero multiples of each row past the first are formed once, so a
+    combination only adds."""
     k = basis.dim
     q = tower.subfield_order
-    ns = len(basis.rows[0])
-    rows = [list(r) for r in basis.rows]
+    multiples = [
+        [[tower.k_mul(c, x) if x else 0 for x in row] for c in range(1, q)] for row in basis.rows[1:]
+    ]
     for lead in range(k):
-        tail = k - lead - 1
-        for combo in itertools.product(range(q), repeat=tail):
-            vec = list(rows[lead])
-            for offset, coeff in enumerate(combo):
-                if coeff == 0:
-                    continue
-                row = rows[lead + 1 + offset]
-                vec = [tower.k_add(v, tower.k_mul(coeff, r)) for v, r in zip(vec, row)]
+        for combo in itertools.product(range(q), repeat=k - lead - 1):
+            vec = basis.rows[lead]
+            for coeff, scaled in zip(combo, multiples[lead:]):
+                if coeff:
+                    vec = list(map(tower.k_add, vec, scaled[coeff - 1]))
             yield tuple(vec)
 
 
 # ---------------------------------------------------------------------------
 # weight tables
 # ---------------------------------------------------------------------------
-
-
-def _fp_span(gens: np.ndarray, p: int) -> np.ndarray:
-    """Every F_p-combination of G generators, for each of B rows at once.
-
-    Vectors over F_p are packed bit masks of shape (B, G) when p = 2 and
-    digit arrays of shape (B, G, D) otherwise.  The combination
-    sum_g c_g * gens[:, g] lands at index sum_g c_g * p^g of axis 1.  It is
-    built by doubling: XOR for p = 2, digitwise addition mod p otherwise.
-    """
-    out = np.zeros_like(gens[:, :1])
-    for g in range(gens.shape[1]):
-        gen = gens[:, g : g + 1]
-        if p == 2:
-            out = np.concatenate((out, out ^ gen), axis=1)
-        else:
-            out = np.concatenate([(out + c * gen) % p for c in range(p)], axis=1)
-    return out
 
 
 def _digit_dtype(p: int) -> np.dtype:
@@ -297,45 +282,48 @@ def _weights(space: AmbientSpace, cols: list[np.ndarray] | np.ndarray) -> np.nda
     return sum(w.astype(dtype) for w in blocks)
 
 
+def _word_columns(space: AmbientSpace, indices: np.ndarray) -> np.ndarray:
+    """The n coordinate columns :func:`_weights` takes, for an array of word
+    indices of any shape: index v is the word whose j-th coordinate is the
+    j-th base-q^m digit of v, least significant first.
+
+    The indices are unsigned or int64, or Python ints in an object array,
+    which any number of words fits.  For p = q = 2 the columns are residues
+    cut out by shifts and masks, of shape (n, *indices.shape); otherwise
+    they are base-p digits, p = q, of shape (n, *indices.shape, m).  Every
+    metric but Hamming has a prime q.
+    """
+    p, m, n = space.q, space.m, space.n
+    if p == 2:
+        mask = (1 << m) - 1
+        dtype = np.min_scalar_type(mask)
+        return np.stack([(indices >> (j * m) & mask).astype(dtype) for j in range(n)])
+    digits = np.empty((n * m, *indices.shape), dtype=_digit_dtype(p))
+    rest = indices
+    for i in range(n * m):
+        digits[i] = rest % p
+        rest = rest // p
+    return np.moveaxis(digits.reshape(n, m, *indices.shape), 1, -1)
+
+
 def _hold_table_size(space: AmbientSpace, limit: int) -> None:
     """Refuse a weight table of more than ``limit`` entries, one per word."""
     if space.size > limit:
         raise GuardExceeded("weight table entries", space.size, limit)
 
 
-def _flat_weight_table(space: AmbientSpace, tower: FieldTower, limit: int) -> np.ndarray:
-    """Weight of every vector of F_{p^ell}^(n*s), as an array indexed by the
-    packed F_p-coordinate encoding sum_i vec[i] * p^(ell*i).
+def _flat_weight_table(space: AmbientSpace, limit: int) -> np.ndarray:
+    """Weight of every word of the space, as an array indexed by the word
+    index of :func:`_word_columns`, the one index a word has.
 
-    ``tower.unflatten`` is F_p-linear, so the codewords of all p^(ell*n*s)
-    vectors follow by doubling from the images of the ell*n*s F_p-unit
-    vectors; :func:`_weights` then weighs the whole array.  On a
-    linearity-1 tower, index v holds the weight of the word whose j-th
-    coordinate is the j-th base-p^m digit of v, least significant first.
     The table has one entry per word of the space, so its size is held to
     ``limit``: the enumeration guard for linear jobs, ``ORACLE_SPACE`` for
     the volume oracle and the reduction check.  No such space has a
     diameter past 255, so the table is uint8.
     """
     _hold_table_size(space, limit)
-    p, m, n = tower.p, tower.m, space.n
-    ns = n * tower.s
-    units = []
-    for i in range(ns):
-        for u in range(tower.ell):
-            vec = [0] * ns
-            vec[i] = p**u
-            units.append(tower.unflatten(tuple(vec), n))
-    if p == 2:
-        packed = [sum(x << (j * m) for j, x in enumerate(word)) for word in units]
-        words = _fp_span(np.array([packed], dtype=np.min_scalar_type((1 << n * m) - 1)), p)[0]
-        col_dtype = np.min_scalar_type((1 << m) - 1)
-        cols = [(words >> (j * m) & ((1 << m) - 1)).astype(col_dtype) for j in range(n)]
-    else:
-        digits = [[d for x in word for d in tower.digits(x)] for word in units]
-        words = _fp_span(np.array([digits], dtype=_digit_dtype(p)), p)[0].reshape(-1, n, m)
-        cols = [words[:, j] for j in range(n)]
-    return _weights(space, cols)
+    indices = np.arange(space.size, dtype=np.min_scalar_type(space.size - 1))
+    return _weights(space, _word_columns(space, indices))
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +379,13 @@ def _rank_shells(q: int, m: int, n: int, r: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _weight_distribution(space: AmbientSpace) -> tuple[int, ...]:
     """Number of vectors of each weight 0..diameter: a bincount of the
-    space's weight table over its linearity-1 tower."""
+    space's weight table.  Hamming takes any prime power q, since its
+    weight only sees which base-q digit columns are nonzero."""
     if space.size > ORACLE_SPACE:
         raise GuardExceeded("volume oracle space size", space.size, ORACLE_SPACE)
     if space.metric != HAMMING:
         space.requires_prime_q()
-    # a > 1 only for Hamming, whose weight only sees which coordinates are
-    # nonzero, and F_{q^m} is F_{p^(a*m)}
-    p, a = prime_power(space.q)
-    space = AmbientSpace(p, 1, a * space.m, space.n, space.metric, space.t)
-    table = _flat_weight_table(space, build_tower(p, 1, space.m), ORACLE_SPACE)
+    table = _flat_weight_table(space, ORACLE_SPACE)
     return tuple(int(c) for c in np.bincount(table, minlength=space.diameter + 1))
 
 

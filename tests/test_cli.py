@@ -277,6 +277,19 @@ def test_invalid_arguments_exit_two(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("family", ["custom", "gv"])
+def test_unsupported_nonlinear_asymptotics_exit_two(capsys, family):
+    # the library raises UnsupportedAsymptotics; the CLI reports it as an
+    # invalid request, with no traceback
+    code, out, err = run_cli(
+        capsys, "classify", "--family", family, "--metric", "hamming", "--growing", "s",
+        "--ell", "0", "--n", "2", "--q", "2", "--d", "2", "--S", "2",
+    )
+    assert code == 2 and out == ""
+    assert "error: nonlinear classification supports growing q and n" in err
+    assert "Traceback" not in err
+
+
 def test_guard_violation_exit_three(capsys, monkeypatch):
     monkeypatch.setenv(ENV_GUARD, "5")
     code, _, err = run_cli(
@@ -293,6 +306,30 @@ def test_approx_rendering(capsys):
         "--n", "2", "--k", "1", "--d", "2", "--approx", "4",
     )
     assert code == 0 and out == "0.6000\n"
+
+
+def test_approx_leaves_the_decimal_context_alone(capsys):
+    import decimal
+
+    before = decimal.getcontext().prec
+    code, out, _ = run_cli(
+        capsys, "bound", "--kind", "density-bracket", "--metric", "hamming", "--q", "2",
+        "--s", "2", "--n", "3", "--d", "2", "--S", "3", "--approx", "5",
+    )
+    assert code == 0 and "." in out
+    assert decimal.getcontext().prec == before == 28
+
+
+@pytest.mark.parametrize("approx", ["-3", "-1", "x"])
+def test_negative_approx_exits_two(capsys, approx):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "exact", "--metric", "hamming", "--q", "2", "--ell", "1", "--s", "2",
+            "--n", "2", "--k", "1", "--d", "2", "--approx", approx,
+        ])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--approx: expected a nonnegative integer" in captured.err
 
 
 def test_output_to_file(tmp_path, capsys):
@@ -400,13 +437,15 @@ def test_subset_walk_past_the_guard_is_refused_from_a_bound(capsys, monkeypatch)
 
 
 def test_estimate_beyond_the_weight_table_guard_exits_three(capsys, monkeypatch):
-    # 2^40 words would need a 1 TB weight table: refused before any of it exists
-    from codedensity import metrics
+    # 2^40 words would need a 1 TB weight table: refused before any of it,
+    # or of the scorer's word map, exists
+    from codedensity import harness, metrics
 
     def no_table(*args):
         raise AssertionError("the weight table was being built")
 
-    monkeypatch.setattr(metrics, "_fp_span", no_table)
+    monkeypatch.setattr(metrics, "_word_columns", no_table)
+    monkeypatch.setattr(harness, "_word_map", no_table)
     code, out, err = run_cli(
         capsys, "estimate", "--metric", "hamming", "--q", "2", "--ell", "1", "--s", "8",
         "--n", "5", "--k", "1", "--d", "2", "--trials", "10",

@@ -1022,19 +1022,62 @@ def test_scorer_builds_unit_products_from_a_basis(monkeypatch):
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("metric,t", [("hamming", 1), ("rank", 1), ("sumrank", 2)])
 def test_weight_table_matches_metric_weight(q, metric, t):
-    from codedensity.harness import space_tower
+    # the table is indexed by word index; the scorer's word map sends every
+    # packed middle-field vector to the index of its word, and the table
+    # gathered through it holds the weight of that word
+    from codedensity.harness import _word_map, space_tower
     from codedensity.metrics import _flat_weight_table, weight
 
     for ell, s in ((1, 2), (2, 1)):
         space = AmbientSpace(q, ell, s, 2, metric, t=t)
         tower = space_tower(space, ell)
-        table = _flat_weight_table(space, tower, space.size)
+        table = _flat_weight_table(space, space.size)
+        assert table.dtype == np.uint8 and table.shape == (space.size,)
+        for v in range(space.size):
+            assert table[v] == weight(space, codeword_from_int(v, tower, space.n)), (space, v)
+        words = _word_map(space, tower)
         ns = space.n * tower.s
         q_mid = tower.subfield_order
-        assert table.dtype == np.uint8 and table.shape == (q_mid**ns,)
+        assert words.dtype == np.min_scalar_type(space.size - 1) and words.shape == (q_mid**ns,)
         for vec in itertools.product(range(q_mid), repeat=ns):
             index = sum(v * q_mid**i for i, v in enumerate(vec))
-            assert table[index] == weight(space, tower.unflatten(vec, space.n)), (space, vec)
+            word = tower.unflatten(vec, space.n)
+            assert words[index] == sum(x * tower.order**j for j, x in enumerate(word)), (space, vec)
+            assert table[words[index]] == weight(space, word), (space, vec)
+
+
+def test_one_wrong_word_map_entry_changes_a_histogram(monkeypatch):
+    # negative control: the scorer reads weights only through the word map,
+    # so sending one nonzero packed vector to the zero word shows up as
+    # codes of minimum weight 0
+    from codedensity import harness
+
+    space = AmbientSpace(3, 2, 1, 2, "rank")
+    want = harness.linear_distance_histogram.__wrapped__(space, 2, 1)
+    word_map = harness._word_map
+
+    def one_wrong_entry(space, tower):
+        words = word_map(space, tower)
+        words[5] = 0
+        return words
+
+    monkeypatch.setattr(harness, "_word_map", one_wrong_entry)
+    got = harness.linear_distance_histogram.__wrapped__(space, 2, 1)
+    assert got != want and got[0][0] == 0 and 0 not in dict(want)
+    assert sum(c for _, c in got) == sum(c for _, c in want)
+
+
+def test_scorer_holds_the_table_to_the_guard_before_the_word_map(monkeypatch):
+    from codedensity import harness
+
+    def no_map(*args):
+        raise AssertionError("word map built before the guard was checked")
+
+    monkeypatch.setattr(harness, "_word_map", no_map)
+    space = AmbientSpace(2, 2, 1, 2, "hamming")  # 16 words
+    with pytest.raises(GuardExceeded) as err:
+        harness._scorer(space, harness.space_tower(space, 2), 1, Guards(enumeration=15))
+    assert (err.value.what, err.value.count) == ("weight table entries", 16)
 
 
 def test_chunked_scoring_matches_one_code_per_chunk(monkeypatch):
@@ -1149,8 +1192,8 @@ def test_reduction_check_counts_pointwise_mismatches(monkeypatch):
 
     table_of = harness._flat_weight_table
 
-    def one_wrong_hamming_weight(space, tower, limit):
-        table = table_of(space, tower, limit)
+    def one_wrong_hamming_weight(space, limit):
+        table = table_of(space, limit)
         if space.metric == "hamming":
             table[5] += 1
         return table
@@ -1165,3 +1208,11 @@ def test_reduction_check_counts_pointwise_mismatches(monkeypatch):
     assert pointwise["t=1 vs rank"].details["weight_mismatches"] == 0
     assert not pointwise["eta=1 vs hamming"].passed
     assert pointwise["eta=1 vs hamming"].details["weight_mismatches"] == 1
+
+
+def test_reduction_check_refuses_a_prime_power_q():
+    # rank weights need base-q digit columns over a prime field
+    from codedensity.harness import reduction_verification
+
+    with pytest.raises(ValueError, match="prime q"):
+        reduction_verification(4, 1, 1, 2)

@@ -6,10 +6,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from codedensity.combinat import binom, compositions, is_prime, qbinom
-from codedensity.fields import SubspaceBasis, build_tower, rref
+from codedensity.fields import SubspaceBasis, build_tower, rref, sample_subspace
 from codedensity.guards import ORACLE_SPACE, GuardExceeded, UnsupportedAsymptotics
 from codedensity.harness import _criterion_volume_spaces, trial_generator
 from codedensity.metrics import (
@@ -18,10 +19,13 @@ from codedensity.metrics import (
     _flat_weight_table,
     _rank_shells,
     _weight_distribution,
+    _weights,
+    _word_columns,
     ball_volume,
     ball_volume_oracle,
     distance,
     min_distance,
+    projective_span,
     subtract,
     volume_growth,
     weight,
@@ -81,6 +85,28 @@ def test_min_distance_linear_span_of_one_one():
     assert min_distance(basis, sp, tower=tower) == 2
     with pytest.raises(ValueError):
         min_distance(basis, sp)  # tower required
+
+
+@pytest.mark.parametrize("params", [(2, 2, 1), (3, 1, 2), (3, 2, 1)], ids=str)
+def test_projective_span_is_one_vector_per_projective_class(params):
+    # against every coefficient combination, formed with k_mul and k_add
+    # cell by cell: the nonzero multiples of the yielded vectors are the
+    # nonzero vectors of the row space, each once
+    tower = build_tower(*params)
+    q = tower.subfield_order
+    gen = trial_generator(11, 0)
+    for k in (1, 2, 3):
+        for basis in (sample_subspace(gen, k, tower, 3) for _ in range(12)):
+            span = list(projective_span(basis, tower))
+            assert len(span) == len(set(span)) == (q**k - 1) // (q - 1)
+            multiples = {tuple(tower.k_mul(c, x) for x in vec) for vec in span for c in range(1, q)}
+            row_space = set()
+            for coeffs in itertools.product(range(q), repeat=k):
+                vec = [0] * len(basis.rows[0])
+                for c, row in zip(coeffs, basis.rows):
+                    vec = [tower.k_add(v, tower.k_mul(c, x)) for v, x in zip(vec, row)]
+                row_space.add(tuple(vec))
+            assert multiples == row_space - {(0,) * len(basis.rows[0])}, (params, basis)
 
 
 def test_ball_volume_trivial_and_derived():
@@ -246,10 +272,10 @@ def test_ball_volume_oracle_guard():
 
 
 def _check_table_against_weight(space: AmbientSpace) -> None:
-    # the table over the linearity-1 tower, entry by entry, and the oracle's
-    # distribution, against the scalar weight of codeword_from_int(v)
+    # the table, entry by entry, and the oracle's distribution, against the
+    # scalar weight of codeword_from_int(v), the word of index v
     tower = build_tower(space.q, 1, space.m)
-    table = _flat_weight_table(space, tower, space.size)
+    table = _flat_weight_table(space, space.size)
     scalar = [weight(space, codeword_from_int(v, tower, space.n)) for v in range(space.size)]
     assert table.tolist() == scalar, space
     counts = [0] * (space.diameter + 1)
@@ -273,6 +299,37 @@ def test_weight_table_matches_weight_on_every_oracle_space():
     assert len(spaces) == 107
     for space in spaces:
         _check_table_against_weight(space)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [AmbientSpace(2, 1, 5, 14, "rank"), AmbientSpace(3, 1, 2, 21, "sumrank", t=3)],
+    ids=repr,
+)
+def test_word_columns_split_indices_past_two_to_the_63(space):
+    # 2^70 and 3^42 words: Python ints in an object array are split into
+    # the coordinates of codeword_from_int, residues for p = 2 and base-p
+    # digits otherwise, and weigh as the scalar weight does; indices that
+    # fit int64 split the same way from an int64 array
+    assert space.size > 2**64
+    tower = build_tower(space.q, 1, space.m)
+    gen = trial_generator(7, 0)
+    big = [int.from_bytes(gen.bytes(12), "little") % space.size for _ in range(11)]
+    values = np.array([space.size - 1, 2**63, *big, 0, 5]).reshape(3, 5)
+    assert values.dtype == object and max(values.flat) >= 2**63
+    cols = _word_columns(space, values)
+    weights = _weights(space, cols.reshape(space.n, values.size, *cols.shape[3:]))
+    for i, v in enumerate(values.flat):
+        word = codeword_from_int(v, tower, space.n)
+        for j, x in enumerate(word):
+            got = cols[(j, *np.unravel_index(i, values.shape))]
+            want = x if space.q == 2 else tower.digits(x)
+            assert np.array_equal(got, want), (space, v, j)
+        assert weights[i] == weight(space, word), (space, v)
+    small = np.array([v for v in values.flat if v < 2**63], dtype=np.int64)
+    index = [i for i, v in enumerate(values.flat) if v < 2**63]
+    flat = cols.reshape(space.n, values.size, *cols.shape[3:])
+    assert np.array_equal(_word_columns(space, small), flat[:, index])
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
