@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
+from functools import lru_cache, partial
+from typing import Iterator, NamedTuple
 
 from .combinat import is_prime, qbinom
 from .guards import TOWER_DEGREE, Guards, GuardExceeded
@@ -362,10 +362,10 @@ def build_tower(p: int, ell: int, s: int) -> FieldTower:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+class SubspaceBasis(NamedTuple):
     """Canonical RREF basis of a k-dimensional subspace of F_{p^ell}^(n*s);
-    rows hold middle-field indices."""
+    rows hold middle-field indices.  It is a tuple, so it compares equal to
+    the plain tuple ``(rows, pivots)``."""
 
     rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
@@ -419,9 +419,11 @@ def enumerate_subspaces(
     Cartesian product of per-row choice lists, the first row varying
     slowest and each row's last free cell fastest.  Rows 2..k are built once
     per profile and held; row 1, whose free cells are a superset of every
-    other row's, is generated lazily, so memory stays near k times the
-    square root of the profile's count.  The guard is checked at the first
-    ``next()``.
+    other row's, is generated lazily, 256 first rows at a time, so memory
+    stays near k times the square root of the profile's count.  Each record
+    is made by ``tuple.__new__`` inside ``map``, ``zip`` and ``product``,
+    with no Python frame per subspace, and still yielded one at a time.  The
+    guard is checked at the first ``next()``.
     """
     ns = n * tower.s
     if k < 0 or k > ns:
@@ -432,12 +434,14 @@ def enumerate_subspaces(
     if k == 0:
         yield SubspaceBasis((), ())
         return
+    make = partial(tuple.__new__, SubspaceBasis)
     for pivots in itertools.combinations(range(ns), k):
         choices = [_row_choices(pc, pivots, ns, tower) for pc in pivots]
         rest = [tuple(row) for row in choices[1:]]
-        for first in choices[0]:
-            for others in itertools.product(*rest):
-                yield SubspaceBasis((first,) + others, pivots)
+        firsts = choices[0]
+        while head := tuple(itertools.islice(firsts, 256)):
+            rows = itertools.product(head, *rest)
+            yield from map(make, zip(rows, itertools.repeat(pivots)))
 
 
 def _row_choices(

@@ -15,10 +15,10 @@ draws it cannot follow, and every redraw, come from the trial's generator.
 Confidence intervals are exact Clopper-Pearson bounds on a dyadic rational
 grid of width 2^-21 (< 10^-6), rounded outward so coverage is never
 understated.  Each endpoint is the last grid point where a monotone binomial
-tail comparison holds.  A float64 tail guesses that point, and exact
-comparisons at the guess and its neighbour confirm it, galloping and
-bisecting outward when either check fails, so the guess never changes the
-result.  Each comparison first encloses the tail in fixed-point integers with
+tail comparison holds.  A float64 tail, summed over a window around its
+largest term, guesses that point, and exact comparisons at the guess and its
+neighbour confirm it, galloping and bisecting outward when either check
+fails, so the guess never changes the result.  Each comparison first encloses the tail in fixed-point integers with
 directed rounding and falls back to the exact integer sum only when the
 threshold lies inside the enclosure.  It sums the side of the distribution
 whose threshold is at most 1/2, the tail itself or its complement, so the
@@ -31,16 +31,19 @@ of integers that size.
 A word has one index, the integer whose j-th base-q^m digit is the word's
 j-th coordinate, and ``metrics._flat_weight_table`` is indexed by it.
 Exhaustive linear histograms and linear Monte Carlo trials share one exact
-scorer: bases are stacked into numpy integer arrays, every codeword of each
-code is expanded in the packed middle-field encoding, and its weight is read
+scorer: bases are stacked into numpy integer arrays, and each code is
+scored by one word per projective point, the combinations of its rows whose
+last nonzero middle-field coefficient is 1, since a nonzero middle-field
+multiple of a word has the same weight in all three metrics.  Those words
+are expanded in the packed middle-field encoding and their weights read
 from the table.  That encoding is private to the scorer, which gathers the
 table once through the word of every packed vector, ``_word_map``.  A linear
 trial's drawn matrix goes to the scorer as drawn, with no row reduction,
 since a code's minimum weight depends only on its row space.  A draw of rank
-below k spans the zero word with a nonzero combination and scores 0, which
-no code of dimension k does, so such draws are found by the scorer and
-redrawn from the trial's own stream, as ``fields.sample_subspace`` redraws
-them.  The reduction check compares two weight tables entry by entry.
+below k has a normalized combination of its rows equal to the zero word and
+scores 0, which no code of dimension k does, so such draws are found by the
+scorer and redrawn from the trial's own stream, as ``fields.sample_subspace``
+redraws them.  The reduction check compares two weight tables entry by entry.
 Nonlinear codes, the exhaustive subset walk's and the Monte Carlo trials'
 alike, have one scorer too, ``_subset_min_weights``: it splits word indices
 with ``metrics._word_columns`` and weighs the pair differences of a whole
@@ -99,11 +102,12 @@ _CP_BITS = 21  # dyadic grid of width 2^-21 < 10^-6
 _TAIL_BITS = 160  # fraction bits of the fixed-point binomial tail enclosure
 _START_BITS = 2 * _TAIL_BITS  # mantissa bits of the bounds on the enclosure's start term
 _SEED_LIMIT = 1 << 64  # seeds are Philox key words
-# Most codeword entries the linear-code scorer expands at once: a chunk of B
-# bases of dimension k over F_{p^ell} holds B * p^(k*ell) codewords.  A
-# nonlinear Monte Carlo batch holds about as many digit cells, S*n*m a trial,
-# a chunk of the subset walk about as many pairs, and the nonlinear scorer
-# takes at most as many pairs of a set at once.
+# Most words the linear-code scorer expands at once: a chunk of B bases of
+# dimension k over F_{p^ell} holds B * (p^(k*ell) - 1)/(p^ell - 1) words, one
+# per projective point of each code.  A nonlinear Monte Carlo batch holds
+# about as many digit cells, S*n*m a trial, a chunk of the subset walk about
+# as many pairs, and the nonlinear scorer takes at most as many pairs of a
+# set at once.
 _CHUNK_WORDS = 1 << 13
 # Most trials a Monte Carlo batch draws at once, linear or nonlinear; batch
 # slot j keeps one Philox generator, re-keyed for the j-th trial of each
@@ -218,8 +222,9 @@ def _fp_span(gens: np.ndarray, p: int) -> np.ndarray:
     digit arrays of shape (B, G, D) otherwise.  The combination
     sum_g c_g * gens[:, g] lands at index sum_g c_g * p^g of axis 1.  It is
     built by doubling: XOR for p = 2, digitwise addition mod p otherwise.
+    With G = 0 it is the zero vector alone.
     """
-    out = np.zeros_like(gens[:, :1])
+    out = np.zeros((gens.shape[0], 1, *gens.shape[2:]), dtype=gens.dtype)
     for g in range(gens.shape[1]):
         gen = gens[:, g : g + 1]
         if p == 2:
@@ -236,21 +241,35 @@ def _min_weights(
     (B, k, ns) stack of middle-field bases.
 
     ``unit_mul[u, x]`` is the index of kappa_u * x, where kappa_u (index p^u)
-    runs over the F_p-basis of the middle field.  The k*ell vectors
-    kappa_u * row_r span each code over F_p; all p^(k*ell) of their
-    combinations are expanded and their weights gathered from ``table``.
+    runs over the F_p-basis of the middle field and kappa_0 = 1.  Scaling a
+    word by a nonzero middle-field element keeps its weight in all three
+    metrics, so each code is scored by one word per projective point: the
+    (p^(k*ell) - 1)/(p^ell - 1) combinations whose last nonzero coefficient
+    is 1.  Those ending at row r form the coset row_r + span(rows < r).  The
+    F_p-span of the (k-1)*ell generators kappa_u * row_r, r < k - 1, is built
+    once by ``_fp_span``; its first p^(r*ell) entries are span(rows < r), and
+    the next p^(r*ell) are that span plus kappa_0 * row_r = row_r, the coset
+    of row r, so only the last row's coset is formed.  A stack of rank below
+    k has a normalized combination equal to the zero word, so it scores 0.
+    Weights are gathered from ``table``.
     """
     p, ell = tower.p, tower.ell
     n_codes, k, ns = bases.shape
-    scaled = unit_mul[:, bases].transpose(1, 2, 0, 3)  # (B, k, ell, ns)
+    scaled = np.take(unit_mul, bases.transpose(2, 0, 1), axis=1)  # (ell, ns, B, k)
     if p == 2:
-        gens = (scaled << (np.arange(ns) * ell)).sum(axis=-1)
-        words = _fp_span(gens.reshape(n_codes, k * ell), p)
+        gens = (scaled << (np.arange(ns) * ell)[:, None, None]).sum(axis=1)
+        gens = gens.transpose(1, 2, 0).reshape(n_codes, k * ell)
     else:
         digits = np.arange(tower.subfield_order)[:, None] // p ** np.arange(ell) % p
-        gens = digits.astype(_digit_dtype(p))[scaled].reshape(n_codes, k * ell, ns * ell)
-        words = _fp_span(gens, p) @ p ** np.arange(ns * ell, dtype=np.int64)
-    return table[words[:, 1:]].min(axis=1)
+        gens = digits.astype(_digit_dtype(p))[scaled].transpose(2, 3, 0, 1, 4)
+        gens = gens.reshape(n_codes, k * ell, ns * ell)
+    span = _fp_span(gens[:, : (k - 1) * ell], p)
+    lead = gens[:, (k - 1) * ell, None]
+    words = [span[:, size : 2 * size] for size in p ** (ell * np.arange(k - 1))]
+    words = np.concatenate([*words, span ^ lead if p == 2 else (span + lead) % p], axis=1)
+    if p != 2:
+        words = words @ p ** np.arange(ns * ell, dtype=np.int64)
+    return table[words].min(axis=1)
 
 
 def _index_span(gens: list, p: int, width: int, dtype: np.dtype) -> np.ndarray:
@@ -289,15 +308,16 @@ def _scorer(
 ) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
     """``_min_weights`` bound to the space's weight table, re-indexed by the
     packed encoding through ``_word_map``, and to the unit products; and the
-    most k-row matrices it should score at once (_CHUNK_WORDS codewords).
-    The table is held to the guard before the word map is built."""
+    most k-row matrices it should score at once, about _CHUNK_WORDS
+    normalized words.  The table is held to the guard before the word map
+    is built."""
     table = _flat_weight_table(space, guards.enumeration)[_word_map(space, tower)]
     p, ell = tower.p, tower.ell
     # x -> kappa_u * x is F_p-linear, so row u of the table is the F_p-span
     # of the ell products kappa_u * kappa_v
     products = [[tower.k_mul(p**u, p**v) for v in range(ell)] for u in range(ell)]
     unit_mul = _index_span(products, p, ell, np.int64)
-    per_chunk = max(1, _CHUNK_WORDS // p ** (k * ell))
+    per_chunk = max(1, _CHUNK_WORDS * (p**ell - 1) // (p ** (k * ell) - 1))
     return (lambda bases: _min_weights(bases, tower, table, unit_mul)), per_chunk
 
 
@@ -715,11 +735,25 @@ def _exact_ge_tail_cmp(n: int, x: int, a: int, b: int, t_num: int, t_den: int) -
     return _cmp(total * t_den, t_num * (a + b) ** n)
 
 
-def _log_mass(n: int, j: np.ndarray, p: float, log_fact: np.ndarray) -> float:
-    """log P(X in j | p) in float64 for an array j of outcomes, X ~ Bin(n, p),
-    0 < p < 1; ``log_fact[i]`` is log i!."""
-    log_binom = log_fact[n] - log_fact[j] - log_fact[n - j]
-    terms = log_binom + j * math.log(p) + (n - j) * math.log1p(-p)
+def _log_mass(n: int, lo: int, hi: int, p: float, log_fact: np.ndarray) -> float:
+    """log P(lo <= X <= hi | p) in float64, X ~ Bin(n, p), 0 < p < 1;
+    ``log_fact[i]`` is log i!.
+
+    Only a window of outcomes is summed: the mode plus and minus 16 + 12
+    standard deviations, clamped to [lo, hi].  The terms are log-concave in
+    j, so every term past a window edge is smaller than the edge term, and
+    an edge term is below the largest by a factor of at most e^-64: about
+    e^-72 where the terms are near Gaussian, while the 16 extra steps cover
+    small means, where they fall like a Poisson tail (the largest factor on
+    a grid of n <= 10^6 and p from 2^-21 to 1 - 2^-21 is e^-65.6).  So for
+    n < 2^32 the terms left out sum to less than 2^-60 of the largest,
+    which a float64 sum cannot resolve.
+    """
+    log_p, log_q = math.log(p), math.log1p(-p)
+    centre = min(max(math.floor((n + 1) * p), lo), hi)
+    width = 16 + math.ceil(12 * math.sqrt(n * p * (1 - p)))
+    j = np.arange(max(lo, centre - width), min(hi, centre + width) + 1)
+    terms = log_fact[n] - log_fact[j] - log_fact[n - j] + j * log_p + (n - j) * log_q
     top = terms.max()
     return top + math.log(np.exp(terms - top).sum())
 
@@ -779,8 +813,7 @@ def clopper_pearson(successes: int, trials: int, level: Fraction) -> tuple[Fract
     else:
         # P(X >= x | p) is increasing in p; keep the largest grid point where
         # it still does not exceed alpha/2
-        upper_tail = np.arange(x, n + 1)
-        guess = _bisect(lambda g: _log_mass(n, upper_tail, g / den, log_fact) <= log_half, 0, den)
+        guess = _bisect(lambda g: _log_mass(n, x, n, g / den, log_fact) <= log_half, 0, den)
         holds = lambda g: _ge_tail_cmp(n, x, g, den, half.numerator, half.denominator, binoms) <= 0
         lower = Fraction(_last_true(holds, guess, den), den)
     if x == n:
@@ -788,8 +821,7 @@ def clopper_pearson(successes: int, trials: int, level: Fraction) -> tuple[Fract
     else:
         # P(X <= x | p) <= alpha/2  <=>  P(X >= x+1 | p) >= 1 - alpha/2; the
         # upper endpoint is the grid point after the last one where it fails
-        lower_tail = np.arange(x + 1)
-        guess = _bisect(lambda g: _log_mass(n, lower_tail, g / den, log_fact) > log_half, 0, den)
+        guess = _bisect(lambda g: _log_mass(n, 0, x, g / den, log_fact) > log_half, 0, den)
         fails = lambda g: _ge_tail_cmp(n, x + 1, g, den, comp.numerator, comp.denominator, binoms) < 0
         upper = Fraction(_last_true(fails, guess, den) + 1, den)
     return lower, upper

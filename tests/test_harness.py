@@ -395,6 +395,65 @@ def test_enclosure_signs_agree_with_the_exact_sum():
     assert decided >= 40 * 18
 
 
+def _reference_log_mass(n, j, p, log_fact):
+    """``_log_mass`` as it stood before its window: log P(X in j | p) summed
+    over every outcome of an array j; the reference for the windowed sum."""
+    log_binom = log_fact[n] - log_fact[j] - log_fact[n - j]
+    terms = log_binom + j * math.log(p) + (n - j) * math.log1p(-p)
+    top = terms.max()
+    return top + math.log(np.exp(terms - top).sum())
+
+
+def test_windowed_log_mass_matches_the_full_sum():
+    # both tails at seeded (x, n, p), p on the 2^-21 grid from its ends to
+    # its middle, n up to 10^6
+    import random
+
+    from codedensity.harness import _log_mass
+
+    rng = random.Random(20264)
+    den = 1 << 21
+    for _ in range(400):
+        n = round(10 ** rng.uniform(0, 6 if rng.random() < 0.05 else 4))
+        log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+        g = rng.choice([1, 2, den - 1, rng.randint(1, den - 1), round(den * 10 ** rng.uniform(-6, 0)) or 1])
+        p = g / den
+        x = rng.choice([0, 1, n, round(n * p), rng.randint(0, n)])
+        for lo, hi in ((x, n), (0, x)):
+            want = _reference_log_mass(n, np.arange(lo, hi + 1), p, log_fact)
+            got = _log_mass(n, lo, hi, p, log_fact)
+            assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), (n, lo, hi, g)
+
+
+def test_float_guess_window_keeps_every_endpoint(monkeypatch):
+    # seeded grid with n <= 2 * 10^4: intervals whose guesses come from the
+    # windowed sum equal those from the full sum, and the guesses handed to
+    # the exact search differ by at most one grid step
+    import random
+
+    from codedensity import harness
+
+    guesses = []
+    last_true = harness._last_true
+    monkeypatch.setattr(
+        harness, "_last_true", lambda pred, guess, end: guesses.append(guess) or last_true(pred, guess, end)
+    )
+    rng = random.Random(20265)
+    levels = [Fraction(k, 1000) for k in (500, 900, 950, 990, 999)]
+    cases = []
+    for _ in range(150):
+        n = round(10 ** rng.uniform(0, math.log10(20_000)))
+        cases.append((rng.choice([0, 1, n // 2, n - 1, n, rng.randint(0, n)]), n, rng.choice(levels)))
+    windowed = [clopper_pearson(x, n, level) for x, n, level in cases]
+    windowed_guesses = list(guesses)
+    guesses.clear()
+    full = lambda n, lo, hi, p, log_fact: _reference_log_mass(n, np.arange(lo, hi + 1), p, log_fact)
+    monkeypatch.setattr(harness, "_log_mass", full)
+    assert [clopper_pearson(x, n, level) for x, n, level in cases] == windowed
+    assert len(guesses) == len(windowed_guesses)
+    assert all(abs(a - b) <= 1 for a, b in zip(guesses, windowed_guesses))
+
+
 def test_clopper_pearson_at_1e5_trials_needs_no_exact_sum(monkeypatch):
     # the enclosure alone settles every comparison of a 10^5-trial interval,
     # so the bounded start term is the path under test
@@ -586,6 +645,66 @@ def test_scorer_reads_zero_exactly_on_rank_deficient_draws():
             weights = score(draws)
             assert [bool(w == 0) for w in weights] == deficient, (space, ell, k)
             assert 0 < sum(deficient) < len(draws) or k == 1, (space, ell, k)
+
+
+def _full_span_min_weights(bases, tower, table, unit_mul):
+    """``_min_weights`` as it stood before it read one word per projective
+    point: all p^(k*ell) F_p-combinations of the k*ell generators
+    kappa_u * row_r are expanded and the nonzero ones weighed.  The
+    reference for the normalized-word scorer."""
+    from codedensity.harness import _fp_span
+    from codedensity.metrics import _digit_dtype
+
+    p, ell = tower.p, tower.ell
+    n_codes, k, ns = bases.shape
+    scaled = unit_mul[:, bases].transpose(1, 2, 0, 3)  # (B, k, ell, ns)
+    if p == 2:
+        gens = (scaled << (np.arange(ns) * ell)).sum(axis=-1)
+        words = _fp_span(gens.reshape(n_codes, k * ell), p)
+    else:
+        digits = np.arange(tower.subfield_order)[:, None] // p ** np.arange(ell) % p
+        gens = digits.astype(_digit_dtype(p))[scaled].reshape(n_codes, k * ell, ns * ell)
+        words = _fp_span(gens, p) @ p ** np.arange(ns * ell, dtype=np.int64)
+    return table[words[:, 1:]].min(axis=1)
+
+
+# one (space, linearity) pair for each (p, ell) of the middle field
+_PROJECTIVE_TEST_SPACES = (
+    (AmbientSpace(2, 1, 2, 3, "hamming"), 1),
+    (AmbientSpace(2, 2, 2, 2, "rank"), 2),
+    (AmbientSpace(2, 3, 2, 2, "sumrank", t=2), 3),
+    (AmbientSpace(3, 1, 2, 3, "sumrank", t=3), 1),
+    (AmbientSpace(3, 2, 2, 2, "rank"), 2),
+    (AmbientSpace(5, 1, 2, 2, "hamming"), 1),
+)
+
+
+def test_normalized_words_give_the_full_span_minimum():
+    # seeded differential test: one word per projective point gives the
+    # minimum of every nonzero F_p-combination, on random stacks of every
+    # k, and a stack whose last row is a middle-field combination of the
+    # others (the zero row when k = 1) scores 0
+    from codedensity import harness
+    from codedensity.metrics import _flat_weight_table
+
+    rng = np.random.default_rng(20263)
+    for space, ell in _PROJECTIVE_TEST_SPACES:
+        tower = harness.space_tower(space, ell)
+        p, ns, order = tower.p, space.n * tower.s, tower.subfield_order
+        table = _flat_weight_table(space, space.size)[harness._word_map(space, tower)]
+        products = [[tower.k_mul(p**u, p**v) for v in range(ell)] for u in range(ell)]
+        unit_mul = harness._index_span(products, p, ell, np.int64)
+        for k in range(1, ns + 1):
+            score, _ = harness._scorer(space, tower, k, Guards())
+            draws = rng.integers(0, order, size=(120, k, ns))
+            for rows in draws[80:]:
+                last = [0] * ns
+                for coeff, row in zip(rng.integers(0, order, size=k - 1), rows):
+                    last = [tower.k_add(a, tower.k_mul(int(coeff), int(x))) for a, x in zip(last, row)]
+                rows[-1] = last
+            got = score(draws)
+            assert got.tolist() == _full_span_min_weights(draws, tower, table, unit_mul).tolist(), (space, k)
+            assert not got[80:].any() and got[:80].any(), (space, k)
 
 
 def _reference_successes(space, spec, trials, seed):
@@ -969,6 +1088,7 @@ def test_fast_min_weight_agrees_with_public_min_distance():
         (AmbientSpace(3, 1, 2, 2, "rank"), 1),
         (AmbientSpace(3, 1, 2, 2, "sumrank", t=2), 1),
         (AmbientSpace(3, 2, 1, 2, "rank"), 2),
+        (AmbientSpace(2, 3, 1, 2, "hamming"), 3),
     ):
         tower = space_tower(space, ell)
         ns = space.n * tower.s
@@ -1048,23 +1168,31 @@ def test_weight_table_matches_metric_weight(q, metric, t):
 
 def test_one_wrong_word_map_entry_changes_a_histogram(monkeypatch):
     # negative control: the scorer reads weights only through the word map,
-    # so sending one nonzero packed vector to the zero word shows up as
-    # codes of minimum weight 0
+    # so sending the packed vector (1, 0), index 1, to the zero word shows
+    # up as codes of minimum weight 0.  Index 5 holds (2 + kappa_1, 0), a
+    # scalar multiple of (1, 0) that no code's normalized words include, so
+    # a wrong entry there alone changes nothing; a scorer that expanded
+    # every F_p-combination would read it.
     from codedensity import harness
 
     space = AmbientSpace(3, 2, 1, 2, "rank")
     want = harness.linear_distance_histogram.__wrapped__(space, 2, 1)
     word_map = harness._word_map
 
-    def one_wrong_entry(space, tower):
-        words = word_map(space, tower)
-        words[5] = 0
-        return words
+    def one_wrong_entry(index):
+        def wrong(space, tower):
+            words = word_map(space, tower)
+            words[index] = 0
+            return words
 
-    monkeypatch.setattr(harness, "_word_map", one_wrong_entry)
+        return wrong
+
+    monkeypatch.setattr(harness, "_word_map", one_wrong_entry(1))
     got = harness.linear_distance_histogram.__wrapped__(space, 2, 1)
     assert got != want and got[0][0] == 0 and 0 not in dict(want)
     assert sum(c for _, c in got) == sum(c for _, c in want)
+    monkeypatch.setattr(harness, "_word_map", one_wrong_entry(5))
+    assert harness.linear_distance_histogram.__wrapped__(space, 2, 1) == want
 
 
 def test_scorer_holds_the_table_to_the_guard_before_the_word_map(monkeypatch):
@@ -1086,10 +1214,10 @@ def test_chunked_scoring_matches_one_code_per_chunk(monkeypatch):
     # triangle at a time, and both must give the same exact results
     from codedensity import harness
 
-    hist_space = AmbientSpace(2, 1, 2, 4, "hamming")  # 10795 codes, 2048 per chunk
+    hist_space = AmbientSpace(2, 1, 2, 4, "hamming")  # 10795 codes, 2730 per chunk
     walk_space = AmbientSpace(2, 1, 2, 2, "sumrank", t=2)  # 1820 sets of 6 pairs, 1365 per chunk
     estimates = (
-        (AmbientSpace(2, 1, 2, 3, "rank"), CodeFamilySpec(1, 2, dim=3), 3000, 11),  # 1024 codes per chunk
+        (AmbientSpace(2, 1, 2, 3, "rank"), CodeFamilySpec(1, 2, dim=3), 3000, 11),  # 1170 codes per chunk
         (AmbientSpace(3, 1, 1, 6, "hamming"), CodeFamilySpec(0, 3, size=12), 2000, 5),  # 113 trials per batch
         # 2^64 words: indices in object arrays, 10 trials per batch
         (AmbientSpace(2, 1, 1, 64, "hamming"), CodeFamilySpec(0, 22, size=12), 300, 5),
