@@ -49,9 +49,14 @@ alike, have one scorer too, ``_subset_min_weights``: it splits word indices
 with ``metrics._word_columns`` and weighs the pair differences of a whole
 batch of word sets with the table's own kernel, ``metrics._weights``, and
 builds no table, so trials run on spaces far beyond any table.
+The exhaustive walk scores only the C(N-1, S-1) sets that hold the zero
+word: every pair distance is the weight of a difference, so translation
+keeps it, and with h0_w such sets at minimum distance w the N translates
+of each give h_w = N * h0_w / S, exact because S*h_w = N*h0_w counts the
+pairs (set, member) both ways.  A remainder raises ArithmeticError.
 The tests check the linear scorer against ``metrics.min_distance``, the
-subset walk against ``metrics.distance``, the table against
-``metrics.weight`` and the nonlinear trials against
+subset walk against ``metrics.distance`` and the full C(N, S) walk, the
+table against ``metrics.weight`` and the nonlinear trials against
 ``metrics.min_distance``.
 """
 
@@ -527,12 +532,20 @@ def subset_distance_histogram(
 ) -> tuple[tuple[int, int], ...]:
     """(min_distance, count) pairs over all size-S subsets of the space.
 
-    The subsets are walked as sorted word indices in lexicographic order, in
+    Only the C(N-1, S-1) sets {0} | T are walked, T running over the
+    (S-1)-subsets of the nonzero word indices in lexicographic order, in
     chunks of about _CHUNK_WORDS pairs, and ``_subset_min_weights`` scores
-    each chunk.  A set of more than half the space's words holds two at
-    distance 1: in all three metrics the Singleton-type maximum at d = 2 is
-    q^E with E <= mn - 1, at most half the space, so such a histogram is
-    known with no walk.
+    each chunk.  If h0_w of them have minimum distance w, then h_w =
+    N * h0_w / S: the pairs (X, x) with x in X map one-to-one onto the pairs
+    (X - x, x), each S-set giving S of them and each set holding 0 met from
+    N, and the translate X - x has X's pair distances.  If S does not divide
+    N * h0_w the walk is wrong, and ArithmeticError is raised.  The guard
+    still counts all C(N, S) sets.
+
+    A set of more than half the space's words holds two at distance 1: in
+    all three metrics the Singleton-type maximum at d = 2 is q^E with
+    E <= mn - 1, at most half the space, so such a histogram is known with
+    no walk.
 
     C(N, S) >= 2^min(S, N-S), so the guard refuses a walk from that bound
     first, before C(N, S) itself is computed, which for N = 2^21 and S near
@@ -552,13 +565,21 @@ def subset_distance_histogram(
     if 2 * size > space.size:
         return ((1, total),)
     counts = np.zeros(space.diameter + 1, dtype=np.int64)
-    cells = itertools.chain.from_iterable(itertools.combinations(range(space.size), size))
+    rooted = math.comb(space.size - 1, size - 1)
+    cells = itertools.chain.from_iterable(itertools.combinations(range(1, space.size), size - 1))
     per_chunk = max(1, _CHUNK_WORDS // math.comb(size, 2))
-    for start in range(0, total, per_chunk):
-        chunk = np.fromiter(cells, np.int64, count=min(per_chunk, total - start) * size)
-        weights = _subset_min_weights(space, chunk.reshape(-1, size))
-        counts += np.bincount(weights, minlength=counts.size)
-    return tuple((w, int(c)) for w, c in enumerate(counts) if c)
+    for start in range(0, rooted, per_chunk):
+        chunk = np.zeros((min(per_chunk, rooted - start), size), np.int64)
+        chunk[:, 1:] = np.fromiter(cells, np.int64, count=chunk.shape[0] * (size - 1)).reshape(-1, size - 1)
+        counts += np.bincount(_subset_min_weights(space, chunk), minlength=counts.size)
+    hist = []
+    for w, c in enumerate(counts.tolist()):
+        count, rem = divmod(space.size * c, size)
+        if rem:
+            raise ArithmeticError(f"{size} does not divide {space.size} * {c} sets at distance {w}")
+        if count:
+            hist.append((w, count))
+    return tuple(hist)
 
 
 def exact_density(

@@ -1215,7 +1215,8 @@ def test_chunked_scoring_matches_one_code_per_chunk(monkeypatch):
     from codedensity import harness
 
     hist_space = AmbientSpace(2, 1, 2, 4, "hamming")  # 10795 codes, 2730 per chunk
-    walk_space = AmbientSpace(2, 1, 2, 2, "sumrank", t=2)  # 1820 sets of 6 pairs, 1365 per chunk
+    walk_space = AmbientSpace(2, 1, 2, 2, "sumrank", t=2)  # 455 sets of 6 pairs, 1365 per chunk
+    odd_walk_space = AmbientSpace(3, 1, 1, 4, "sumrank", t=2)  # 3160 sets of 3 pairs, 2730 per chunk
     estimates = (
         (AmbientSpace(2, 1, 2, 3, "rank"), CodeFamilySpec(1, 2, dim=3), 3000, 11),  # 1170 codes per chunk
         (AmbientSpace(3, 1, 1, 6, "hamming"), CodeFamilySpec(0, 3, size=12), 2000, 5),  # 113 trials per batch
@@ -1225,6 +1226,7 @@ def test_chunked_scoring_matches_one_code_per_chunk(monkeypatch):
     runs = lambda: (
         harness.linear_distance_histogram.__wrapped__(hist_space, 1, 2),
         harness.subset_distance_histogram.__wrapped__(walk_space, 4),
+        harness.subset_distance_histogram.__wrapped__(odd_walk_space, 3),
         [estimate_density(space, spec, trials, seed).payload() for space, spec, trials, seed in estimates],
     )
     want = runs()
@@ -1232,7 +1234,8 @@ def test_chunked_scoring_matches_one_code_per_chunk(monkeypatch):
     assert runs() == want
     assert sum(c for _, c in want[0]) == 10795
     assert want[1] == ((1, 1796), (2, 24))
-    assert [report["successes"] for report in want[2]] == [106, 1, 242]
+    assert want[2] == ((1, 42984), (2, 42336))
+    assert [report["successes"] for report in want[3]] == [106, 1, 242]
 
 
 def test_subset_histogram_total():
@@ -1255,6 +1258,22 @@ def _subset_histogram_by_distance(space: AmbientSpace, size: int):
         for combo in itertools.combinations(words, size)
     )
     return tuple(sorted(hist.items()))
+
+
+def _full_subset_histogram(space: AmbientSpace, size: int):
+    """``subset_distance_histogram``'s walk as it stood before it walked only
+    the sets that hold the zero word: all C(N, S) sets, in lexicographic
+    chunks, scored by ``_subset_min_weights``.  The reference for the rooted
+    walk."""
+    from codedensity.harness import _subset_min_weights
+
+    total = math.comb(space.size, size)
+    cells = itertools.chain.from_iterable(itertools.combinations(range(space.size), size))
+    counts = np.zeros(space.diameter + 1, dtype=np.int64)
+    for start in range(0, total, 1 << 14):
+        chunk = np.fromiter(cells, np.int64, count=min(1 << 14, total - start) * size)
+        counts += np.bincount(_subset_min_weights(space, chunk.reshape(-1, size)), minlength=counts.size)
+    return tuple((w, int(c)) for w, c in enumerate(counts) if c)
 
 
 CRITERION_2_NONLINEAR_SPACES = [
@@ -1283,6 +1302,75 @@ def test_subset_histogram_matches_a_walk_with_metric_distance(size):
         got = subset_distance_histogram.__wrapped__(space, size)
         assert got == want, (space, size)
         assert all(type(d) is int and type(c) is int for d, c in got)
+
+
+# the S = 3 walks on 64 and 81 words that the benchmark's exhaustive
+# workload runs, and S = 4 on the 64-word Hamming and rank spaces
+_LARGE_SUBSET_WALKS = (
+    (AmbientSpace(2, 1, 2, 3, "hamming"), 3),
+    (AmbientSpace(2, 1, 3, 2, "rank"), 3),
+    (AmbientSpace(3, 1, 1, 4, "sumrank", t=2), 3),
+    (AmbientSpace(2, 1, 2, 3, "hamming"), 4),
+    (AmbientSpace(2, 1, 3, 2, "rank"), 4),
+)
+
+
+def test_rooted_walk_matches_the_full_walk():
+    # N/S times the histogram of the sets holding the zero word is the
+    # histogram of all C(N, S) sets, on criterion 2's nonlinear grid and on
+    # spaces of 64 and 81 words
+    cases = [(space, size) for space in CRITERION_2_NONLINEAR_SPACES for size in (2, 3, 4)]
+    for space, size in cases + list(_LARGE_SUBSET_WALKS):
+        got = subset_distance_histogram.__wrapped__(space, size)
+        assert got == _full_subset_histogram(space, size), (space, size)
+        assert sum(c for _, c in got) == math.comb(space.size, size)
+
+
+def test_rooted_walk_scores_each_set_holding_zero_once(monkeypatch):
+    # the walk hands the scorer exactly the C(N-1, S-1) sets {0} | T, each
+    # sorted and each once, in lexicographic order
+    from codedensity import harness
+
+    score = harness._subset_min_weights
+    seen = []
+
+    def spy(space, indices):
+        seen.append(indices.copy())
+        return score(space, indices)
+
+    monkeypatch.setattr(harness, "_subset_min_weights", spy)
+    for space, size in (
+        (AmbientSpace(2, 1, 1, 3, "hamming"), 3),
+        (AmbientSpace(2, 1, 2, 2, "sumrank", t=2), 4),
+        (AmbientSpace(3, 1, 1, 4, "sumrank", t=2), 3),
+    ):
+        seen.clear()
+        subset_distance_histogram.__wrapped__(space, size)
+        sets = np.concatenate(seen)
+        want = [(0, *rest) for rest in itertools.combinations(range(1, space.size), size - 1)]
+        assert sets.tolist() == [list(row) for row in want], (space, size)
+        assert len(sets) == math.comb(space.size - 1, size - 1)
+
+
+def test_one_wrong_set_weight_fails_the_divisibility_check(monkeypatch):
+    # negative control: on N = 8 words with S = 3, S divides N * h0_w only
+    # when it divides h0_w, so moving one rooted set to another distance
+    # leaves a remainder.  (Where S divides N, as at N = 81 and S = 3, the
+    # check cannot see such a fault; the full-walk reference covers those.)
+    from codedensity import harness
+
+    space = AmbientSpace(2, 1, 1, 3, "hamming")
+    score = harness._subset_min_weights
+    assert subset_distance_histogram.__wrapped__(space, 3) == _full_subset_histogram(space, 3)
+
+    def planted(space, indices):
+        weights = score(space, indices)
+        weights[0] += 1
+        return weights
+
+    monkeypatch.setattr(harness, "_subset_min_weights", planted)
+    with pytest.raises(ArithmeticError, match="3 does not divide 8"):
+        subset_distance_histogram.__wrapped__(space, 3)
 
 
 def test_whole_space_subset_walk_builds_no_pair_table(monkeypatch):
