@@ -81,6 +81,17 @@ class SublinearBoundTerms:
     theta_bar: Fraction
 
 
+def _at_most(x: Fraction, y: Fraction) -> bool:
+    """x <= y, exactly, by cross-multiplying the shorter numerators: those of
+    x and y, or those of 1 - y and 1 - x, which are shorter near 1.  Either
+    way each product pairs a short numerator with a long denominator, where
+    ``Fraction`` comparison of two values near 1 multiplies two long ints."""
+    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+    if max(b - a, d - c).bit_length() < max(a, c).bit_length():
+        return (d - c) * b <= (b - a) * d
+    return a * d <= c * b
+
+
 @dataclass(frozen=True)
 class DensityBracket:
     """Exact rational [lower, upper] on a density, clamped to [0, 1], with the
@@ -92,7 +103,7 @@ class DensityBracket:
     raw_upper: Fraction
 
     def __post_init__(self) -> None:
-        if not (0 <= self.lower <= self.upper <= 1):
+        if not (0 <= self.lower and self.upper <= 1 and _at_most(self.lower, self.upper)):
             raise ValueError("bracket must satisfy 0 <= lower <= upper <= 1")
 
     def contains(self, value: Fraction) -> bool:

@@ -8,10 +8,12 @@ Linear and nonlinear trials run through one loop that cuts them into
 contiguous blocks and scores each block in batches.  The generators are
 pooled: each is built once and re-keyed for later trials by resetting its
 Philox state to that of a fresh ``Philox(key=(seed, i))``, so every draw is
-bit-identical to one from a generator built for the trial.  A batch's first
-draws are computed at once by ``_philox_bounded``, which evaluates the same
-Philox streams and numpy's bounded-integer method over the whole batch;
-draws it cannot follow, and every redraw, come from the trial's generator.
+bit-identical to one from a generator built for the trial.  First draws are
+computed by ``_philox_bounded``, which evaluates the same Philox streams and
+numpy's bounded-integer method over a whole window of batches at once: whole
+consecutive batches of one block, holding at most _CHUNK_WORDS values in
+all.  Draws it cannot follow, and every redraw, come from the trial's
+generator.
 Confidence intervals are exact Clopper-Pearson bounds on a dyadic rational
 grid of width 2^-21 (< 10^-6), rounded outward so coverage is never
 understated.  Each endpoint is the last grid point where a monotone binomial
@@ -165,10 +167,10 @@ def _philox_bounded(
     each such value from one uint32 (the low half of each uint64 of the
     Philox stream first) by Lemire's multiply-and-shift, retrying when the
     low 32 bits of the product fall below 2^32 mod bound.  Trial i's stream
-    is Philox4x64-10 with key (seed, i) and counters 1, 2, ..., so every
-    batch of first draws is computed at once; the values of a flagged trial
-    are wrong and it must draw from its own generator.  Every operand is
-    np.uint64, so numpy's integer promotion rules never apply.
+    is Philox4x64-10 with key (seed, i) and counters 1, 2, ..., so the first
+    draws of a whole window of batches are computed at once; the values of a
+    flagged trial are wrong and it must draw from its own generator.  Every
+    operand is np.uint64, so numpy's integer promotion rules never apply.
     """
     bounds = np.asarray(bounds, dtype=np.uint64)
     if bounds.min() < 2 or bounds.max() > 1 << 32:
@@ -349,28 +351,44 @@ def _trial_successes(
     seed: int,
     worker_streams: int,
     batch: int,
-    score_batch: Callable[[range, list[Generator]], int],
+    score_batch: Callable[[range, list[Generator], tuple[np.ndarray, np.ndarray] | None], int],
+    first_draws: tuple[int | np.ndarray, int] | None,
 ) -> int:
     """Successes of trials 0..trials-1, each drawn from its own
     ``trial_generator(seed, i)``.
 
     The trials are cut into ``worker_streams`` contiguous blocks, and each
     block is scored in batches of at most ``batch`` trials: ``score_batch``
-    takes the trial numbers of one batch and their generators, in trial
-    order, and returns how many of its trials succeed.  The generators form
-    one pool with a slot per batch position: slot j is built for the j-th
-    trial of the first batch and re-keyed for the j-th trial of each later
-    one, once the batch before has been scored.
+    takes the trial numbers of one batch, their generators in trial order,
+    and their first draws, and returns how many of its trials succeed.  The
+    generators form one pool with a slot per batch position: slot j is built
+    for the j-th trial of the first batch and re-keyed for the j-th trial of
+    each later one, once the batch before has been scored.
+
+    With ``first_draws`` = (bounds, count), each trial's first ``count``
+    draws ``integers(0, bounds)`` come from ``_philox_bounded``, called once
+    per window: a run of whole, consecutive batches of one block holding at
+    most _CHUNK_WORDS values, or a single batch if one alone holds more.
+    ``score_batch`` gets its batch's values and flags as views into the
+    window's arrays; without ``first_draws`` it gets None.
     """
     pool: list[Generator | None] = [None] * min(batch, trials)
+    window = batch
+    if first_draws is not None:
+        window *= max(1, _CHUNK_WORDS // (first_draws[1] * batch))
     successes = 0
     for block in range(worker_streams):
         stop = (block + 1) * trials // worker_streams
-        for start in range(block * trials // worker_streams, stop, batch):
-            trial_ids = range(start, min(start + batch, stop))
-            gens = [trial_generator(seed, i, gen) for i, gen in zip(trial_ids, pool)]
-            pool[: len(gens)] = gens
-            successes += score_batch(trial_ids, gens)
+        for top in range(block * trials // worker_streams, stop, window):
+            end = min(top + window, stop)
+            draws = None if first_draws is None else _philox_bounded(seed, range(top, end), *first_draws)
+            for start in range(top, end, batch):
+                trial_ids = range(start, min(start + batch, end))
+                gens = [trial_generator(seed, i, gen) for i, gen in zip(trial_ids, pool)]
+                pool[: len(gens)] = gens
+                rows = slice(start - top, trial_ids.stop - top)
+                first = None if draws is None else (draws[0][rows], draws[1][rows])
+                successes += score_batch(trial_ids, gens, first)
     return successes
 
 
@@ -390,14 +408,15 @@ def _linear_successes(
     reduction: a rank-deficient draw has F_p-dependent generators, so some
     nonzero combination is the zero word and ``_min_weights`` reads 0, while
     every code of dimension k has minimum weight >= 1.  Trials are scored in
-    batches of at most _TRIAL_BATCH.  A batch's first matrices come from one
-    ``_philox_bounded`` call; a trial it flags draws its first matrix from
-    its own generator.  A draw that scores 0 is redrawn from its own trial's
-    stream, and a trial whose first matrix came from the evaluator first
-    replays that matrix on its still-fresh generator, which must give the
-    same matrix.  The weight-table guard is checked before the tower is
-    built.  The evaluator takes middle fields of up to 2^32 elements, far
-    past any weight table that fits in memory.
+    batches of at most _TRIAL_BATCH.  Their first matrices come from one
+    ``_philox_bounded`` call per window of batches, at most _CHUNK_WORDS
+    entries unless one batch holds more; a trial it flags draws its first
+    matrix from its own generator.  A draw that scores 0 is redrawn from its
+    own trial's stream, and a trial whose first matrix came from the
+    evaluator first replays that matrix on its still-fresh generator, which
+    must give the same matrix.  The weight-table guard is checked before the
+    tower is built.  The evaluator takes middle fields of up to 2^32
+    elements, far past any weight table that fits in memory.
     """
     _check_linearity(space, spec.linearity)
     _hold_table_size(space, guards.enumeration)
@@ -406,9 +425,8 @@ def _linear_successes(
     k, ns = spec.dim, space.n * tower.s
     draw = lambda gen: _draw_matrix(gen, k, tower, space.n)
 
-    def score_batch(trial_ids: range, gens: list[Generator]) -> int:
-        drawn, flagged = _philox_bounded(seed, trial_ids, tower.subfield_order, k * ns)
-        drawn = drawn.reshape(-1, k, ns)
+    def score_batch(trial_ids: range, gens: list[Generator], first: tuple[np.ndarray, np.ndarray]) -> int:
+        drawn, flagged = first[0].reshape(-1, k, ns), first[1]
         for j in np.flatnonzero(flagged):
             drawn[j] = draw(gens[j])
         weights = score(drawn)
@@ -420,7 +438,8 @@ def _linear_successes(
         return int(np.count_nonzero(weights >= spec.d))
 
     batch = min(per_chunk, _TRIAL_BATCH)
-    return _trial_successes(trials, seed, worker_streams, batch, score_batch)
+    first_draws = (tower.subfield_order, k * ns)
+    return _trial_successes(trials, seed, worker_streams, batch, score_batch, first_draws)
 
 
 def _subset_min_weights(space: AmbientSpace, indices: np.ndarray) -> np.ndarray:
@@ -464,25 +483,27 @@ def _nonlinear_successes(
     Trial i draws the sorted word indices of its subset from
     ``trial_generator(seed, i)`` by Floyd's algorithm, as
     :func:`sample_code_subset` does.  On spaces of at most 2^32 words the S
-    picks of a whole batch come from one ``_philox_bounded`` call, with
-    bounds space-S+1, ..., space, and Floyd's collision rule runs across the
-    batch in S vectorized steps; a trial the evaluator flags, and every
-    trial on a larger space, calls ``sample_code_subset`` on its own
-    generator.  Past 2^32 words the indices are Python ints, so spaces past
-    2^64 words take the same path.  ``_subset_min_weights`` scores the whole
-    batch, and a trial succeeds when its smallest pair weight is >= d.  A
-    batch holds at most _TRIAL_BATCH trials and about _CHUNK_WORDS digit
+    picks of each trial of a window of batches, at most _CHUNK_WORDS picks
+    unless one batch holds more, come from one ``_philox_bounded`` call,
+    with bounds space-S+1, ..., space, and Floyd's collision rule runs
+    across each batch in S vectorized steps; a trial the evaluator flags,
+    and every trial on a larger space, calls ``sample_code_subset`` on its
+    own generator.  Past 2^32 words the indices are Python ints, so spaces
+    past 2^64 words take the same path.  ``_subset_min_weights`` scores the
+    whole batch, and a trial succeeds when its smallest pair weight is >= d.
+    A batch holds at most _TRIAL_BATCH trials and about _CHUNK_WORDS digit
     cells, S*n*m per trial.
     """
     tower = space_tower(space, 1)
     n, size, space_size = space.n, spec.size, space.size
 
-    def subsets(trial_ids: range, gens: list[Generator]) -> np.ndarray:
-        # at S = space_size Floyd's first bound is 1, which numpy meets with no draw
-        if not size < space_size <= 1 << 32:
+    # at S = space_size Floyd's first bound is 1, which numpy meets with no draw
+    bounds = np.arange(space_size - size + 1, space_size + 1) if size < space_size <= 1 << 32 else None
+
+    def subsets(gens: list[Generator], first: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+        if first is None:
             return np.array([sample_code_subset(gen, size, tower, n) for gen in gens], dtype=object)
-        bounds = np.arange(space_size - size + 1, space_size + 1)
-        picks, flagged = _philox_bounded(seed, trial_ids, bounds, size)
+        picks, flagged = first
         chosen = np.empty_like(picks)
         for j, pick in enumerate(picks.T):
             taken = (chosen[:, :j] == pick[:, None]).any(axis=1)
@@ -492,12 +513,14 @@ def _nonlinear_successes(
             chosen[t] = sample_code_subset(gens[t], size, tower, n)
         return chosen
 
-    def score_batch(trial_ids: range, gens: list[Generator]) -> int:
-        weights = _subset_min_weights(space, subsets(trial_ids, gens))
+    def score_batch(trial_ids: range, gens: list[Generator], first: tuple | None) -> int:
+        weights = _subset_min_weights(space, subsets(gens, first))
         return int(np.count_nonzero(weights >= spec.d))
 
     per_chunk = max(1, _CHUNK_WORDS // (size * n * space.m))
-    return _trial_successes(trials, seed, worker_streams, min(per_chunk, _TRIAL_BATCH), score_batch)
+    first_draws = None if bounds is None else (bounds, size)
+    batch = min(per_chunk, _TRIAL_BATCH)
+    return _trial_successes(trials, seed, worker_streams, batch, score_batch, first_draws)
 
 
 @lru_cache(maxsize=64)
@@ -540,32 +563,31 @@ def subset_distance_histogram(
     (X - x, x), each S-set giving S of them and each set holding 0 met from
     N, and the translate X - x has X's pair distances.  If S does not divide
     N * h0_w the walk is wrong, and ArithmeticError is raised.  The guard
-    still counts all C(N, S) sets.
+    counts the C(N-1, S-1) sets the walk scores.
 
     A set of more than half the space's words holds two at distance 1: in
     all three metrics the Singleton-type maximum at d = 2 is q^E with
     E <= mn - 1, at most half the space, so such a histogram is known with
-    no walk.
+    no walk: all C(N, S) = N * C(N-1, S-1) / S sets are at distance 1.
 
-    C(N, S) >= 2^min(S, N-S), so the guard refuses a walk from that bound
-    first, before C(N, S) itself is computed, which for N = 2^21 and S near
-    N/2 takes most of a minute.  The refusal reports 2^j, j the guard's bit
-    length: the smallest power of two past the guard, and small to build
-    however large S is.
+    C(N-1, S-1) >= 2^min(S-1, N-S), so the guard refuses a walk from that
+    bound first, before C(N-1, S-1) itself is computed, which for N = 2^21
+    and S near N/2 takes most of a minute.  The refusal reports 2^j, j the
+    guard's bit length: the smallest power of two past the guard, and small
+    to build however large S is.
     """
     if size < 2:
         raise ValueError("minimum distance needs at least two codewords (S >= 2)")
     space.requires_prime_q()
     bits = guards.enumeration.bit_length()
-    if min(size, space.size - size) >= bits:
+    if min(size - 1, space.size - size) >= bits:
         raise GuardExceeded("subset code enumeration", 1 << bits, guards.enumeration, exact=False)
-    total = binom(space.size, size)
-    if total > guards.enumeration:
-        raise GuardExceeded("subset code enumeration", total, guards.enumeration)
+    rooted = binom(space.size - 1, size - 1)
+    if rooted > guards.enumeration:
+        raise GuardExceeded("subset code enumeration", rooted, guards.enumeration)
     if 2 * size > space.size:
-        return ((1, total),)
+        return ((1, space.size * rooted // size),)
     counts = np.zeros(space.diameter + 1, dtype=np.int64)
-    rooted = math.comb(space.size - 1, size - 1)
     cells = itertools.chain.from_iterable(itertools.combinations(range(1, space.size), size - 1))
     per_chunk = max(1, _CHUNK_WORDS // math.comb(size, 2))
     for start in range(0, rooted, per_chunk):

@@ -11,6 +11,9 @@ import pytest
 
 from codedensity.bounds import (
     CodeFamilySpec,
+    DensityBracket,
+    _at_most,
+    _clamped,
     _reduced,
     bad_code_count_brackets,
     gv_cardinality,
@@ -385,6 +388,48 @@ def test_corrupted_bracket_fails_tight_case():
     bracket, _ = nonlinear_bracket(space, 2, 2)
     corrupted_upper = bracket.upper - Fraction(1, 10**6)
     assert not (bracket.lower <= dens <= corrupted_upper)
+
+
+def _order_check_values():
+    # near 0, near 1 and in the middle, over short and long denominators;
+    # near 1 the complements are the shorter numerators
+    values = set()
+    for den in (7, 2**61 - 1, 3**5000, 2 * 3**5000 + 1):
+        half = den // 2
+        for num in (0, 1, 2, 3**40, half - 1, half, half + 1, den - 3**40, den - 2, den - 1, den):
+            if 0 <= num <= den:
+                values.add(Fraction(num, den))
+    return sorted(values)
+
+
+def test_bracket_order_check_matches_fraction_comparison():
+    values = _order_check_values()
+    complements = 0
+    for x, y in itertools.product(values, repeat=2):
+        assert _at_most(x, y) == (x <= y), (x, y)
+        if x <= y:  # equal endpoints included
+            bracket = DensityBracket(x, y, x, y)
+            assert bracket.contains(x) and bracket.contains(y)
+        else:
+            with pytest.raises(ValueError, match="lower <= upper"):
+                DensityBracket(x, y, x, y)
+        a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+        complements += max(b - a, d - c).bit_length() < max(a, c).bit_length()
+    assert complements > 100  # the complement comparison is exercised, not only the plain one
+
+
+def test_bracket_with_upper_below_lower_is_refused():
+    # a paper-scale bracket near 1, its bounds swapped: the complements of
+    # both ends are far shorter than their 1992-bit numerators
+    bracket, _ = nonlinear_bracket(AmbientSpace(2, 1, 1, 2000, "hamming"), 4, 3)
+    assert bracket.raw_lower < bracket.raw_upper < 1
+    assert 1 - bracket.lower < Fraction(1, 2**1900)
+    _clamped(bracket.raw_lower, bracket.raw_upper)
+    with pytest.raises(ValueError, match="lower <= upper"):
+        _clamped(bracket.raw_upper, bracket.raw_lower)
+    for lower, upper in ((Fraction(2, 3), Fraction(1, 3)), (Fraction(1), 1 - Fraction(1, 3**5000))):
+        with pytest.raises(ValueError, match="lower <= upper"):
+            DensityBracket(lower, upper, lower, upper)
 
 
 def test_family_spec_validation():

@@ -436,6 +436,16 @@ def test_subset_walk_past_the_guard_is_refused_from_a_bound(capsys, monkeypatch)
     assert "subset code enumeration: count at least 2^20 exceeds guard 1000000" in err
 
 
+def test_subset_guard_counts_the_sets_the_walk_scores(capsys, monkeypatch):
+    # C(64, 5) = 7 624 512 sets are past the default guard, but the walk
+    # scores only the C(63, 4) = 595 665 that hold the zero word
+    monkeypatch.delenv(ENV_GUARD, raising=False)
+    code, out, err = run_cli(
+        capsys, "exact", "--metric", "hamming", "--q", "2", "--s", "2", "--n", "3", "--S", "5", "--d", "2",
+    )
+    assert code == 0 and out == "2496/13237\n", err
+
+
 def test_estimate_beyond_the_weight_table_guard_exits_three(capsys, monkeypatch):
     # 2^40 words would need a 1 TB weight table: refused before any of it,
     # or of the scorer's word map, exists

@@ -48,25 +48,26 @@ def test_exact_density_guard():
 
 
 def test_subset_guard_refuses_exactly_the_counts_past_it():
-    # the 2^min(S, N-S) bound refuses only counts past the guard, and the
-    # exact count decides the rest
+    # the guard counts the C(N-1, S-1) sets holding the zero word, the walk
+    # it does; the 2^min(S-1, N-S) bound refuses only counts past the
+    # guard, and the exact count decides the rest
     space = AmbientSpace(2, 1, 1, 3, "hamming")
     histogram = subset_distance_histogram.__wrapped__
     for size in range(2, 9):
-        total = binom(8, size)
-        for limit in sorted({0, 1, 2, 3, 4, 7, 8, 15, 16, total - 1, total}):
+        total, rooted = binom(8, size), binom(7, size - 1)
+        for limit in sorted({0, 1, 2, 3, 4, 7, 8, 15, 16, rooted - 1, rooted}):
             guards = Guards(enumeration=limit)
-            if total <= limit:
+            if rooted <= limit:
                 assert sum(c for _, c in histogram(space, size, guards)) == total
                 continue
             with pytest.raises(GuardExceeded) as err:
                 histogram(space, size, guards)
-            assert limit < err.value.count <= total
+            assert limit < err.value.count <= rooted
             bits = limit.bit_length()
             assert str(err.value).endswith(
                 f"count at least 2^{bits} exceeds guard {limit}"
-                if min(size, 8 - size) >= bits
-                else f"exact count {total} exceeds guard {limit}"
+                if min(size - 1, 8 - size) >= bits
+                else f"exact count {rooted} exceeds guard {limit}"
             )
     # the bound is built from the guard, not from S
     with pytest.raises(GuardExceeded) as err:
@@ -904,6 +905,136 @@ def test_trial_batch_size_does_not_change_successes(monkeypatch, batch):
     monkeypatch.setattr(harness, "_TRIAL_BATCH", batch)
     for streams in (1, 7):
         assert runs(streams) == want, streams
+
+
+# the benchmark's criterion-8 case: 4 first draws a trial, 256 trials a
+# batch, so a window of _CHUNK_WORDS = 8192 values holds 8 batches
+_CRIT8_SPACE, _CRIT8_SPEC = AmbientSpace(2, 1, 2, 2, "hamming"), CodeFamilySpec(1, 2, dim=1)
+
+
+def _window_spy(monkeypatch):
+    # spy: the trial range, value count and returned values of every
+    # evaluator call
+    from codedensity import harness
+
+    windows = []
+    evaluate = harness._philox_bounded
+
+    def spied(seed, trial_ids, bounds, count):
+        values, flagged = evaluate(seed, trial_ids, bounds, count)
+        windows.append((trial_ids, count, values))
+        return values, flagged
+
+    monkeypatch.setattr(harness, "_philox_bounded", spied)
+    return windows
+
+
+def test_first_draws_are_evaluated_once_per_window(monkeypatch):
+    # a window is a run of whole batches of one block, below the trial
+    # count, of at most _CHUNK_WORDS values unless it is a single batch
+    from codedensity import harness
+
+    windows = _window_spy(monkeypatch)
+    batches = _trial_batches(monkeypatch)
+    cases = [
+        (_CRIT8_SPACE, _CRIT8_SPEC),
+        (_REDRAW_SPACE, _REDRAW_SPEC),
+        (_SUBSET_SPACE, _SUBSET_SPEC),
+        # 64 values a trial: one batch of 256 trials alone holds 16384
+        (AmbientSpace(2, 1, 4, 4, "rank"), CodeFamilySpec(1, 2, dim=4)),
+    ]
+    multi = Counter()
+    for space, spec in cases:
+        for trials, streams in ((10001, 1), (10001, 3), (2000, 7), (257, 3), (1, 1)):
+            if space.m == 4 and trials > 2000:
+                continue
+            windows.clear()
+            batches.clear()
+            estimate_density(space, spec, trials=trials, seed=21, worker_streams=streams)
+            blocks = [(b * trials // streams, (b + 1) * trials // streams) for b in range(streams)]
+            assert [i for ids, _, _ in windows for i in ids] == list(range(trials))
+            starts, stops = {a for a, _ in batches}, {b for _, b in batches}
+            for ids, count, _ in windows:
+                assert any(lo <= ids.start and ids.stop <= hi for lo, hi in blocks), (spec, ids)
+                assert ids.start in starts and ids.stop in stops, (spec, ids)
+                if len(ids) * count > harness._CHUNK_WORDS:
+                    assert (ids.start, ids.stop) in batches, (spec, ids)
+                multi[space.m == 4] += sum(ids.start <= a and b <= ids.stop for a, b in batches) > 1
+    assert multi[False] > 20 and multi[True] == 0
+    windows.clear()
+    estimate_density(_CRIT8_SPACE, _CRIT8_SPEC, trials=10000, seed=DEFAULT_SEED)
+    # 10 000 trials make 5 calls, not one per batch of 256
+    assert [(ids.start, ids.stop) for ids, _, _ in windows] == [
+        (0, 2048), (2048, 4096), (4096, 6144), (6144, 8192), (8192, 10000)
+    ]
+    # spaces past 2^32 words draw every subset from the trial's generator
+    windows.clear()
+    estimate_density(AmbientSpace(2, 1, 1, 64, "hamming"), CodeFamilySpec(0, 2, size=12), trials=30)
+    assert windows == []
+
+
+def test_batches_score_views_into_their_window(monkeypatch):
+    # a linear batch's first matrices reach the scorer as a view into the
+    # window's values, not as a copy
+    from codedensity import harness
+
+    windows = _window_spy(monkeypatch)
+    shared = []
+    score = harness._min_weights
+
+    def scored(bases, *rest):
+        shared.append(np.shares_memory(bases, windows[-1][2]))
+        return score(bases, *rest)
+
+    monkeypatch.setattr(harness, "_min_weights", scored)
+    estimate_density(_CRIT8_SPACE, _CRIT8_SPEC, trials=3000, seed=4)
+    assert len(windows) == 2 and shared.count(True) == 12  # 12 batches; redraws are stacked anew
+
+
+def test_windows_leave_successes_unchanged(monkeypatch):
+    # the reference: an evaluator that flags every trial, so each draws its
+    # first values from its own generator
+    from codedensity import harness
+
+    cases = ((_CRIT8_SPACE, _CRIT8_SPEC), (_REDRAW_SPACE, _REDRAW_SPEC), (_SUBSET_SPACE, _SUBSET_SPEC))
+    counts = (1, 255, 257, 10001)
+    run = lambda space, spec, trials, streams=1: estimate_density(
+        space, spec, trials=trials, seed=8, worker_streams=streams
+    ).successes
+    got = {
+        trials: [{run(space, spec, trials, k) for k in (1, 3, 7) if k <= trials} for space, spec in cases]
+        for trials in counts
+    }
+    evaluate = harness._philox_bounded
+
+    def flag_all(seed, trial_ids, bounds, count):
+        values, flagged = evaluate(seed, trial_ids, bounds, count)
+        return np.zeros_like(values), np.ones_like(flagged)
+
+    monkeypatch.setattr(harness, "_philox_bounded", flag_all)
+    for trials in counts:
+        want = [{run(space, spec, trials)} for space, spec in cases]
+        assert got[trials] == want, trials
+    assert 0 < want[0].pop() < 10001 and 0 < want[2].pop() < 10001
+
+
+def test_a_window_shifted_by_one_trial_is_caught(monkeypatch):
+    # negative control: an evaluator that hands each window the draws of the
+    # trials one later fails the linear replay check, and changes the
+    # nonlinear successes
+    from codedensity import harness
+
+    want = estimate_density(_SUBSET_SPACE, _SUBSET_SPEC, trials=600, seed=3).successes
+    evaluate = harness._philox_bounded
+
+    def shifted(seed, trial_ids, bounds, count):
+        return evaluate(seed, range(trial_ids.start + 1, trial_ids.stop + 1), bounds, count)
+
+    monkeypatch.setattr(harness, "_philox_bounded", shifted)
+    for space, spec in ((_CRIT8_SPACE, _CRIT8_SPEC), (_REDRAW_SPACE, _REDRAW_SPEC)):
+        with pytest.raises(RuntimeError, match="disagrees with numpy"):
+            estimate_density(space, spec, trials=600, seed=3)
+    assert estimate_density(_SUBSET_SPACE, _SUBSET_SPEC, trials=600, seed=3).successes != want
 
 
 def test_pooled_generators_are_distinct_within_a_batch(monkeypatch):
