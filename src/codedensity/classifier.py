@@ -237,11 +237,7 @@ def _classify_linear(sc: Scenario) -> Classification:
     ell = 1 if sc.growing == "ell" else sc.ell
     source = f"exponent comparison, linear, growing {sc.growing}"
     if sc.family == GV:
-        # once d - 1 reaches the diameter no code of dimension >= 1 has
-        # distance d, and every probe's bracket is [0, 0]
-        diameter = _eventual_diameter(sc, ell)
-        if diameter is not None and sc.d > diameter:
-            raise ValueError("Gilbert-Varshamov family needs d - 1 below the diameter")
+        _refuse_gv_past_diameter(sc, ell)
         # cardinality pinned to q^(ell*ns) / v: the ratio is exactly q^(-ell)
         if sc.growing == "ell":
             ratio = _exponential(sc, Fraction(-1), Fraction(0))
@@ -254,6 +250,14 @@ def _classify_linear(sc: Scenario) -> Classification:
     vol = volume_growth(_template_space(sc, ell), sc.d - 1, sc.growing)
     ratio = vol / _exponential(sc, comp_slope, comp_intercept)
     return _verdict_from_ratio(ratio, sc, osc_max, _linear_upper, source)
+
+
+def _refuse_gv_past_diameter(sc: Scenario, ell: int) -> None:
+    """Once d - 1 reaches the diameter no code of two or more words has
+    distance d, and every probe's bracket is [0, 0]: no GV family exists."""
+    diameter = _eventual_diameter(sc, ell)
+    if diameter is not None and sc.d > diameter:
+        raise ValueError("Gilbert-Varshamov family needs d - 1 below the diameter")
 
 
 def _eventual_diameter(sc: Scenario, ell: int) -> int | None:
@@ -371,8 +375,7 @@ def _classify_nonlinear(sc: Scenario) -> Classification:
     )
     vol = volume_growth(space, sc.d - 1, sc.growing)
     if sc.family == GV:
-        if sc.growing == "q" and sc.d - 1 >= space.diameter:
-            raise ValueError("Gilbert-Varshamov family needs d - 1 below the diameter")
+        _refuse_gv_past_diameter(sc, 1)
         return _verdict_from_ratio(ambient / vol, sc, 0, _nonlinear_upper, source)
     size = _nonlinear_size(sc, space)
     ratio = vol * (size * size) / ambient

@@ -79,13 +79,11 @@ def _document(command: str, config: dict, result, seed=None, approx=None) -> str
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_output(command: str, config: dict, header: list[str], rows, seed=None) -> str:
+def _csv_output(command: str, config: dict, header: list[str], rows) -> str:
     buf = io.StringIO()
     buf.write(f"# tool: codedensity {__version__}\n")
     buf.write(f"# command: {command}\n")
     buf.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-    if seed is not None:
-        buf.write(f"# seed: {seed}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
@@ -336,8 +334,7 @@ def _cmd_classify(args, guards: Guards) -> int:
 
 def _cmd_region(args, guards: Guards) -> int:
     cells = msrd_eta_region(args.t_max, args.eta_max)
-    rows = [(t, eta, label) for t, eta, label in cells]
-    _emit(_csv_output("region", _config_of(args), ["t", "eta", "verdict"], rows), args.output)
+    _emit(_csv_output("region", _config_of(args), ["t", "eta", "verdict"], cells), args.output)
     return 0
 
 

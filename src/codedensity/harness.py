@@ -16,19 +16,22 @@ all.  Draws it cannot follow, and every redraw, come from the trial's
 generator.
 Confidence intervals are exact Clopper-Pearson bounds on a dyadic rational
 grid of width 2^-21 (< 10^-6), rounded outward so coverage is never
-understated.  Each endpoint is the last grid point where a monotone binomial
-tail comparison holds.  A float64 tail, summed over a window around its
-largest term, guesses that point, and exact comparisons at the guess and its
-neighbour confirm it, galloping and bisecting outward when either check
-fails, so the guess never changes the result.  Each comparison first encloses the tail in fixed-point integers with
-directed rounding and falls back to the exact integer sum only when the
-threshold lies inside the enclosure.  It sums the side of the distribution
-whose threshold is at most 1/2, the tail itself or its complement, so the
-enclosure keeps its relative precision at levels close to 1.  The
-enclosure's start term C(n, x) a^x b^(n-x), an integer of about 21n bits, is
-never formed: it is held between a lower and an upper bound with mantissas
-of 2*_TAIL_BITS bits, so 10^5 or 10^6 trials need no quadratic-time division
-of integers that size.
+understated.  There is one endpoint search: the lower endpoint is the last
+grid point where the upper tail P(X >= x) is at most alpha/2, and the upper
+endpoint is one minus the lower endpoint of n - x successes, since
+P(X <= x | p) = P(n - X >= n - x | 1 - p) and the grid is symmetric about
+1/2.  So every comparison is of an upper tail with alpha/2 < 1/2, which
+keeps its relative precision at levels close to 1.  A float64 tail, summed
+over a window around its largest term, guesses the endpoint, and exact
+comparisons at the guess and its neighbour confirm it, galloping and
+bisecting outward when either check fails, so the guess never changes the
+result.  Each comparison first encloses the tail in fixed-point integers
+with directed rounding and falls back to the exact integer sum only when
+alpha/2 lies inside the enclosure.  The enclosure's start term
+C(n, x) a^x b^(n-x), an integer of about 21n bits, is never formed: it is
+held between a lower and an upper bound with mantissas of 2*_TAIL_BITS
+bits, so 10^5 or 10^6 trials need no quadratic-time division of integers
+that size.
 
 A word has one index, the integer whose j-th base-q^m digit is the word's
 j-th coordinate, and ``metrics._flat_weight_table`` is indexed by it.
@@ -631,30 +634,6 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _ge_tail_cmp(
-    n: int, x: int, num: int, den: int, t_num: int, t_den: int, binoms: dict | None = None
-) -> int:
-    """Exact sign of P(X >= x | p = num/den) - t_num/t_den, X ~ Bin(n, p).
-
-    A fixed-point enclosure of the tail decides the sign whenever the
-    threshold lies outside it; the exact sum runs only when it lies inside.
-    ``binoms`` keeps the enclosure's binomial bounds between calls on the
-    same n, as ``clopper_pearson`` does for one interval's comparisons.
-    """
-    if x <= 0 or num >= den:
-        return _cmp(t_den, t_num)  # tail probability is 1
-    if x > n or num <= 0:
-        return _cmp(0, t_num)  # tail probability is 0
-    if 2 * t_num <= t_den:
-        side, flip = (n, x, num, den - num, t_num, t_den), 1
-    else:
-        # sum the complement instead: P(X >= x) = 1 - P(n - X >= n - x + 1),
-        # where n - X ~ Bin(n, 1 - p), against the threshold 1 - t < 1/2
-        side, flip = (n, n - x + 1, den - num, num, t_den - t_num, t_den), -1
-    sign = _enclosed_tail_cmp(*side, {} if binoms is None else binoms)
-    return flip * (_exact_ge_tail_cmp(*side) if sign is None else sign)
-
-
 def _mul_bound(u: tuple[int, int], v: tuple[int, int], up: bool) -> tuple[int, int]:
     """The product of u = (m, e) and v, each meaning m * 2^e, with its
     mantissa cut to at most _START_BITS bits, rounded down or up."""
@@ -709,45 +688,36 @@ def _binom_bounds(n: int, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return bounds[0], bounds[1]
 
 
-def _enclosed_tail_cmp(
-    n: int, x: int, a: int, b: int, t_num: int, t_den: int, binoms: dict
-) -> int | None:
-    """Sign of P(X >= x) - t_num/t_den for X ~ Bin(n, a/(a+b)), a, b >= 1 and
-    1 <= x <= n, or None when the enclosure cannot decide it.
+def _tail_cmp(n: int, x: int, g: int, t: Fraction, binom: tuple) -> int:
+    """Exact sign of P(X >= x) - t for X ~ Bin(n, g/2^_CP_BITS), with
+    1 <= x <= n and 0 < g < 2^_CP_BITS; ``binom`` is ``_binom_bounds(n, x)``
+    or ``_binom_bounds(n, n - x)``, bounds on the same C(n, x).
 
-    With T_j = P(X = j), the tail exceeds t iff sum_{j >= x} T_j/T_x exceeds
-    theta = t / T_x = t (a+b)^n / start, start = C(n, x) a^x b^(n-x).  Neither
-    start nor (a+b)^n is formed: each is bounded by mantissas of at most
-    _START_BITS bits rounded down or up (exactly for (a+b)^n when a + b is a
-    power of two), and the bounds on C(n, x) are kept in ``binoms`` by
-    (n, min(x, n - x)).  That gives theta_lo and theta_hi, the ceiling of a
-    lower bound and the floor of an upper bound on theta on the
+    With a = g, b = 2^_CP_BITS - g and T_j = P(X = j), the tail exceeds t iff
+    sum_{j >= x} T_j/T_x exceeds theta = t (a+b)^n / start, where
+    start = C(n, x) a^x b^(n-x) and (a+b)^n is a shift by _CP_BITS*n bits.
+    start is never formed: it is bounded by mantissas of at most _START_BITS
+    bits rounded down or up.  That gives theta_lo and theta_hi, the ceiling
+    of a lower bound and the floor of an upper bound on theta on the
     2^-_TAIL_BITS scale; an integer is below theta_lo only if it is below
     theta, and above theta_hi only if it is above.  The ratios T_j/T_x
     follow the term-ratio recurrence on that scale, rounded down for the
     lower sum and up for the upper one, so both sums enclose the exact one.
+    The exact integer sum runs only when t lies inside the enclosure.
     """
-    if t_num <= 0:
-        return 1  # the tail is positive
-    key = (n, min(x, n - x))
-    if key not in binoms:
-        binoms[key] = _binom_bounds(*key)
+    b = (1 << _CP_BITS) - g
     start_lo, start_hi = (
-        _mul_bound(_mul_bound(binoms[key][up], _pow_bound(a, x, up), up), _pow_bound(b, n - x, up), up)
+        _mul_bound(_mul_bound(binom[up], _pow_bound(g, x, up), up), _pow_bound(b, n - x, up), up)
         for up in (False, True)
     )
-    total_lo, total_hi = (_pow_bound(a + b, n, up) for up in (False, True))
-    theta_lo = _scaled_quotient(
-        t_num * total_lo[0], t_den * start_hi[0], total_lo[1] - start_hi[1] + _TAIL_BITS, True
-    )
-    theta_hi = _scaled_quotient(
-        t_num * total_hi[0], t_den * start_lo[0], total_hi[1] - start_lo[1] + _TAIL_BITS, False
-    )
+    shift = _CP_BITS * n + _TAIL_BITS
+    theta_lo = _scaled_quotient(t.numerator, t.denominator * start_hi[0], shift - start_hi[1], True)
+    theta_hi = _scaled_quotient(t.numerator, t.denominator * start_lo[0], shift - start_lo[1], False)
     term_lo = term_hi = sum_lo = sum_hi = 1 << _TAIL_BITS
     for j in range(x, n):
         if sum_lo > theta_hi:
             return 1
-        num_r = (n - j) * a
+        num_r = (n - j) * g
         den_r = (j + 1) * b
         if num_r < den_r:
             # terms now decay geometrically with ratio num_r/den_r, so the
@@ -755,7 +725,7 @@ def _enclosed_tail_cmp(
             if sum_hi + _ceil_div(term_hi * num_r, den_r - num_r) < theta_lo:
                 return -1
             if term_lo == 0:
-                return None  # the lower sum has stopped growing
+                return _exact_tail_cmp(n, x, g, t)  # the lower sum has stopped growing
         term_lo = term_lo * num_r // den_r
         term_hi = _ceil_div(term_hi * num_r, den_r)
         sum_lo += term_lo
@@ -764,26 +734,27 @@ def _enclosed_tail_cmp(
         return 1
     if sum_hi < theta_lo:
         return -1
-    return None
+    return _exact_tail_cmp(n, x, g, t)
 
 
-def _exact_ge_tail_cmp(n: int, x: int, a: int, b: int, t_num: int, t_den: int) -> int:
-    """``_enclosed_tail_cmp`` decided exactly: the terms
-    T_j * (a+b)^n = C(n, j) a^j b^(n-j) follow the same term-ratio
+def _exact_tail_cmp(n: int, x: int, g: int, t: Fraction) -> int:
+    """``_tail_cmp`` decided exactly: the terms
+    T_j * 2^(_CP_BITS*n) = C(n, j) a^j b^(n-j) follow the same term-ratio
     recurrence in integers, where every division is exact."""
-    term = total = math.comb(n, x) * a**x * b ** (n - x)
+    b = (1 << _CP_BITS) - g
+    term = total = math.comb(n, x) * g**x * b ** (n - x)
     for j in range(x, n):
-        term = term * (n - j) * a // ((j + 1) * b)
+        term = term * (n - j) * g // ((j + 1) * b)
         total += term
-    return _cmp(total * t_den, t_num * (a + b) ** n)
+    return _cmp(total * t.denominator, t.numerator << (_CP_BITS * n))
 
 
-def _log_mass(n: int, lo: int, hi: int, p: float, log_fact: np.ndarray) -> float:
-    """log P(lo <= X <= hi | p) in float64, X ~ Bin(n, p), 0 < p < 1;
+def _log_tail(n: int, x: int, p: float, log_fact: np.ndarray) -> float:
+    """log P(X >= x | p) in float64, X ~ Bin(n, p), 0 < p < 1, x <= n;
     ``log_fact[i]`` is log i!.
 
     Only a window of outcomes is summed: the mode plus and minus 16 + 12
-    standard deviations, clamped to [lo, hi].  The terms are log-concave in
+    standard deviations, clamped to [x, n].  The terms are log-concave in
     j, so every term past a window edge is smaller than the edge term, and
     an edge term is below the largest by a factor of at most e^-64: about
     e^-72 where the terms are near Gaussian, while the 16 extra steps cover
@@ -793,9 +764,9 @@ def _log_mass(n: int, lo: int, hi: int, p: float, log_fact: np.ndarray) -> float
     which a float64 sum cannot resolve.
     """
     log_p, log_q = math.log(p), math.log1p(-p)
-    centre = min(max(math.floor((n + 1) * p), lo), hi)
+    centre = min(max(math.floor((n + 1) * p), x), n)
     width = 16 + math.ceil(12 * math.sqrt(n * p * (1 - p)))
-    j = np.arange(max(lo, centre - width), min(hi, centre + width) + 1)
+    j = np.arange(max(x, centre - width), min(n, centre + width) + 1)
     terms = log_fact[n] - log_fact[j] - log_fact[n - j] + j * log_p + (n - j) * log_q
     top = terms.max()
     return top + math.log(np.exp(terms - top).sum())
@@ -834,6 +805,19 @@ def _last_true(pred, guess: int, end: int) -> int:
     return _bisect(pred, lo, hi)
 
 
+def _lower_endpoint(n: int, x: int, half: Fraction, binom: tuple, log_fact: np.ndarray) -> Fraction:
+    """The largest grid point g/2^_CP_BITS with P(X >= x | g/2^_CP_BITS)
+    <= alpha/2 = ``half``, X ~ Bin(n, p): the tail increases in p, so that
+    is the last point of the grid where the comparison holds."""
+    if x == 0:
+        return Fraction(0)
+    den = 1 << _CP_BITS
+    log_half = math.log(half.numerator) - math.log(half.denominator)
+    guess = _bisect(lambda g: _log_tail(n, x, g / den, log_fact) <= log_half, 0, den)
+    holds = lambda g: g == 0 or _tail_cmp(n, x, g, half, binom) <= 0  # the tail is 0 at g = 0
+    return Fraction(_last_true(holds, guess, den), den)
+
+
 def clopper_pearson(successes: int, trials: int, level: Fraction) -> tuple[Fraction, Fraction]:
     """Exact two-sided Clopper-Pearson interval, endpoints rounded outward
     onto the dyadic grid of width 2^-21."""
@@ -844,29 +828,13 @@ def clopper_pearson(successes: int, trials: int, level: Fraction) -> tuple[Fract
         raise ValueError("confidence level must lie strictly between 0 and 1")
     n, x = trials, successes
     half = (1 - level) / 2
-    comp = 1 - half
-    den = 1 << _CP_BITS
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
-    binoms: dict = {}  # the enclosures' bounds on C(n, x), shared by both endpoints
-    log_half = math.log(half.numerator) - math.log(half.denominator)
-    # the float64 guesses compare a tail with alpha/2, never with 1 - alpha/2,
-    # so they keep their relative precision when alpha is tiny
-    if x == 0:
-        lower = Fraction(0)
-    else:
-        # P(X >= x | p) is increasing in p; keep the largest grid point where
-        # it still does not exceed alpha/2
-        guess = _bisect(lambda g: _log_mass(n, x, n, g / den, log_fact) <= log_half, 0, den)
-        holds = lambda g: _ge_tail_cmp(n, x, g, den, half.numerator, half.denominator, binoms) <= 0
-        lower = Fraction(_last_true(holds, guess, den), den)
-    if x == n:
-        upper = Fraction(1)
-    else:
-        # P(X <= x | p) <= alpha/2  <=>  P(X >= x+1 | p) >= 1 - alpha/2; the
-        # upper endpoint is the grid point after the last one where it fails
-        guess = _bisect(lambda g: _log_mass(n, 0, x, g / den, log_fact) > log_half, 0, den)
-        fails = lambda g: _ge_tail_cmp(n, x + 1, g, den, comp.numerator, comp.denominator, binoms) < 0
-        upper = Fraction(_last_true(fails, guess, den) + 1, den)
+    binom = _binom_bounds(n, min(x, n - x))  # C(n, x) = C(n, n - x) serves both endpoints
+    # the upper endpoint is the smallest grid point p with P(X <= x | p)
+    # <= alpha/2, and P(X <= x | p) = P(n - X >= n - x | 1 - p) on a grid
+    # symmetric about 1/2: one minus the lower endpoint of n - x successes
+    lower = _lower_endpoint(n, x, half, binom, log_fact)
+    upper = 1 - _lower_endpoint(n, n - x, half, binom, log_fact)
     return lower, upper
 
 

@@ -394,6 +394,31 @@ def test_generic_agrees_with_specialized_thresholds():
     assert checked > 300
 
 
+def test_nonlinear_gv_generic_agrees_with_specialized():
+    # wherever classify answers a nonlinear GV scenario it agrees with the
+    # closed form; a family whose d - 1 reaches the eventual diameter is
+    # refused instead of answered
+    import itertools
+
+    checked = refused = 0
+    for metric, s, d in itertools.product(("hamming", "rank"), range(1, 5), range(2, 9)):
+        scenarios = [Scenario(metric, "n", "gv", d, ell=0, q=q, s=s) for q in (2, 3, 4)]
+        scenarios += [Scenario(metric, "q", "gv", d, ell=0, n=n, s=s) for n in range(1, 5)]
+        for sc in scenarios:
+            try:
+                got = classify(sc)
+            except ValueError:
+                refused += 1
+                continue
+            expected = specialized_verdict(sc)
+            if expected is None:
+                continue
+            checked += 1
+            assert got.verdict == expected.verdict, (sc, got, expected)
+            assert got.upper_bound == expected.upper_bound, (sc, got, expected)
+    assert checked == 140 and refused > 0
+
+
 def test_quasi_sumrank_branch_agreement():
     # eta above m exercises the quasi dimension k = floor(eta(tm-d+1)/ell);
     # theta - r = 1 - 1 = 0 below ell = 2, so both routes say dense

@@ -134,6 +134,13 @@ _GV_REFUSAL = "Gilbert-Varshamov family needs d - 1 below the diameter"
             _GV_REFUSAL,
             "d=4 out of range [1, 3]",
         ),
+        # nonlinear: d - 1 = 2 reaches the eventual rank diameter m = s = 2
+        (
+            ("--family", "gv", "--metric", "rank", "--growing", "n", "--ell", "0", "--q", "2",
+             "--s", "2", "--d", "3"),
+            _GV_REFUSAL,
+            "existence-bound family collapses at probe 2",
+        ),
         (
             ("--family", "custom", "--metric", "hamming", "--growing", "q", "--ell", "1", "--n", "3",
              "--s", "1", "--d", "2", "--k-slope", "0", "--k-intercept", "5/2"),
