@@ -25,7 +25,7 @@ from .classifier import (
     ratio_probe,
     specialized_verdict,
 )
-from .combinat import Enclosure, binom, compositions, euler_pi, qbinom
+from .combinat import binom, compositions, qbinom
 from .fields import (
     FieldTower,
     SubspaceBasis,
@@ -62,7 +62,6 @@ __all__ = [
     "CodeFamilySpec",
     "DEFAULT_SEED",
     "DensityBracket",
-    "Enclosure",
     "FieldTower",
     "GrowthProfile",
     "Guards",
@@ -85,7 +84,6 @@ __all__ = [
     "convergence_experiment",
     "enumerate_subspaces",
     "estimate_density",
-    "euler_pi",
     "exact_density",
     "gv_cardinality",
     "max_linear_dimension",

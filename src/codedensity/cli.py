@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import sys
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 from . import __version__
@@ -50,16 +50,48 @@ from .metrics import AmbientSpace, ball_volume, ball_volume_oracle
 _METRICS = ("hamming", "rank", "sumrank")
 
 
+def _exact_decimal(value: int) -> Decimal:
+    """``Decimal(value)`` in subquadratic time, where CPython before 3.12
+    converts ints to decimal in quadratic time.
+
+    The magnitude is split in half by bits, down to pieces of about 4096
+    bits that convert directly, and the halves are rejoined as
+    hi * 2^w + lo by exact Decimal multiply-adds, whose cost is that of
+    libmpdec's fast multiplication.  The context has room for any result and
+    traps Inexact, so a rounding would raise instead of passing unseen.
+    """
+    powers: dict[int, Decimal] = {}
+
+    def power(w: int) -> Decimal:  # 2^w, each width computed once
+        if w not in powers:
+            powers[w] = Decimal(1 << w) if w <= 4096 else power(w // 2) * power(w - w // 2)
+        return powers[w]
+
+    def join(v: int, w: int) -> Decimal:  # 0 <= v < 2^w
+        if w <= 4096:
+            return Decimal(v)
+        half = w // 2
+        hi = v >> half
+        return ctx.fma(join(hi, w - half), power(half), join(v - (hi << half), half))
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = MAX_PREC, MAX_EMAX, MIN_EMIN
+        ctx.traps[Inexact] = True
+        magnitude = join(abs(value), value.bit_length())
+        return -magnitude if value < 0 else magnitude
+
+
 def _fmt(value, approx: int | None):
     if isinstance(value, Fraction):
         if value.denominator == 1:
-            return str(value.numerator)
+            return str(_exact_decimal(value.numerator))
         if approx is None:
-            return f"{value.numerator}/{value.denominator}"
+            return f"{_exact_decimal(value.numerator)}/{_exact_decimal(value.denominator)}"
         with localcontext() as ctx:
             ctx.prec = approx + 10
             quantum = Decimal(1).scaleb(-approx)
-            return str((Decimal(value.numerator) / Decimal(value.denominator)).quantize(quantum))
+            ratio = _exact_decimal(value.numerator) / _exact_decimal(value.denominator)
+            return str(ratio.quantize(quantum))
     if isinstance(value, dict):
         return {k: _fmt(v, approx) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -189,7 +221,7 @@ def _cmd_qbinom(args, guards: Guards) -> int:
     # [a, b]_q < 4 q^(b (a - b)), so b (a - b) bits(q) bounds its bits but for
     # a couple of bits
     _hold_output_bits(args.b * (args.a - args.b) * args.base.bit_length())
-    _emit(f"{qbinom(args.a, args.b, args.base)}\n", args.output)
+    _emit(f"{_exact_decimal(qbinom(args.a, args.b, args.base))}\n", args.output)
     return 0
 
 

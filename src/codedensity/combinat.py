@@ -1,10 +1,8 @@
 """Exact arbitrary-precision combinatorics.
 
-Binomials, Gaussian (q-ary) binomials, the infinite product
-``pi(q) = prod_{i>=1} q^i / (q^i - 1)`` as a rational interval enclosure, and
-lazy enumeration of bounded integer compositions.  Everything here is exact:
-counts are Python ints, ratios are ``fractions.Fraction``, and ``pi(q)`` is
-only ever exposed as an enclosure because the product does not terminate.
+Binomials, Gaussian (q-ary) binomials, lazy enumeration of bounded integer
+compositions, and primality and prime-power tests.  Everything here is
+exact: counts are Python ints.
 
 Gaussian binomials are products of cyclotomic values Phi_j(q), each found
 by one small exact division and multiplied as a balanced tree, so no
@@ -14,15 +12,11 @@ division touches the full result, which at paper scale runs to ~10^5 digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 __all__ = [
-    "Enclosure",
     "binom",
     "qbinom",
-    "euler_pi",
     "compositions",
     "is_prime",
     "prime_power",
@@ -88,51 +82,6 @@ def _cyclotomic_value(j: int, base: int) -> int:
     if rem:
         raise ArithmeticError(f"inexact division in Phi_{j}({base})")
     return value
-
-
-@dataclass(frozen=True)
-class Enclosure:
-    """A rational interval [lo, hi] guaranteed to contain a real value."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"empty enclosure: lo={self.lo} > hi={self.hi}")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, value: Fraction | int) -> bool:
-        return self.lo <= value <= self.hi
-
-
-def euler_pi(q: int, width: Fraction | int) -> Enclosure:
-    """Enclosure of pi(q) = prod_{i>=1} q^i/(q^i - 1), with hi - lo <= width.
-
-    The product is truncated at index N; the tail satisfies
-    log(tail) <= sum_{i>N} 2 q^{-i} <= 4 q^{-(N+1)} because each factor
-    1/(1 - q^{-i}) is at most exp(2 q^{-i}) for q >= 2, so
-    tail <= 1 / (1 - 4 q^{-(N+1)}) once that bound is below 1.
-    """
-    if q < 2:
-        raise ValueError(f"euler_pi requires q >= 2, got q={q}")
-    width = Fraction(width)
-    if width <= 0:
-        raise ValueError(f"euler_pi requires width > 0, got {width}")
-    partial = Fraction(1)
-    n = 0
-    while True:
-        n += 1
-        partial *= Fraction(q**n, q**n - 1)
-        eps = Fraction(4, q ** (n + 1))
-        if eps >= 1:
-            continue
-        hi = partial / (1 - eps)
-        if hi - partial <= width:
-            return Enclosure(partial, hi)
 
 
 def compositions(r: int, t: int, cap: int) -> Iterator[tuple[int, ...]]:

@@ -13,7 +13,12 @@ computed by ``_philox_bounded``, which evaluates the same Philox streams and
 numpy's bounded-integer method over a whole window of batches at once: whole
 consecutive batches of one block, holding at most _CHUNK_WORDS values in
 all.  Draws it cannot follow, and every redraw, come from the trial's
-generator.
+generator.  A linear trial whose evaluated first matrix scores 0 makes one
+call on its still-fresh generator for two matrices: the replay of the first,
+checked against it, and its second attempt.  numpy draws each bounded value
+from the bit generator's own uint32 stream, so that call gives exactly what
+two calls of one matrix each would.  Each redraw round scores the batch's
+redrawn rows in place.
 Confidence intervals are exact Clopper-Pearson bounds on a dyadic rational
 grid of width 2^-21 (< 10^-6), rounded outward so coverage is never
 understated.  There is one endpoint search: the lower endpoint is the last
@@ -415,11 +420,15 @@ def _linear_successes(
     ``_philox_bounded`` call per window of batches, at most _CHUNK_WORDS
     entries unless one batch holds more; a trial it flags draws its first
     matrix from its own generator.  A draw that scores 0 is redrawn from its
-    own trial's stream, and a trial whose first matrix came from the
-    evaluator first replays that matrix on its still-fresh generator, which
-    must give the same matrix.  The weight-table guard is checked before the
-    tower is built.  The evaluator takes middle fields of up to 2^32
-    elements, far past any weight table that fits in memory.
+    own trial's stream.  A trial whose first matrix came from the evaluator
+    draws two matrices in one call on its still-fresh generator: the first
+    must equal the evaluated one, checked for the whole batch at once, and
+    the second is its second attempt.  The attempts go into the batch's
+    block of matrices, and each round scores the rows still at 0 from there;
+    only the trials that score 0 again draw once more.  The weight-table
+    guard is checked before the tower is built.  The evaluator takes middle
+    fields of up to 2^32 elements, far past any weight table that fits in
+    memory.
     """
     _check_linearity(space, spec.linearity)
     _hold_table_size(space, guards.enumeration)
@@ -433,11 +442,23 @@ def _linear_successes(
         for j in np.flatnonzero(flagged):
             drawn[j] = draw(gens[j])
         weights = score(drawn)
-        for j in np.flatnonzero((weights == 0) & ~flagged):
-            if not np.array_equal(draw(gens[j]), drawn[j]):
-                raise RuntimeError(f"Philox evaluator disagrees with numpy on trial {trial_ids[j]}")
-        while (redraw := np.flatnonzero(weights == 0)).size:
-            weights[redraw] = score(np.stack([draw(gens[j]) for j in redraw]))
+        redraw = np.flatnonzero(weights == 0)
+        # an evaluated trial's generator is still fresh: one call gives the
+        # replay of its first matrix and its second attempt
+        replay = redraw[~flagged[redraw]]
+        pairs = np.array([_draw_matrix(gens[j], 2 * k, tower, space.n) for j in replay])
+        pairs = pairs.reshape(-1, 2, k, ns)
+        if (differ := (pairs[:, 0] != drawn[replay]).any(axis=(1, 2))).any():
+            lowest = trial_ids[replay[differ.argmax()]]
+            raise RuntimeError(f"Philox evaluator disagrees with numpy on trial {lowest}")
+        drawn[replay] = pairs[:, 1]
+        for j in redraw[flagged[redraw]]:
+            drawn[j] = draw(gens[j])
+        while redraw.size:
+            weights[redraw] = score(drawn[redraw])
+            redraw = redraw[weights[redraw] == 0]
+            for j in redraw:
+                drawn[j] = draw(gens[j])
         return int(np.count_nonzero(weights >= spec.d))
 
     batch = min(per_chunk, _TRIAL_BATCH)

@@ -426,6 +426,32 @@ def test_qbinom_prints_integers_of_any_size(capsys):
     assert value == expected
 
 
+def test_exact_decimal_matches_the_builtin_conversion():
+    # the halving conversion against Decimal(int), at the 4096-bit piece
+    # size, its neighbours and several levels of halving, with both signs;
+    # fractions past the piece size print the digits the builtin gives on
+    # the exact and the --approx paths
+    import random
+    from decimal import Decimal, localcontext
+    from fractions import Fraction
+
+    from codedensity.cli import _exact_decimal, _fmt
+
+    rng = random.Random(24)
+    values = [0, 1, 4096]
+    for bits in (4095, 4096, 4097, 8193, 3 * 4096 + 5, 40000):
+        values += [(1 << bits) - 1, 1 << bits, rng.getrandbits(bits) | 1]
+    for v in values + [-v for v in values]:
+        assert _exact_decimal(v).as_tuple() == Decimal(v).as_tuple(), v.bit_length()
+    for a, b in zip(values[3::3], values[5::3]):
+        x = Fraction(a, b + 2)
+        assert _fmt(x, None) == f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+        with localcontext() as ctx:
+            ctx.prec = 40
+            want = str((Decimal(x.numerator) / Decimal(x.denominator)).quantize(Decimal(1).scaleb(-30)))
+        assert _fmt(x, 30) == want
+
+
 def test_subset_walk_past_the_guard_is_refused_from_a_bound(capsys, monkeypatch):
     # C(2^21, 2^20 + 1) has 631 303 digits and took most of a minute to
     # compute: 2^min(S, N-S) already exceeds the guard, so it is never built

@@ -4,17 +4,16 @@ pi(q) enclosure, and bounded compositions."""
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from codedensity import combinat
 from codedensity.combinat import (
-    Enclosure,
     _cyclotomic_value,
     binom,
     compositions,
-    euler_pi,
     is_prime,
     prime_power,
     qbinom,
@@ -192,6 +191,54 @@ def test_compositions_total_over_r():
 
 def test_compositions_empty_when_r_too_large():
     assert list(compositions(7, 3, 2)) == []
+
+
+# pi(q) = prod_{i>=1} q^i/(q^i - 1), the tests' own reference for qbinom at
+# large n, held as a rational interval because the product does not terminate
+@dataclass(frozen=True)
+class Enclosure:
+    """A rational interval [lo, hi] guaranteed to contain a real value."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self) -> None:
+        if self.lo > self.hi:
+            raise ValueError(f"empty enclosure: lo={self.lo} > hi={self.hi}")
+
+    @property
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    def contains(self, value: Fraction | int) -> bool:
+        return self.lo <= value <= self.hi
+
+
+def euler_pi(q: int, width: Fraction | int) -> Enclosure:
+    """Enclosure of pi(q) = prod_{i>=1} q^i/(q^i - 1), with hi - lo <= width:
+    the limit of [2n, n]_q / q^(n^2), a reference for ``qbinom`` at large n.
+
+    The product is truncated at index N; the tail satisfies
+    log(tail) <= sum_{i>N} 2 q^{-i} <= 4 q^{-(N+1)} because each factor
+    1/(1 - q^{-i}) is at most exp(2 q^{-i}) for q >= 2, so
+    tail <= 1 / (1 - 4 q^{-(N+1)}) once that bound is below 1.
+    """
+    if q < 2:
+        raise ValueError(f"euler_pi requires q >= 2, got q={q}")
+    width = Fraction(width)
+    if width <= 0:
+        raise ValueError(f"euler_pi requires width > 0, got {width}")
+    partial = Fraction(1)
+    n = 0
+    while True:
+        n += 1
+        partial *= Fraction(q**n, q**n - 1)
+        eps = Fraction(4, q ** (n + 1))
+        if eps >= 1:
+            continue
+        hi = partial / (1 - eps)
+        if hi - partial <= width:
+            return Enclosure(partial, hi)
 
 
 def test_euler_pi_width_and_value():

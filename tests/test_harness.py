@@ -939,6 +939,171 @@ def test_flagged_trials_draw_from_their_own_generators(monkeypatch):
     assert runs() == want
 
 
+@pytest.mark.parametrize("bound", [2, 3, 9, 2**31 + 1, 2**32])
+def test_one_call_for_two_attempts_equals_two_calls(bound):
+    # a zero-scored trial draws its replay and its second attempt in one
+    # call: numpy takes each bounded value below 2^32 from the bit
+    # generator's own uint32 stream, so one call of 2c values hands out what
+    # two calls of c values do and leaves the generator where they leave it
+    from codedensity.harness import trial_generator
+
+    for seed, trial in ((0, 0), (1733, 5), (2**64 - 1, 2**63 + 1)):
+        for count in (1, 3, 4, 5, 36):
+            once, twice = trial_generator(seed, trial), trial_generator(seed, trial)
+            pair = once.integers(0, bound, size=2 * count)
+            halves = [twice.integers(0, bound, size=count) for _ in range(2)]
+            assert pair.tolist() == np.concatenate(halves).tolist(), (seed, trial, count)
+            assert _philox_fields(once) == _philox_fields(twice), (seed, trial, count)
+            assert once.integers(0, bound, 9).tolist() == twice.integers(0, bound, 9).tolist()
+
+
+def _one_matrix_per_call_successes(space, spec, trials, seed, worker_streams):
+    # the reference: the linear trial loop with one generator call per
+    # matrix; each zero-scored evaluated trial replays its first matrix in a
+    # call of its own, and each redraw round stacks one new matrix a trial
+    from codedensity import harness
+    from codedensity.fields import _draw_matrix
+
+    tower = harness.space_tower(space, spec.linearity)
+    score, per_chunk = harness._scorer(space, tower, spec.dim, Guards())
+    k, ns = spec.dim, space.n * tower.s
+    draw = lambda gen: _draw_matrix(gen, k, tower, space.n)
+
+    def score_batch(trial_ids, gens, first):
+        drawn, flagged = first[0].reshape(-1, k, ns), first[1]
+        for j in np.flatnonzero(flagged):
+            drawn[j] = draw(gens[j])
+        weights = score(drawn)
+        for j in np.flatnonzero((weights == 0) & ~flagged):
+            if not np.array_equal(draw(gens[j]), drawn[j]):
+                raise RuntimeError(f"Philox evaluator disagrees with numpy on trial {trial_ids[j]}")
+        while (redraw := np.flatnonzero(weights == 0)).size:
+            weights[redraw] = score(np.stack([draw(gens[j]) for j in redraw]))
+        return int(np.count_nonzero(weights >= spec.d))
+
+    batch = min(per_chunk, harness._TRIAL_BATCH)
+    first_draws = (tower.subfield_order, k * ns)
+    return harness._trial_successes(trials, seed, worker_streams, batch, score_batch, first_draws)
+
+
+# linear cases where many draws are rank-deficient: k = ns = 4 over F_2
+# (about 69 % of first draws are singular), k = 3 and 1 in F_2^4, k = 2 in
+# F_3^2 and F_3^3, F_9-linear rank codes and F_4-linear sum-rank codes
+_SINGULAR_CASES = (
+    (AmbientSpace(2, 1, 1, 4, "hamming"), CodeFamilySpec(1, 1, dim=4)),
+    (AmbientSpace(2, 1, 1, 4, "hamming"), CodeFamilySpec(1, 2, dim=3)),
+    (AmbientSpace(2, 1, 1, 4, "hamming"), CodeFamilySpec(1, 2, dim=1)),
+    (AmbientSpace(3, 1, 1, 2, "hamming"), CodeFamilySpec(1, 1, dim=2)),
+    (AmbientSpace(3, 1, 1, 3, "hamming"), CodeFamilySpec(1, 2, dim=2)),
+    (AmbientSpace(3, 2, 1, 2, "rank"), CodeFamilySpec(2, 2, dim=1)),
+    (AmbientSpace(2, 2, 1, 4, "sumrank", t=2), CodeFamilySpec(2, 2, dim=2)),
+)
+
+
+@pytest.mark.parametrize("batch,chunk", [(256, 1 << 13), (5, 200)])
+@pytest.mark.parametrize("space,spec", _SINGULAR_CASES)
+def test_paired_redraws_match_one_matrix_per_call(monkeypatch, space, spec, batch, chunk):
+    # every matrix the scorer sees, in order, and the successes agree with
+    # the reference; small batches and chunks put several batches in a
+    # window and many windows in a block
+    from codedensity import harness
+
+    monkeypatch.setattr(harness, "_TRIAL_BATCH", batch)
+    monkeypatch.setattr(harness, "_CHUNK_WORDS", chunk)
+    seen, score = [], harness._min_weights
+
+    def scored(bases, *rest):
+        weights = score(bases, *rest)
+        seen.append((bases.copy(), weights.copy()))
+        return weights
+
+    monkeypatch.setattr(harness, "_min_weights", scored)
+    trials = 2200 if batch == 256 else 700  # past a window of 2048 trials at k = 1 over F_2
+    for streams in (1, 3, 4):
+        seen.clear()
+        want = _one_matrix_per_call_successes(space, spec, trials, 11, streams)
+        reference = list(seen)
+        seen.clear()
+        got = estimate_density(space, spec, trials=trials, seed=11, worker_streams=streams).successes
+        assert got == want, streams
+        assert len(seen) == len(reference), streams
+        for (a, wa), (b, wb) in zip(seen, reference):
+            assert np.array_equal(a, b) and np.array_equal(wa, wb), streams
+    redrawn = sum(int(np.count_nonzero(w == 0)) for _, w in seen)
+    assert redrawn > trials // 200, (space, spec)
+
+
+def test_each_zero_scored_attempt_makes_one_generator_call(monkeypatch):
+    # spy, batch by batch: a flagged trial draws its first matrix before the
+    # batch is scored; then each zero-scored attempt makes one call before
+    # the next round, of two matrices for an evaluated first attempt and of
+    # one otherwise, and the last round scores no 0
+    from codedensity import harness
+
+    events, flagged = [], set()
+    make, draw = harness.trial_generator, harness._draw_matrix
+    score, evaluate = harness._min_weights, harness._philox_bounded
+
+    def drawn(gen, k, tower, n):
+        events.append(("draw", k))
+        return draw(gen, k, tower, n)
+
+    def scored(bases, *rest):
+        weights = score(bases, *rest)
+        events.append(("score", weights.copy()))
+        return weights
+
+    def flag_thirds(seed, trial_ids, bounds, count):
+        values, flags = evaluate(seed, trial_ids, bounds, count)
+        ids = np.asarray(trial_ids)
+        flags = flags | (ids % 3 == 0)
+        flagged.update(ids[flags].tolist())
+        return values, flags
+
+    monkeypatch.setattr(
+        harness, "trial_generator", lambda seed, i, reuse=None: events.append(("trial", i)) or make(seed, i, reuse)
+    )
+    monkeypatch.setattr(harness, "_draw_matrix", drawn)
+    monkeypatch.setattr(harness, "_min_weights", scored)
+    monkeypatch.setattr(harness, "_philox_bounded", flag_thirds)
+    totals = Counter()
+    for space, spec in (_SINGULAR_CASES[0], (_REDRAW_SPACE, _REDRAW_SPEC)):
+        k = spec.dim
+        events.clear()
+        flagged.clear()
+        estimate_density(space, spec, trials=600, seed=2, worker_streams=3)
+        batches, current = [], None
+        for kind, value in events:
+            if kind == "trial" and (current is None or current[1]):
+                current = ([], [])
+                batches.append(current)
+            (current[0] if kind == "trial" else current[1]).append((kind, value))
+        assert [i for ids, _ in batches for _, i in ids] == list(range(600))
+        for ids, rest in batches:
+            trial_ids = [i for _, i in ids]
+            first = [j for j, i in enumerate(trial_ids) if i in flagged]
+            assert rest[: len(first)] == [("draw", k)] * len(first)
+            rest = rest[len(first) :]
+            rows = None
+            while rest:
+                kind, weights = rest.pop(0)
+                assert kind == "score"
+                if rows is None:  # the first round: every trial of the batch
+                    rows = np.arange(len(trial_ids))
+                    calls = [("draw", k if j in first else 2 * k) for j in rows[weights == 0]]
+                    totals["paired"] += sum(c == ("draw", 2 * k) for c in calls)
+                else:
+                    rows = rows[previous == 0]
+                    calls = [("draw", k)] * int(np.count_nonzero(weights == 0))
+                    totals["later"] += len(calls)
+                assert len(weights) == len(rows)
+                assert Counter(rest[: len(calls)]) == Counter(calls)
+                rest, previous = rest[len(calls) :], weights
+            assert not (previous == 0).any()
+        totals["flagged"] += len(flagged)
+    assert totals["paired"] > 100 and totals["later"] > 100 and totals["flagged"] > 100
+
+
 @pytest.mark.parametrize("batch", [1, 3])
 def test_trial_batch_size_does_not_change_successes(monkeypatch, batch):
     from codedensity import harness
@@ -1036,7 +1201,7 @@ def test_batches_score_views_into_their_window(monkeypatch):
 
     monkeypatch.setattr(harness, "_min_weights", scored)
     estimate_density(_CRIT8_SPACE, _CRIT8_SPEC, trials=3000, seed=4)
-    assert len(windows) == 2 and shared.count(True) == 12  # 12 batches; redraws are stacked anew
+    assert len(windows) == 2 and shared.count(True) == 12  # 12 batches; redraw rounds score copies
 
 
 def test_windows_leave_successes_unchanged(monkeypatch):
