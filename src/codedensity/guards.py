@@ -20,9 +20,9 @@ class Guards:
 
     ``enumeration`` caps how many codes/subspaces an exhaustive oracle may
     walk, and the size of the weight table a linear job builds.  A subset
-    walk over N words at cardinality S scores only the C(N-1, S-1) sets
-    that hold the zero word, and that is the count held to the guard.  The
-    environment variable ``CODE_DENSITY_GUARD`` overrides it.
+    histogram over N words at cardinality S counts only the C(N-1, S-1)
+    sets that hold the zero word, and that is the count held to the guard.
+    The environment variable ``CODE_DENSITY_GUARD`` overrides it.
     The fixed caps ``ORACLE_SPACE``, ``TOWER_DEGREE`` and ``OUTPUT_BITS``
     are module constants that no setting changes.
     """

@@ -46,26 +46,32 @@ scored by one word per projective point, the combinations of its rows whose
 last nonzero middle-field coefficient is 1, since a nonzero middle-field
 multiple of a word has the same weight in all three metrics.  Those words
 are expanded in the packed middle-field encoding and their weights read
-from the table.  That encoding is private to the scorer, which gathers the
-table once through the word of every packed vector, ``_word_map``.  A linear
-trial's drawn matrix goes to the scorer as drawn, with no row reduction,
-since a code's minimum weight depends only on its row space.  A draw of rank
+from the table at that encoding's index.  It indexes other words than the
+word index does, but per coordinate the two differ by one invertible
+F_p-linear map of its m base-p digits, which keeps every weight, so the
+table serves both encodings as it is.  A linear trial's drawn matrix goes
+to the scorer as drawn, with no row reduction, since a code's minimum
+weight depends only on its row space.  A draw of rank
 below k has a normalized combination of its rows equal to the zero word and
 scores 0, which no code of dimension k does, so such draws are found by the
 scorer and redrawn from the trial's own stream, as ``fields.sample_subspace``
 redraws them.  The reduction check compares two weight tables entry by entry.
-Nonlinear codes, the exhaustive subset walk's and the Monte Carlo trials'
-alike, have one scorer too, ``_subset_min_weights``: it splits word indices
-with ``metrics._word_columns`` and weighs the pair differences of a whole
-batch of word sets with the table's own kernel, ``metrics._weights``, and
-builds no table, so trials run on spaces far beyond any table.
-The exhaustive walk scores only the C(N-1, S-1) sets that hold the zero
-word: every pair distance is the weight of a difference, so translation
-keeps it, and with h0_w such sets at minimum distance w the N translates
-of each give h_w = N * h0_w / S, exact because S*h_w = N*h0_w counts the
-pairs (set, member) both ways.  A remainder raises ArithmeticError.
+Nonlinear codes drawn by the Monte Carlo trials have one scorer,
+``_subset_min_weights``: it splits word indices with
+``metrics._word_columns`` and weighs the pair differences of a whole batch
+of word sets with the table's own kernel, ``metrics._weights``, and builds
+no table, so trials run on spaces far beyond any table.
+The exhaustive subset histogram counts only the C(N-1, S-1) sets that hold
+the zero word: every pair distance is the weight of a difference, so
+translation keeps it, and with h0_w such sets at minimum distance w the N
+translates of each give h_w = N * h0_w / S, exact because S*h_w = N*h0_w
+counts the pairs (set, member) both ways.  A remainder raises
+ArithmeticError.  The sets are counted, not scored one by one: {0} | T has
+minimum distance >= w exactly when T is an (S-1)-clique of the graph
+joining the words of weight >= w at distance >= w, and pair distances are
+read from the weight table, a block of rows at a time for S = 3.
 The tests check the linear scorer against ``metrics.min_distance``, the
-subset walk against ``metrics.distance`` and the full C(N, S) walk, the
+subset count against ``metrics.distance`` and the full C(N, S) walk, the
 table against ``metrics.weight`` and the nonlinear trials against
 ``metrics.min_distance``.
 """
@@ -120,10 +126,12 @@ _SEED_LIMIT = 1 << 64  # seeds are Philox key words
 # Most words the linear-code scorer expands at once: a chunk of B bases of
 # dimension k over F_{p^ell} holds B * (p^(k*ell) - 1)/(p^ell - 1) words, one
 # per projective point of each code.  A nonlinear Monte Carlo batch holds
-# about as many digit cells, S*n*m a trial, a chunk of the subset walk about
-# as many pairs, and the nonlinear scorer takes at most as many pairs of a
-# set at once.
+# about as many digit cells, S*n*m a trial, a block of rows of the subset
+# count's pair distances about as many pairs, and the nonlinear scorer takes
+# at most as many pairs of a set at once.
 _CHUNK_WORDS = 1 << 13
+# Bits set in each byte value: numpy 1.24 has no bitwise_count
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
 # Most trials a Monte Carlo batch draws at once, linear or nonlinear; batch
 # slot j keeps one Philox generator, re-keyed for the j-th trial of each
 # batch, and a linear trial's redraws continue from its slot until the batch
@@ -287,51 +295,39 @@ def _min_weights(
     return table[words].min(axis=1)
 
 
-def _index_span(gens: list, p: int, width: int, dtype: np.dtype) -> np.ndarray:
+def _index_span(gens: list, p: int, width: int) -> np.ndarray:
     """``_fp_span`` of B rows of G generators given by index: a vector of
     F_p^width is the integer below p^width whose base-p digits are its
-    coordinates.  The combinations come back as indices too, in ``dtype``;
-    for p = 2 the indices are spanned by XOR, otherwise through their
-    digits, which are summed back one at a time, so no digit array is ever
-    held in ``dtype``."""
-    gens = np.array(gens, dtype=dtype)
+    coordinates.  The combinations come back as int64 indices too; for
+    p = 2 the indices are spanned by XOR, otherwise through their digits."""
+    gens = np.array(gens, dtype=np.int64)
     if p == 2:
         return _fp_span(gens, p)
-    digits = (gens[..., None] // p ** np.arange(width, dtype=dtype) % p).astype(_digit_dtype(p))
-    span = _fp_span(digits, p)
-    return sum(span[..., i].astype(dtype) * p**i for i in range(width))
-
-
-def _word_map(space: AmbientSpace, tower: FieldTower) -> np.ndarray:
-    """Word index of every vector of F_{p^ell}^(n*s), as an array indexed by
-    the packed F_p-coordinate encoding sum_i vec[i] * p^(ell*i) in which
-    ``_min_weights`` expands codewords.
-
-    ``tower.unflatten`` is F_p-linear, so the words of all p^(ell*n*s)
-    vectors follow by doubling from the words of the ell*n*s F_p-unit
-    vectors.  The map is held in the narrowest unsigned dtype that holds
-    every word index.
-    """
-    n, ns, p = space.n, space.n * tower.s, tower.p
-    units = (tuple(p**u * (j == i) for j in range(ns)) for i in range(ns) for u in range(tower.ell))
-    words = [sum(x * tower.order**j for j, x in enumerate(tower.unflatten(vec, n))) for vec in units]
-    return _index_span([words], p, n * tower.m, np.min_scalar_type(space.size - 1))[0]
+    digits = (gens[..., None] // p ** np.arange(width) % p).astype(_digit_dtype(p))
+    return _fp_span(digits, p) @ p ** np.arange(width)
 
 
 def _scorer(
     space: AmbientSpace, tower: FieldTower, k: int, guards: Guards
 ) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-    """``_min_weights`` bound to the space's weight table, re-indexed by the
-    packed encoding through ``_word_map``, and to the unit products; and the
-    most k-row matrices it should score at once, about _CHUNK_WORDS
-    normalized words.  The table is held to the guard before the word map
-    is built."""
-    table = _flat_weight_table(space, guards.enumeration)[_word_map(space, tower)]
+    """``_min_weights`` bound to the space's weight table and to the unit
+    products; and the most k-row matrices it should score at once, about
+    _CHUNK_WORDS normalized words.
+
+    The table is indexed by word, and the scorer reads it at the packed
+    encoding sum_i vec[i] * p^(ell*i) instead, though the two index
+    different words.  Both give each coordinate the same block of m base-p
+    digits, and within the block they differ by one invertible F_p-linear
+    map, the same for every coordinate.  Being zero, and the F_p-rank of
+    the m x n digit matrix, whole or block by block, do not change when
+    that map is applied to every column, so entry by entry the table holds
+    the weight of the packed vector's word too."""
+    table = _flat_weight_table(space, guards.enumeration)
     p, ell = tower.p, tower.ell
     # x -> kappa_u * x is F_p-linear, so row u of the table is the F_p-span
     # of the ell products kappa_u * kappa_v
     products = [[tower.k_mul(p**u, p**v) for v in range(ell)] for u in range(ell)]
-    unit_mul = _index_span(products, p, ell, np.int64)
+    unit_mul = _index_span(products, p, ell)
     per_chunk = max(1, _CHUNK_WORDS * (p**ell - 1) // (p ** (k * ell) - 1))
     return (lambda bases: _min_weights(bases, tower, table, unit_mul)), per_chunk
 
@@ -573,35 +569,126 @@ def linear_distance_histogram(
     return tuple((w, int(c)) for w, c in enumerate(counts) if c)
 
 
+def _pair_levels(space: AmbientSpace, table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """min(d(u, v), wt(u), wt(v)) for every word u of ``rows`` and v of
+    ``cols``, as a (len(rows), len(cols)) array: the largest w at which u
+    and v are both words of weight >= w, joined in the distance->=w graph.
+    It is 0 where u = v.
+
+    d(u, v) = wt(u - v) is read from the word-indexed ``table``.  The index
+    of u - v is u ^ v for p = 2, and otherwise the digitwise difference mod
+    p, formed one base-p digit at a time: (u // p^i - v // p^i) mod p is
+    digit i of u minus digit i of v, mod p.
+    """
+    p = space.q
+    if p == 2:
+        diff = rows[:, None] ^ cols
+    else:
+        diff = np.zeros((rows.size, cols.size), dtype=np.intp)
+        for i in range(space.n * space.m):
+            place = p**i
+            diff += (rows[:, None] // place - cols // place) % p * place
+    return np.minimum(table[diff], np.minimum.outer(table[rows], table[cols]))
+
+
+def _clique_count(adj: np.ndarray, k: int) -> int:
+    """Number of k-cliques, k >= 3, of the graph with the symmetric boolean
+    adjacency matrix ``adj`` (zero diagonal).
+
+    Triangles are counted on their edges: the common neighbours of u and v
+    are the popcount of the AND of their rows, packed eight to a byte, and
+    each triangle is met on its three edges.  The edges are taken
+    _CHUNK_WORDS at a time.  A larger clique is counted from its lowest
+    vertex v, as a (k-1)-clique among the neighbours of v above it.
+    """
+    if k == 3:
+        rows = np.packbits(adj, axis=1)
+        first, second = np.nonzero(np.triu(adj, 1))
+        common = 0
+        for start in range(0, first.size, _CHUNK_WORDS):
+            edges = slice(start, start + _CHUNK_WORDS)
+            common += int(_POPCOUNT[rows[first[edges]] & rows[second[edges]]].sum())
+        return common // 3
+    total = 0
+    for v in range(adj.shape[0] - k + 1):
+        up = np.flatnonzero(adj[v, v + 1 :]) + v + 1
+        if up.size >= k - 1:
+            total += _clique_count(adj[np.ix_(up, up)], k - 1)
+    return total
+
+
+def _rooted_clique_counts(space: AmbientSpace, size: int, table: np.ndarray) -> list[int]:
+    """a_w for w = 0..diameter+1: the number of (S-1)-sets T of nonzero
+    words such that {0} | T has minimum distance >= w.
+
+    {0} | T qualifies exactly when every word of T has weight >= w and T is
+    a clique of the graph joining u and v when d(u, v) >= w, so a_w counts
+    the (S-1)-cliques of that graph on the words of weight >= w; a_0 = a_1
+    = C(N-1, S-1) and a_(diameter+1) = 0.  With ``_pair_levels`` that graph
+    joins u and v when their level is >= w.  For S = 2 the levels are the
+    weights; for S = 3 a_w counts the pairs of level >= w, and the pair
+    levels are streamed in blocks of whole rows, about _CHUNK_WORDS pairs
+    each, the pairs u < v only.  For S >= 4 the guard keeps the word count
+    small, so the levels of all pairs of nonzero words are held as one
+    matrix and each a_w, w >= 2, is a clique count.
+    """
+    words, top = space.size, space.diameter + 1
+    if size == 2:
+        counts = np.bincount(table[1:], minlength=top)
+    elif size == 3:
+        counts = np.zeros(top, dtype=np.int64)
+        per_block = max(1, _CHUNK_WORDS // words)
+        for start in range(1, words, per_block):
+            rows = np.arange(start, min(start + per_block, words))
+            # column j is word start + 1 + j, above row i's word when j >= i
+            levels = np.triu(_pair_levels(space, table, rows, np.arange(start + 1, words)))
+            counts += np.bincount(levels.ravel(), minlength=top)
+        counts[0] = 0  # the pairs triu masked out; two distinct nonzero words have level >= 1
+    if size <= 3:
+        return np.cumsum(counts[::-1])[::-1].tolist() + [0]
+    nonzero = np.arange(1, words)
+    levels = _pair_levels(space, table, nonzero, nonzero)
+    weights = table[1:]
+    a = [binom(words - 1, size - 1)] * 2
+    for w in range(2, top):
+        active = np.flatnonzero(weights >= w)
+        adj = levels[np.ix_(active, active)] >= w
+        a.append(_clique_count(adj, size - 1) if active.size >= size - 1 else 0)
+    return a + [0]
+
+
 @lru_cache(maxsize=64)
 def subset_distance_histogram(
     space: AmbientSpace, size: int, guards: Guards = Guards()
 ) -> tuple[tuple[int, int], ...]:
     """(min_distance, count) pairs over all size-S subsets of the space.
 
-    Only the C(N-1, S-1) sets {0} | T are walked, T running over the
-    (S-1)-subsets of the nonzero word indices in lexicographic order, in
-    chunks of about _CHUNK_WORDS pairs, and ``_subset_min_weights`` scores
-    each chunk.  If h0_w of them have minimum distance w, then h_w =
+    Only the C(N-1, S-1) sets {0} | T, T an (S-1)-set of nonzero words, are
+    counted, and not set by set: ``_rooted_clique_counts`` gives a_w, the
+    number of them at minimum distance >= w, as a clique count, and h0_w =
+    a_w - a_(w+1) of them are at minimum distance w.  Then h_w =
     N * h0_w / S: the pairs (X, x) with x in X map one-to-one onto the pairs
     (X - x, x), each S-set giving S of them and each set holding 0 met from
     N, and the translate X - x has X's pair distances.  If S does not divide
-    N * h0_w the walk is wrong, and ArithmeticError is raised.  The guard
-    counts the C(N-1, S-1) sets the walk scores.
+    N * h0_w the count is wrong, and ArithmeticError is raised.  The guard
+    counts the C(N-1, S-1) sets {0} | T.
 
     A set of more than half the space's words holds two at distance 1: in
     all three metrics the Singleton-type maximum at d = 2 is q^E with
     E <= mn - 1, at most half the space, so such a histogram is known with
-    no walk: all C(N, S) = N * C(N-1, S-1) / S sets are at distance 1.
+    no count: all C(N, S) = N * C(N-1, S-1) / S sets are at distance 1.
 
-    C(N-1, S-1) >= 2^min(S-1, N-S), so the guard refuses a walk from that
+    C(N-1, S-1) >= 2^min(S-1, N-S), so the guard refuses a count from that
     bound first, before C(N-1, S-1) itself is computed, which for N = 2^21
     and S near N/2 takes most of a minute.  The refusal reports 2^j, j the
     guard's bit length: the smallest power of two past the guard, and small
-    to build however large S is.
+    to build however large S is.  S > N words hold no set, and raise
+    ValueError.
     """
     if size < 2:
         raise ValueError("minimum distance needs at least two codewords (S >= 2)")
+    if size > space.size:
+        raise ValueError(f"S={size} exceeds the {space.size} words of the space")
     space.requires_prime_q()
     bits = guards.enumeration.bit_length()
     if min(size - 1, space.size - size) >= bits:
@@ -611,18 +698,15 @@ def subset_distance_histogram(
         raise GuardExceeded("subset code enumeration", rooted, guards.enumeration)
     if 2 * size > space.size:
         return ((1, space.size * rooted // size),)
-    counts = np.zeros(space.diameter + 1, dtype=np.int64)
-    cells = itertools.chain.from_iterable(itertools.combinations(range(1, space.size), size - 1))
-    per_chunk = max(1, _CHUNK_WORDS // math.comb(size, 2))
-    for start in range(0, rooted, per_chunk):
-        chunk = np.zeros((min(per_chunk, rooted - start), size), np.int64)
-        chunk[:, 1:] = np.fromiter(cells, np.int64, count=chunk.shape[0] * (size - 1)).reshape(-1, size - 1)
-        counts += np.bincount(_subset_min_weights(space, chunk), minlength=counts.size)
+    # N - 1 <= C(N-1, S-1) for 1 <= S - 1 <= N - 2, so the guard on the
+    # count already holds the table to at most one entry past it
+    a = _rooted_clique_counts(space, size, _flat_weight_table(space, space.size))
     hist = []
-    for w, c in enumerate(counts.tolist()):
-        count, rem = divmod(space.size * c, size)
+    for w in range(1, space.diameter + 1):
+        rooted_at_w = a[w] - a[w + 1]
+        count, rem = divmod(space.size * rooted_at_w, size)
         if rem:
-            raise ArithmeticError(f"{size} does not divide {space.size} * {c} sets at distance {w}")
+            raise ArithmeticError(f"{size} does not divide {space.size} * {rooted_at_w} sets at distance {w}")
         if count:
             hist.append((w, count))
     return tuple(hist)

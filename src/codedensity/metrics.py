@@ -12,12 +12,12 @@ with one numpy kernel, ``_weights``, over coordinate columns: residues for
 p = 2, base-p digit arrays otherwise, and ``_word_columns`` is the one split
 of word indices into those columns.  ``_flat_weight_table`` weighs every
 word of a space, indexed by word; the volume oracle counts that table, and
-``harness`` scores linear codes and checks the metric reductions with it.
-Nonlinear codes, walked exhaustively or drawn at random on spaces far beyond
-any table, are scored by applying the kernel to the pair differences of
-their words.  A metric is
-translation-invariant, d(x, y) = w(x - y), so the weights of single words
-serve pair distances too.  The scalar ``weight``, ``subtract``, ``distance`` and
+``harness`` scores linear codes, counts exhaustive subset histograms and
+checks the metric reductions with it.  Nonlinear codes drawn at random, on
+spaces far beyond any table, are scored by applying the kernel to the pair
+differences of their words.  A metric is translation-invariant,
+d(x, y) = w(x - y), so the weights of single words serve pair distances
+too.  The scalar ``weight``, ``subtract``, ``distance`` and
 ``min_distance`` are the public API and the reference the tests check the
 kernel against; no job of the library calls them.
 
@@ -318,8 +318,9 @@ def _flat_weight_table(space: AmbientSpace, limit: int) -> np.ndarray:
 
     The table has one entry per word of the space, so its size is held to
     ``limit``: the enumeration guard for linear jobs, ``ORACLE_SPACE`` for
-    the volume oracle and the reduction check.  No such space has a
-    diameter past 255, so the table is uint8.
+    the volume oracle and the reduction check.  The subset count passes the
+    word count itself, since its guard on C(N-1, S-1) already bounds N.  No
+    such space has a diameter past 255, so the table is uint8.
     """
     _hold_table_size(space, limit)
     indices = np.arange(space.size, dtype=np.min_scalar_type(space.size - 1))

@@ -480,15 +480,14 @@ def test_subset_guard_counts_the_sets_the_walk_scores(capsys, monkeypatch):
 
 
 def test_estimate_beyond_the_weight_table_guard_exits_three(capsys, monkeypatch):
-    # 2^40 words would need a 1 TB weight table: refused before any of it,
-    # or of the scorer's word map, exists
-    from codedensity import harness, metrics
+    # 2^40 words would need a 1 TB weight table: refused before any of it
+    # exists
+    from codedensity import metrics
 
     def no_table(*args):
         raise AssertionError("the weight table was being built")
 
     monkeypatch.setattr(metrics, "_word_columns", no_table)
-    monkeypatch.setattr(harness, "_word_map", no_table)
     code, out, err = run_cli(
         capsys, "estimate", "--metric", "hamming", "--q", "2", "--ell", "1", "--s", "8",
         "--n", "5", "--k", "1", "--d", "2", "--trials", "10",

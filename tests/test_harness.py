@@ -740,9 +740,9 @@ def test_normalized_words_give_the_full_span_minimum():
     for space, ell in _PROJECTIVE_TEST_SPACES:
         tower = harness.space_tower(space, ell)
         p, ns, order = tower.p, space.n * tower.s, tower.subfield_order
-        table = _flat_weight_table(space, space.size)[harness._word_map(space, tower)]
+        table = _flat_weight_table(space, space.size)
         products = [[tower.k_mul(p**u, p**v) for v in range(ell)] for u in range(ell)]
-        unit_mul = harness._index_span(products, p, ell, np.int64)
+        unit_mul = harness._index_span(products, p, ell)
         for k in range(1, ns + 1):
             score, _ = harness._scorer(space, tower, k, Guards())
             draws = rng.integers(0, order, size=(120, k, ns))
@@ -1486,10 +1486,10 @@ def test_scorer_builds_unit_products_from_a_basis(monkeypatch):
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("metric,t", [("hamming", 1), ("rank", 1), ("sumrank", 2)])
 def test_weight_table_matches_metric_weight(q, metric, t):
-    # the table is indexed by word index; the scorer's word map sends every
-    # packed middle-field vector to the index of its word, and the table
-    # gathered through it holds the weight of that word
-    from codedensity.harness import _word_map, space_tower
+    # the table is indexed by word index, and the linear scorer reads it at
+    # the packed middle-field encoding: entry by entry it holds the weight
+    # of the packed vector's word too
+    from codedensity.harness import space_tower
     from codedensity.metrics import _flat_weight_table, weight
 
     for ell, s in ((1, 2), (2, 1)):
@@ -1499,53 +1499,48 @@ def test_weight_table_matches_metric_weight(q, metric, t):
         assert table.dtype == np.uint8 and table.shape == (space.size,)
         for v in range(space.size):
             assert table[v] == weight(space, codeword_from_int(v, tower, space.n)), (space, v)
-        words = _word_map(space, tower)
-        ns = space.n * tower.s
         q_mid = tower.subfield_order
-        assert words.dtype == np.min_scalar_type(space.size - 1) and words.shape == (q_mid**ns,)
-        for vec in itertools.product(range(q_mid), repeat=ns):
+        for vec in itertools.product(range(q_mid), repeat=space.n * tower.s):
             index = sum(v * q_mid**i for i, v in enumerate(vec))
-            word = tower.unflatten(vec, space.n)
-            assert words[index] == sum(x * tower.order**j for j, x in enumerate(word)), (space, vec)
-            assert table[words[index]] == weight(space, word), (space, vec)
+            assert table[index] == weight(space, tower.unflatten(vec, space.n)), (space, vec)
 
 
-def test_one_wrong_word_map_entry_changes_a_histogram(monkeypatch):
-    # negative control: the scorer reads weights only through the word map,
-    # so sending the packed vector (1, 0), index 1, to the zero word shows
-    # up as codes of minimum weight 0.  Index 5 holds (2 + kappa_1, 0), a
-    # scalar multiple of (1, 0) that no code's normalized words include, so
-    # a wrong entry there alone changes nothing; a scorer that expanded
-    # every F_p-combination would read it.
+def test_one_wrong_table_entry_changes_a_histogram(monkeypatch):
+    # negative control: the scorer reads weights only from the table, at
+    # the packed encoding, so a zero weight at the packed vector (1, 0),
+    # index 1, shows up as codes of minimum weight 0.  Index 5 holds
+    # (2 + kappa_1, 0), a scalar multiple of (1, 0) that no code's
+    # normalized words include, so a wrong entry there alone changes
+    # nothing; a scorer that expanded every F_p-combination would read it.
     from codedensity import harness
 
     space = AmbientSpace(3, 2, 1, 2, "rank")
     want = harness.linear_distance_histogram.__wrapped__(space, 2, 1)
-    word_map = harness._word_map
+    table_of = harness._flat_weight_table
 
     def one_wrong_entry(index):
-        def wrong(space, tower):
-            words = word_map(space, tower)
-            words[index] = 0
-            return words
+        def wrong(space, limit):
+            table = table_of(space, limit)
+            table[index] = 0
+            return table
 
         return wrong
 
-    monkeypatch.setattr(harness, "_word_map", one_wrong_entry(1))
+    monkeypatch.setattr(harness, "_flat_weight_table", one_wrong_entry(1))
     got = harness.linear_distance_histogram.__wrapped__(space, 2, 1)
     assert got != want and got[0][0] == 0 and 0 not in dict(want)
     assert sum(c for _, c in got) == sum(c for _, c in want)
-    monkeypatch.setattr(harness, "_word_map", one_wrong_entry(5))
+    monkeypatch.setattr(harness, "_flat_weight_table", one_wrong_entry(5))
     assert harness.linear_distance_histogram.__wrapped__(space, 2, 1) == want
 
 
-def test_scorer_holds_the_table_to_the_guard_before_the_word_map(monkeypatch):
-    from codedensity import harness
+def test_scorer_holds_the_table_to_the_guard_before_building_it(monkeypatch):
+    from codedensity import harness, metrics
 
-    def no_map(*args):
-        raise AssertionError("word map built before the guard was checked")
+    def no_table(*args):
+        raise AssertionError("weight table built before the guard was checked")
 
-    monkeypatch.setattr(harness, "_word_map", no_map)
+    monkeypatch.setattr(metrics, "_word_columns", no_table)
     space = AmbientSpace(2, 2, 1, 2, "hamming")  # 16 words
     with pytest.raises(GuardExceeded) as err:
         harness._scorer(space, harness.space_tower(space, 2), 1, Guards(enumeration=15))
@@ -1554,13 +1549,15 @@ def test_scorer_holds_the_table_to_the_guard_before_the_word_map(monkeypatch):
 
 def test_chunked_scoring_matches_one_code_per_chunk(monkeypatch):
     # default chunks split these runs several times; a chunk constant of 1
-    # scores one code or one set at a time, and one row of a set's pair
-    # triangle at a time, and both must give the same exact results
+    # scores one code or one set at a time, one row of a set's pair
+    # triangle at a time, streams one row of pair distances at a time and
+    # counts triangles one edge at a time, and both must give the same
+    # exact results
     from codedensity import harness
 
     hist_space = AmbientSpace(2, 1, 2, 4, "hamming")  # 10795 codes, 2730 per chunk
-    walk_space = AmbientSpace(2, 1, 2, 2, "sumrank", t=2)  # 455 sets of 6 pairs, 1365 per chunk
-    odd_walk_space = AmbientSpace(3, 1, 1, 4, "sumrank", t=2)  # 3160 sets of 3 pairs, 2730 per chunk
+    walk_space = AmbientSpace(2, 1, 1, 8, "hamming")  # 255 rows of pairs, 32 per block
+    odd_walk_space = AmbientSpace(3, 1, 1, 4, "sumrank", t=2)  # 80 rows of pairs, one block
     estimates = (
         (AmbientSpace(2, 1, 2, 3, "rank"), CodeFamilySpec(1, 2, dim=3), 3000, 11),  # 1170 codes per chunk
         (AmbientSpace(3, 1, 1, 6, "hamming"), CodeFamilySpec(0, 3, size=12), 2000, 5),  # 113 trials per batch
@@ -1569,17 +1566,22 @@ def test_chunked_scoring_matches_one_code_per_chunk(monkeypatch):
     )
     runs = lambda: (
         harness.linear_distance_histogram.__wrapped__(hist_space, 1, 2),
-        harness.subset_distance_histogram.__wrapped__(walk_space, 4),
+        harness.subset_distance_histogram.__wrapped__(walk_space, 3),
         harness.subset_distance_histogram.__wrapped__(odd_walk_space, 3),
+        harness.subset_distance_histogram.__wrapped__(odd_walk_space, 4),
         [estimate_density(space, spec, trials, seed).payload() for space, spec, trials, seed in estimates],
     )
     want = runs()
     monkeypatch.setattr(harness, "_CHUNK_WORDS", 1)
     assert runs() == want
     assert sum(c for _, c in want[0]) == 10795
-    assert want[1] == ((1, 1796), (2, 24))
+    # sets at distance 1 hold an edge of the 8-cube: an edge and a third
+    # word, less the paths of two edges, met twice; the cube has no triangle
+    assert dict(want[1])[1] == 8 * 2**7 * (2**8 - 2) - 2**8 * math.comb(8, 2)
+    assert sum(c for _, c in want[1]) == math.comb(2**8, 3)
     assert want[2] == ((1, 42984), (2, 42336))
-    assert [report["successes"] for report in want[3]] == [106, 1, 242]
+    assert want[3] == ((1, 1282716), (2, 381024))
+    assert [report["successes"] for report in want[4]] == [106, 1, 242]
 
 
 def test_subset_histogram_total():
@@ -1590,6 +1592,9 @@ def test_subset_histogram_total():
     for size in (0, 1):
         with pytest.raises(ValueError, match="two codewords"):
             subset_distance_histogram.__wrapped__(space, size)
+    # S > N words hold no set: refused, not answered with a zero count
+    with pytest.raises(ValueError, match="S=9 exceeds the 8 words"):
+        subset_distance_histogram.__wrapped__(AmbientSpace(2, 1, 1, 3, "hamming"), 9)
 
 
 def _subset_histogram_by_distance(space: AmbientSpace, size: int):
@@ -1605,10 +1610,9 @@ def _subset_histogram_by_distance(space: AmbientSpace, size: int):
 
 
 def _full_subset_histogram(space: AmbientSpace, size: int):
-    """``subset_distance_histogram``'s walk as it stood before it walked only
-    the sets that hold the zero word: all C(N, S) sets, in lexicographic
-    chunks, scored by ``_subset_min_weights``.  The reference for the rooted
-    walk."""
+    """All C(N, S) sets, in lexicographic chunks, each scored by
+    ``_subset_min_weights``: the reference for ``subset_distance_histogram``,
+    which counts the sets that hold the zero word as cliques."""
     from codedensity.harness import _subset_min_weights
 
     total = math.comb(space.size, size)
@@ -1633,8 +1637,8 @@ CRITERION_2_NONLINEAR_SPACES = [
 def test_subset_histogram_matches_a_walk_with_metric_distance(size):
     spaces = list(CRITERION_2_NONLINEAR_SPACES)
     if size > 3:
-        # N = 8 and 9 words: 2S = N, or just below it, is walked; 2S > N is
-        # answered without a walk
+        # N = 8 and 9 words: 2S = N, or just below it, is counted; 2S > N
+        # is answered without a count
         spaces = [space for space in spaces if space.size in (8, 9)]
     if size == 2:
         # odd p with m = 2, where a - b also subtracts digits inside a coordinate
@@ -1648,73 +1652,82 @@ def test_subset_histogram_matches_a_walk_with_metric_distance(size):
         assert all(type(d) is int and type(c) is int for d, c in got)
 
 
-# the S = 3 walks on 64 and 81 words that the benchmark's exhaustive
-# workload runs, and S = 4 on the 64-word Hamming and rank spaces
+# the S = 3 counts on 64 and 81 words that the benchmark's exhaustive
+# workload runs, S = 3 on 81 words of rank q = 3, m = 2, where a pair
+# difference subtracts two digits of each coordinate, and S = 4 on the
+# 64-word Hamming and rank spaces and on the 81-word sum-rank space
 _LARGE_SUBSET_WALKS = (
     (AmbientSpace(2, 1, 2, 3, "hamming"), 3),
     (AmbientSpace(2, 1, 3, 2, "rank"), 3),
     (AmbientSpace(3, 1, 1, 4, "sumrank", t=2), 3),
+    (AmbientSpace(3, 1, 2, 2, "rank"), 3),
     (AmbientSpace(2, 1, 2, 3, "hamming"), 4),
     (AmbientSpace(2, 1, 3, 2, "rank"), 4),
+    (AmbientSpace(3, 1, 1, 4, "sumrank", t=2), 4),
+)
+
+# S = 4 to 8 on 16 and 27 words: cliques of 3 to 7 nonzero words, the
+# larger ones counted from their lowest word down to triangles
+_DEEP_CLIQUE_COUNTS = (
+    (AmbientSpace(2, 1, 2, 2, "sumrank", t=2), 4),
+    (AmbientSpace(2, 1, 1, 4, "hamming"), 6),
+    (AmbientSpace(2, 1, 1, 4, "hamming"), 8),
+    (AmbientSpace(3, 1, 1, 3, "hamming"), 5),
+    (AmbientSpace(3, 1, 1, 3, "sumrank", t=3), 6),
 )
 
 
-def test_rooted_walk_matches_the_full_walk():
-    # N/S times the histogram of the sets holding the zero word is the
-    # histogram of all C(N, S) sets, on criterion 2's nonlinear grid and on
-    # spaces of 64 and 81 words
-    cases = [(space, size) for space in CRITERION_2_NONLINEAR_SPACES for size in (2, 3, 4)]
-    for space, size in cases + list(_LARGE_SUBSET_WALKS):
+def test_clique_count_matches_the_full_walk():
+    # N/S times the clique counts' histogram of the sets holding the zero
+    # word is the histogram of all C(N, S) sets scored one by one, on
+    # criterion 2's nonlinear grid and on spaces of 16 to 81 words
+    cases = [(space, size) for space in CRITERION_2_NONLINEAR_SPACES for size in (2, 3, 4, 5) if size <= space.size]
+    for space, size in cases + list(_LARGE_SUBSET_WALKS) + list(_DEEP_CLIQUE_COUNTS):
         got = subset_distance_histogram.__wrapped__(space, size)
         assert got == _full_subset_histogram(space, size), (space, size)
         assert sum(c for _, c in got) == math.comb(space.size, size)
+    assert any(w > 1 for space, size in _DEEP_CLIQUE_COUNTS for w, _ in subset_distance_histogram(space, size))
 
 
-def test_rooted_walk_scores_each_set_holding_zero_once(monkeypatch):
-    # the walk hands the scorer exactly the C(N-1, S-1) sets {0} | T, each
-    # sorted and each once, in lexicographic order
-    from codedensity import harness
-
-    score = harness._subset_min_weights
-    seen = []
-
-    def spy(space, indices):
-        seen.append(indices.copy())
-        return score(space, indices)
-
-    monkeypatch.setattr(harness, "_subset_min_weights", spy)
-    for space, size in (
-        (AmbientSpace(2, 1, 1, 3, "hamming"), 3),
-        (AmbientSpace(2, 1, 2, 2, "sumrank", t=2), 4),
-        (AmbientSpace(3, 1, 1, 4, "sumrank", t=2), 3),
-    ):
-        seen.clear()
-        subset_distance_histogram.__wrapped__(space, size)
-        sets = np.concatenate(seen)
-        want = [(0, *rest) for rest in itertools.combinations(range(1, space.size), size - 1)]
-        assert sets.tolist() == [list(row) for row in want], (space, size)
-        assert len(sets) == math.comb(space.size - 1, size - 1)
-
-
-def test_one_wrong_set_weight_fails_the_divisibility_check(monkeypatch):
+def test_one_wrong_clique_count_fails_the_divisibility_check(monkeypatch):
     # negative control: on N = 8 words with S = 3, S divides N * h0_w only
-    # when it divides h0_w, so moving one rooted set to another distance
-    # leaves a remainder.  (Where S divides N, as at N = 81 and S = 3, the
-    # check cannot see such a fault; the full-walk reference covers those.)
+    # when it divides h0_w, so one a_w off by one moves one rooted set
+    # between distances w - 1 and w and leaves a remainder.  (Where S
+    # divides N, as at N = 81 and S = 3, the check cannot see such a fault;
+    # the full-walk reference covers those.)
     from codedensity import harness
 
     space = AmbientSpace(2, 1, 1, 3, "hamming")
-    score = harness._subset_min_weights
+    counts = harness._rooted_clique_counts
     assert subset_distance_histogram.__wrapped__(space, 3) == _full_subset_histogram(space, 3)
 
-    def planted(space, indices):
-        weights = score(space, indices)
-        weights[0] += 1
-        return weights
+    def planted(*args):
+        a = counts(*args)
+        a[2] += 1
+        return a
 
-    monkeypatch.setattr(harness, "_subset_min_weights", planted)
+    monkeypatch.setattr(harness, "_rooted_clique_counts", planted)
     with pytest.raises(ArithmeticError, match="3 does not divide 8"):
         subset_distance_histogram.__wrapped__(space, 3)
+
+
+def test_pair_count_streams_its_rows():
+    # S = 3 on 2^12 words: a table of all pair distances would hold 16 M
+    # entries, but the pairs' levels are counted a block of rows at a time
+    import tracemalloc
+
+    space = AmbientSpace(2, 1, 1, 12, "hamming")
+    tracemalloc.start()
+    try:
+        hist = subset_distance_histogram.__wrapped__(space, 3, Guards(enumeration=10**7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 21
+    assert sum(c for _, c in hist) == math.comb(2**12, 3)
+    # sets at distance 1 hold an edge of the 12-cube: an edge and a third
+    # word, less the paths of two edges, met twice; the cube has no triangle
+    assert dict(hist)[1] == 12 * 2**11 * (2**12 - 2) - 2**12 * math.comb(12, 2)
 
 
 def test_whole_space_subset_walk_builds_no_pair_table(monkeypatch):
