@@ -6,7 +6,9 @@ exact rationals as "numerator/denominator" strings (decimal rendering only on
 --approx).  Delimited output is RFC-4180 CSV preceded by `#` metadata lines.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
-3 guard violation (message carries the exact offending count).
+3 guard violation.  Its message carries the offending count, exact or, where
+the count itself would be costly, as a power-of-two bound it reaches; a
+formula command's message carries the bound on the bits of its output.
 """
 
 from __future__ import annotations

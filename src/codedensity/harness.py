@@ -6,8 +6,10 @@ Monte Carlo draws are keyed per trial: trial i uses a Philox stream with key
 workers and a report is reproducible from (seed, trials, scenario) alone.
 Linear and nonlinear trials run through one loop that cuts them into
 contiguous blocks and scores each block in batches.  The generators are
-pooled: each is built once and re-keyed for later trials by resetting its
-Philox state to that of a fresh ``Philox(key=(seed, i))``, so every draw is
+pooled per thread and the pool is kept across estimates: each generator is
+built once and re-keyed before every trial it serves by resetting its
+Philox state to that of a fresh ``Philox(key=(seed, i))``, so a slot
+carries no state from one trial or estimate to the next and every draw is
 bit-identical to one from a generator built for the trial.  First draws are
 computed by ``_philox_bounded``, which evaluates the same Philox streams and
 numpy's bounded-integer method over a whole window of batches at once: whole
@@ -80,6 +82,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -132,11 +136,14 @@ _SEED_LIMIT = 1 << 64  # seeds are Philox key words
 _CHUNK_WORDS = 1 << 13
 # Bits set in each byte value: numpy 1.24 has no bitwise_count
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
-# Most trials a Monte Carlo batch draws at once, linear or nonlinear; batch
-# slot j keeps one Philox generator, re-keyed for the j-th trial of each
-# batch, and a linear trial's redraws continue from its slot until the batch
-# is scored.
+# Most trials a Monte Carlo batch draws at once, linear or nonlinear, and so
+# the most generators a thread's pool holds (about 150 KB); batch slot j
+# keeps one Philox generator, re-keyed for the j-th trial of each batch of
+# every estimate the thread runs, and a linear trial's redraws continue from
+# its slot until the batch is scored.
 _TRIAL_BATCH = 256
+# each thread's generator pool, kept across estimates
+_POOLS = threading.local()
 
 
 def trial_generator(seed: int, trial: int, reuse: Generator | None = None) -> Generator:
@@ -350,6 +357,26 @@ def _code_min_weights(
         yield score(stack.reshape(len(chunk), k, ns))
 
 
+@contextmanager
+def _generator_pool(size: int) -> Iterator[list[Generator | None]]:
+    """This thread's pool of trial generators, grown to at least ``size``
+    slots, for one estimate.
+
+    The pool outlives the estimate and keeps the largest batch its thread
+    has run, at most _TRIAL_BATCH slots.  A new slot is None until
+    ``trial_generator`` builds its generator, and every later use re-keys
+    it, so no slot carries state into a trial, even from an estimate that
+    raised.  While an estimate holds the pool the thread's slot is empty,
+    so an estimate nested in the same thread gets a pool of its own.
+    """
+    pool, _POOLS.slots = getattr(_POOLS, "slots", []), []
+    pool.extend([None] * (size - len(pool)))
+    try:
+        yield pool
+    finally:
+        _POOLS.slots = pool
+
+
 def _trial_successes(
     trials: int,
     seed: int,
@@ -365,9 +392,10 @@ def _trial_successes(
     block is scored in batches of at most ``batch`` trials: ``score_batch``
     takes the trial numbers of one batch, their generators in trial order,
     and their first draws, and returns how many of its trials succeed.  The
-    generators form one pool with a slot per batch position: slot j is built
-    for the j-th trial of the first batch and re-keyed for the j-th trial of
-    each later one, once the batch before has been scored.
+    generators come from the thread's pool, with a slot per batch position:
+    slot j is re-keyed for the j-th trial of each batch, once the batch
+    before has been scored, and built only if no earlier estimate of the
+    thread has used it.
 
     With ``first_draws`` = (bounds, count), each trial's first ``count``
     draws ``integers(0, bounds)`` come from ``_philox_bounded``, called once
@@ -376,23 +404,25 @@ def _trial_successes(
     ``score_batch`` gets its batch's values and flags as views into the
     window's arrays; without ``first_draws`` it gets None.
     """
-    pool: list[Generator | None] = [None] * min(batch, trials)
     window = batch
     if first_draws is not None:
         window *= max(1, _CHUNK_WORDS // (first_draws[1] * batch))
     successes = 0
-    for block in range(worker_streams):
-        stop = (block + 1) * trials // worker_streams
-        for top in range(block * trials // worker_streams, stop, window):
-            end = min(top + window, stop)
-            draws = None if first_draws is None else _philox_bounded(seed, range(top, end), *first_draws)
-            for start in range(top, end, batch):
-                trial_ids = range(start, min(start + batch, end))
-                gens = [trial_generator(seed, i, gen) for i, gen in zip(trial_ids, pool)]
-                pool[: len(gens)] = gens
-                rows = slice(start - top, trial_ids.stop - top)
-                first = None if draws is None else (draws[0][rows], draws[1][rows])
-                successes += score_batch(trial_ids, gens, first)
+    with _generator_pool(min(batch, trials)) as pool:
+        for block in range(worker_streams):
+            stop = (block + 1) * trials // worker_streams
+            for top in range(block * trials // worker_streams, stop, window):
+                end = min(top + window, stop)
+                draws = None
+                if first_draws is not None:
+                    draws = _philox_bounded(seed, range(top, end), *first_draws)
+                for start in range(top, end, batch):
+                    trial_ids = range(start, min(start + batch, end))
+                    gens = [trial_generator(seed, i, gen) for i, gen in zip(trial_ids, pool)]
+                    pool[: len(gens)] = gens
+                    rows = slice(start - top, trial_ids.stop - top)
+                    first = None if draws is None else (draws[0][rows], draws[1][rows])
+                    successes += score_batch(trial_ids, gens, first)
     return successes
 
 

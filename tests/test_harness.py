@@ -4,9 +4,17 @@ verification suites."""
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 from collections import Counter, namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1296,6 +1304,139 @@ def test_rekeyed_estimates_match_fresh_generators(monkeypatch):
     make = harness.trial_generator
     monkeypatch.setattr(harness, "trial_generator", lambda seed, i, reuse=None: make(seed, i))
     assert runs() == reused
+
+
+# the CI's pinned estimate: about 38 % of first draws are rank-deficient
+_SINGULAR_SPACE, _SINGULAR_SPEC = AmbientSpace(2, 1, 1, 4, "hamming"), CodeFamilySpec(1, 2, dim=3)
+
+
+def test_a_thread_keeps_its_generator_pool_across_estimates(monkeypatch):
+    # the first estimate of a thread builds a generator per batch slot, a
+    # later one builds none and reports what a fresh interpreter reports
+    from codedensity import harness
+
+    built, philox = [], harness.Philox
+
+    def counted(*args, **kwargs):
+        built.append(None)
+        return philox(*args, **kwargs)
+
+    def estimates():
+        counts = []
+        runs = ((_CRIT8_SPACE, _CRIT8_SPEC, 600, 2), (_SINGULAR_SPACE, _SINGULAR_SPEC, 5000, 7))
+        for space, spec, trials, seed in runs:
+            before = len(built)
+            report = estimate_density(space, spec, trials=trials, seed=seed)
+            counts.append(len(built) - before)
+        return counts, report.payload()
+
+    monkeypatch.setattr(harness, "Philox", counted)
+    with ThreadPoolExecutor(1) as worker:  # a new thread starts with an empty pool
+        counts, payload = worker.submit(estimates).result(timeout=120)
+    assert counts == [harness._TRIAL_BATCH, 0]
+    assert payload["successes"] == 381
+    fresh = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import json\n"
+            "from codedensity.bounds import CodeFamilySpec\n"
+            "from codedensity.harness import estimate_density\n"
+            "from codedensity.metrics import AmbientSpace\n"
+            "space, spec = AmbientSpace(2, 1, 1, 4, 'hamming'), CodeFamilySpec(1, 2, dim=3)\n"
+            "report = estimate_density(space, spec, trials=5000, seed=7)\n"
+            "print(json.dumps(report.payload(), sort_keys=True))",
+        ],
+        env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.dumps(payload, sort_keys=True) == fresh.stdout.strip()
+
+
+def test_threads_hold_disjoint_generator_pools(monkeypatch):
+    # more threads than cores estimate at once, switching often and yielding
+    # at every trial; each re-keys only its own generators, none of those the
+    # main thread used before, and reports what it reports alone
+    from codedensity import harness
+
+    cases = [
+        (_REDRAW_SPACE, _REDRAW_SPEC, 5),
+        (_SUBSET_SPACE, _SUBSET_SPEC, 6),
+        (_CRIT8_SPACE, _CRIT8_SPEC, 7),
+        (_REDRAW_SPACE, _REDRAW_SPEC, 8),
+    ]
+    run = lambda case: estimate_density(case[0], case[1], trials=200, seed=case[2]).payload()
+    held, make = {}, harness.trial_generator
+
+    def yielding(seed, i, reuse=None):
+        time.sleep(0)
+        gen = make(seed, i, reuse)
+        held.setdefault(threading.get_ident(), []).append(gen)  # keeps every id taken
+        return gen
+
+    monkeypatch.setattr(harness, "trial_generator", yielding)
+    monkeypatch.setattr(harness, "_TRIAL_BATCH", 4)
+    alone = [run(case) for case in cases]
+    start = threading.Barrier(len(cases), timeout=60)
+
+    def run_together(case):
+        start.wait()
+        return run(case)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(cases)) as workers:
+            together = list(workers.map(run_together, cases, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert together == alone
+    assert len(held) == len(cases) + 1
+    ids = [{id(gen) for gen in gens} for gens in held.values()]
+    assert len(set().union(*ids)) == sum(map(len, ids))
+
+
+def test_an_interrupted_estimate_leaves_the_pool_usable(monkeypatch):
+    # an estimate that raises between redraw rounds leaves its generators
+    # part-drawn; the thread's next estimate re-keys them before any draw
+    from codedensity import harness
+
+    run = lambda: estimate_density(_REDRAW_SPACE, _REDRAW_SPEC, trials=600, seed=9).payload()
+    want = run()
+    calls, score = [], harness._min_weights
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("interrupted")
+        return score(*args)
+
+    monkeypatch.setattr(harness, "_min_weights", failing)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run()
+    assert run() == want
+
+
+def test_a_nested_estimate_gets_a_pool_of_its_own(monkeypatch):
+    # an estimate started from inside another, in the same thread, must not
+    # re-key the generators the outer one still holds
+    from codedensity import harness
+
+    outer = lambda: estimate_density(_REDRAW_SPACE, _REDRAW_SPEC, trials=600, seed=9).payload()
+    inner = lambda: estimate_density(_CRIT8_SPACE, _CRIT8_SPEC, trials=600, seed=2).payload()
+    want = outer(), inner()
+    nested, score = [], harness._min_weights
+
+    def scored(*args):
+        if not nested:
+            nested.append(None)
+            nested[0] = inner()
+        return score(*args)
+
+    monkeypatch.setattr(harness, "_min_weights", scored)
+    assert (outer(), nested[0]) == want
 
 
 def test_nonlinear_trials_hold_memory_flat(monkeypatch):
