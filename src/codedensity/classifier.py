@@ -62,9 +62,10 @@ class Scenario:
 
     ``ell`` is the linearity degree: 0 means nonlinear, a positive value is
     the fixed degree, and None means ell itself is the growing parameter.
-    The field named by ``growing`` must be left None.  For the sum-rank
-    metric a fixed ``n`` may be given via ``eta`` (n = eta * t).  A
-    cardinality family's ``card_coeff`` must be positive.
+    The field named by ``growing`` must be left None.  ``t`` must be 1
+    outside the sum-rank metric; for sum-rank a fixed ``n`` may be given
+    via ``eta`` (n = eta * t).  A cardinality family's ``card_coeff`` must
+    be positive.
     """
 
     metric: str
@@ -86,6 +87,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.metric not in (HAMMING, RANK, SUMRANK):
             raise ValueError(f"unknown metric {self.metric!r}")
+        if self.metric != SUMRANK and self.t != 1:
+            raise ValueError("t is only meaningful for the sum-rank metric")
         if self.growing not in ("q", "n", "ell", "s"):
             raise ValueError(f"unknown growing parameter {self.growing!r}")
         if self.family not in FAMILIES:
@@ -178,8 +181,8 @@ def _template_space(sc: Scenario, ell_for_m: int) -> AmbientSpace:
     n = sc.n if sc.n is not None else max(sc.d, sc.t, 1) * sc.t
     s = sc.s if sc.s is not None else 1
     ell = ell_for_m
-    t = sc.t if sc.metric == SUMRANK else 1
-    if sc.metric == SUMRANK and n % t:
+    t = sc.t
+    if n % t:
         n = t * -(-n // t)
     return AmbientSpace(q, ell, s, n, sc.metric, t=t)
 
@@ -456,8 +459,8 @@ def instantiate(sc: Scenario, value: int) -> dict:
     if value < 1:
         raise ValueError(f"probe value must be positive, got {value}")
     q, n, ell, s = params["q"], params["n"], params["ell"], params["s"]
-    t = sc.t if sc.metric == SUMRANK else 1
-    if sc.metric == SUMRANK and n % t:
+    t = sc.t
+    if n % t:
         raise ValueError(f"probe n={n} is not a multiple of t={t}")
     ell_ambient = 1 if ell == 0 else ell
     space = AmbientSpace(q, ell_ambient, s, n, sc.metric, t=t)

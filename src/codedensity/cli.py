@@ -158,7 +158,7 @@ def _space_from(args) -> AmbientSpace:
         if args.m % ell:
             raise ValueError(f"--m {args.m} is not a multiple of --ell {ell}")
         s = args.m // ell
-    return AmbientSpace(args.q, ell, s, args.n, args.metric, t=args.t if args.metric == "sumrank" else 1)
+    return AmbientSpace(args.q, ell, s, args.n, args.metric, t=args.t)
 
 
 def _family_from(args) -> CodeFamilySpec:
@@ -403,7 +403,6 @@ def _cmd_estimate(args, guards: Guards) -> int:
         trials=args.trials,
         seed=args.seed,
         level=args.level,
-        worker_streams=args.streams,
         guards=guards,
     )
     _emit(_document("estimate", _config_of(args), report.payload(), seed=args.seed), args.output)
@@ -544,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--streams", type=int, default=1)
     p.add_argument("--level", type=_frac, default=Fraction(99, 100))
 
     p = add("exact", _cmd_exact, help="exhaustive exact density")

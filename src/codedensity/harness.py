@@ -2,25 +2,24 @@
 Carlo estimation, and the bracket/volume/reduction verification suites.
 
 Monte Carlo draws are keyed per trial: trial i uses a Philox stream with key
-(seed, i), so results cannot depend on how trials are partitioned across
-workers and a report is reproducible from (seed, trials, scenario) alone.
-Linear and nonlinear trials run through one loop that cuts them into
-contiguous blocks and scores each block in batches.  The generators are
+(seed, i), so results cannot depend on how trials are batched and a report
+is reproducible from (seed, trials, scenario) alone.  Linear and nonlinear
+trials run through one loop that scores them in batches.  The generators are
 pooled per thread and the pool is kept across estimates: each generator is
-built once and re-keyed before every trial it serves by resetting its
-Philox state to that of a fresh ``Philox(key=(seed, i))``, so a slot
-carries no state from one trial or estimate to the next and every draw is
-bit-identical to one from a generator built for the trial.  First draws are
-computed by ``_philox_bounded``, which evaluates the same Philox streams and
-numpy's bounded-integer method over a whole window of batches at once: whole
-consecutive batches of one block, holding at most _CHUNK_WORDS values in
-all.  Draws it cannot follow, and every redraw, come from the trial's
-generator.  A linear trial whose evaluated first matrix scores 0 makes one
-call on its still-fresh generator for two matrices: the replay of the first,
-checked against it, and its second attempt.  numpy draws each bounded value
-from the bit generator's own uint32 stream, so that call gives exactly what
-two calls of one matrix each would.  Each redraw round scores the batch's
-redrawn rows in place.
+built once and re-keyed before every trial it serves by resetting its Philox
+state to that of a fresh ``Philox(key=(seed, i))``, so a slot carries no
+state from one trial or estimate to the next and every draw is bit-identical
+to one from a generator built for the trial.  First draws are computed by
+``_philox_bounded``, which evaluates the same Philox streams and numpy's
+bounded-integer method over a whole window of batches at once: whole
+consecutive batches, holding at most _CHUNK_WORDS values in all.  Draws it
+cannot follow, and every redraw, come from the trial's generator.  A linear
+trial whose evaluated first matrix scores 0 makes one call on its
+still-fresh generator for two matrices: the replay of the first, checked
+against it, and its second attempt.  numpy draws each bounded value from the
+bit generator's own uint32 stream, so that call gives exactly what two calls
+of one matrix each would.  Each redraw round scores the batch's redrawn rows
+in place.
 Confidence intervals are exact Clopper-Pearson bounds on a dyadic rational
 grid of width 2^-21 (< 10^-6), rounded outward so coverage is never
 understated.  There is one endpoint search: the lower endpoint is the last
@@ -314,9 +313,7 @@ def _index_span(gens: list, p: int, width: int) -> np.ndarray:
     return _fp_span(digits, p) @ p ** np.arange(width)
 
 
-def _scorer(
-    space: AmbientSpace, tower: FieldTower, k: int, guards: Guards
-) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+def _scorer(space: AmbientSpace, tower: FieldTower, k: int) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
     """``_min_weights`` bound to the space's weight table and to the unit
     products; and the most k-row matrices it should score at once, about
     _CHUNK_WORDS normalized words.
@@ -329,7 +326,7 @@ def _scorer(
     the m x n digit matrix, whole or block by block, do not change when
     that map is applied to every column, so entry by entry the table holds
     the weight of the packed vector's word too."""
-    table = _flat_weight_table(space, guards.enumeration)
+    table = _flat_weight_table(space)
     p, ell = tower.p, tower.ell
     # x -> kappa_u * x is F_p-linear, so row u of the table is the F_p-span
     # of the ell products kappa_u * kappa_v
@@ -344,11 +341,10 @@ def _code_min_weights(
     tower: FieldTower,
     k: int,
     bases: Iterable[SubspaceBasis],
-    guards: Guards = Guards(),
 ) -> Iterator[np.ndarray]:
     """Minimum weights of the k-dimensional codes ``bases`` span, scored in
     chunks of at most _CHUNK_WORDS codewords; bases are consumed lazily."""
-    score, per_chunk = _scorer(space, tower, k, guards)
+    score, per_chunk = _scorer(space, tower, k)
     ns = space.n * tower.s
     bases = iter(bases)
     while chunk := [basis.rows for basis in itertools.islice(bases, per_chunk)]:
@@ -380,7 +376,6 @@ def _generator_pool(size: int) -> Iterator[list[Generator | None]]:
 def _trial_successes(
     trials: int,
     seed: int,
-    worker_streams: int,
     batch: int,
     score_batch: Callable[[range, list[Generator], tuple[np.ndarray, np.ndarray] | None], int],
     first_draws: tuple[int | np.ndarray, int] | None,
@@ -388,19 +383,18 @@ def _trial_successes(
     """Successes of trials 0..trials-1, each drawn from its own
     ``trial_generator(seed, i)``.
 
-    The trials are cut into ``worker_streams`` contiguous blocks, and each
-    block is scored in batches of at most ``batch`` trials: ``score_batch``
-    takes the trial numbers of one batch, their generators in trial order,
-    and their first draws, and returns how many of its trials succeed.  The
-    generators come from the thread's pool, with a slot per batch position:
-    slot j is re-keyed for the j-th trial of each batch, once the batch
-    before has been scored, and built only if no earlier estimate of the
-    thread has used it.
+    The trials are scored in batches of at most ``batch`` trials:
+    ``score_batch`` takes the trial numbers of one batch, their generators
+    in trial order, and their first draws, and returns how many of its
+    trials succeed.  The generators come from the thread's pool, with a slot
+    per batch position: slot j is re-keyed for the j-th trial of each batch,
+    once the batch before has been scored, and built only if no earlier
+    estimate of the thread has used it.
 
     With ``first_draws`` = (bounds, count), each trial's first ``count``
     draws ``integers(0, bounds)`` come from ``_philox_bounded``, called once
-    per window: a run of whole, consecutive batches of one block holding at
-    most _CHUNK_WORDS values, or a single batch if one alone holds more.
+    per window: a run of whole, consecutive batches holding at most
+    _CHUNK_WORDS values, or a single batch if one alone holds more.
     ``score_batch`` gets its batch's values and flags as views into the
     window's arrays; without ``first_draws`` it gets None.
     """
@@ -409,20 +403,18 @@ def _trial_successes(
         window *= max(1, _CHUNK_WORDS // (first_draws[1] * batch))
     successes = 0
     with _generator_pool(min(batch, trials)) as pool:
-        for block in range(worker_streams):
-            stop = (block + 1) * trials // worker_streams
-            for top in range(block * trials // worker_streams, stop, window):
-                end = min(top + window, stop)
-                draws = None
-                if first_draws is not None:
-                    draws = _philox_bounded(seed, range(top, end), *first_draws)
-                for start in range(top, end, batch):
-                    trial_ids = range(start, min(start + batch, end))
-                    gens = [trial_generator(seed, i, gen) for i, gen in zip(trial_ids, pool)]
-                    pool[: len(gens)] = gens
-                    rows = slice(start - top, trial_ids.stop - top)
-                    first = None if draws is None else (draws[0][rows], draws[1][rows])
-                    successes += score_batch(trial_ids, gens, first)
+        for top in range(0, trials, window):
+            end = min(top + window, trials)
+            draws = None
+            if first_draws is not None:
+                draws = _philox_bounded(seed, range(top, end), *first_draws)
+            for start in range(top, end, batch):
+                trial_ids = range(start, min(start + batch, end))
+                gens = [trial_generator(seed, i, gen) for i, gen in zip(trial_ids, pool)]
+                pool[: len(gens)] = gens
+                rows = slice(start - top, trial_ids.stop - top)
+                first = None if draws is None else (draws[0][rows], draws[1][rows])
+                successes += score_batch(trial_ids, gens, first)
     return successes
 
 
@@ -431,7 +423,6 @@ def _linear_successes(
     spec: CodeFamilySpec,
     trials: int,
     seed: int,
-    worker_streams: int,
     guards: Guards,
 ) -> int:
     """Number of trials whose uniform k-dimensional code has minimum
@@ -459,7 +450,7 @@ def _linear_successes(
     _check_linearity(space, spec.linearity)
     _hold_table_size(space, guards.enumeration)
     tower = space_tower(space, spec.linearity)
-    score, per_chunk = _scorer(space, tower, spec.dim, guards)
+    score, per_chunk = _scorer(space, tower, spec.dim)
     k, ns = spec.dim, space.n * tower.s
     draw = lambda gen: _draw_matrix(gen, k, tower, space.n)
 
@@ -489,7 +480,7 @@ def _linear_successes(
 
     batch = min(per_chunk, _TRIAL_BATCH)
     first_draws = (tower.subfield_order, k * ns)
-    return _trial_successes(trials, seed, worker_streams, batch, score_batch, first_draws)
+    return _trial_successes(trials, seed, batch, score_batch, first_draws)
 
 
 def _subset_min_weights(space: AmbientSpace, indices: np.ndarray) -> np.ndarray:
@@ -524,9 +515,7 @@ def _subset_min_weights(space: AmbientSpace, indices: np.ndarray) -> np.ndarray:
     return best
 
 
-def _nonlinear_successes(
-    space: AmbientSpace, spec: CodeFamilySpec, trials: int, seed: int, worker_streams: int
-) -> int:
+def _nonlinear_successes(space: AmbientSpace, spec: CodeFamilySpec, trials: int, seed: int) -> int:
     """Number of trials whose uniform S-subset of the space has minimum
     distance >= d.
 
@@ -570,7 +559,7 @@ def _nonlinear_successes(
     per_chunk = max(1, _CHUNK_WORDS // (size * n * space.m))
     first_draws = None if bounds is None else (bounds, size)
     batch = min(per_chunk, _TRIAL_BATCH)
-    return _trial_successes(trials, seed, worker_streams, batch, score_batch, first_draws)
+    return _trial_successes(trials, seed, batch, score_batch, first_draws)
 
 
 @lru_cache(maxsize=64)
@@ -594,7 +583,7 @@ def linear_distance_histogram(
     tower = space_tower(space, ell)
     counts = np.zeros(space.diameter + 1, dtype=np.int64)
     bases = enumerate_subspaces(k, tower, space.n, guards)
-    for weights in _code_min_weights(space, tower, k, bases, guards):
+    for weights in _code_min_weights(space, tower, k, bases):
         counts += np.bincount(weights, minlength=counts.size)
     return tuple((w, int(c)) for w, c in enumerate(counts) if c)
 
@@ -730,7 +719,7 @@ def subset_distance_histogram(
         return ((1, space.size * rooted // size),)
     # N - 1 <= C(N-1, S-1) for 1 <= S - 1 <= N - 2, so the guard on the
     # count already holds the table to at most one entry past it
-    a = _rooted_clique_counts(space, size, _flat_weight_table(space, space.size))
+    a = _rooted_clique_counts(space, size, _flat_weight_table(space))
     hist = []
     for w in range(1, space.diameter + 1):
         rooted_at_w = a[w] - a[w + 1]
@@ -982,11 +971,9 @@ def clopper_pearson(successes: int, trials: int, level: Fraction) -> tuple[Fract
 class SampleReport:
     """A seeded Monte Carlo density estimate.
 
-    ``worker_streams`` records how many contiguous blocks the trials were
-    cut into.  The draws are keyed per trial, so the partition changes
-    how the trials are batched but not the successes, and the canonical
-    payload used for reproducibility comparisons carries the statistical
-    fields and seed only.
+    The draws are keyed per trial, so the report depends on (seed, trials,
+    scenario) alone, and the canonical payload used for reproducibility
+    comparisons carries the statistical fields and seed only.
     """
 
     trials: int
@@ -996,7 +983,6 @@ class SampleReport:
     ci_upper: Fraction
     confidence_level: Fraction
     seed: int
-    worker_streams: int
 
     def __post_init__(self) -> None:
         if not self.ci_lower <= self.point_estimate <= self.ci_upper:
@@ -1020,20 +1006,16 @@ def estimate_density(
     trials: int,
     seed: int = DEFAULT_SEED,
     level: Fraction = Fraction(99, 100),
-    worker_streams: int = 1,
     guards: Guards = Guards(),
 ) -> SampleReport:
     """Monte Carlo estimate of the family density from i.i.d. uniform codes.
 
-    The trials are cut into ``worker_streams`` contiguous blocks, and each
-    block is drawn and scored in batches of its own.  The draws of trial i
-    are keyed by (seed, i) alone, so the partition moves only the batch
-    boundaries and never changes the successes.
+    The trials are drawn and scored in batches, but the draws of trial i
+    are keyed by (seed, i) alone, so how the trials are batched never
+    changes the successes.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 1 <= worker_streams <= trials:
-        raise ValueError(f"worker_streams must lie in [1, trials={trials}], got {worker_streams}")
     if not 0 <= seed < _SEED_LIMIT:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     level = Fraction(level)
@@ -1041,9 +1023,9 @@ def estimate_density(
         raise ValueError("confidence level must lie strictly between 0 and 1")
     spec.validate_for(space)
     if spec.linearity == 0:
-        successes = _nonlinear_successes(space, spec, trials, seed, worker_streams)
+        successes = _nonlinear_successes(space, spec, trials, seed)
     else:
-        successes = _linear_successes(space, spec, trials, seed, worker_streams, guards)
+        successes = _linear_successes(space, spec, trials, seed, guards)
     lower, upper = clopper_pearson(successes, trials, level)
     return SampleReport(
         trials=trials,
@@ -1053,7 +1035,6 @@ def estimate_density(
         ci_upper=upper,
         confidence_level=level,
         seed=seed,
-        worker_streams=worker_streams,
     )
 
 
@@ -1147,7 +1128,7 @@ def reduction_verification(q: int, ell: int, s: int, n: int) -> list[Verdict]:
             )
         if a.size <= ORACLE_SPACE:
             a.requires_prime_q()
-            wa, wb = (_flat_weight_table(x, ORACLE_SPACE) for x in (a, b))
+            wa, wb = (_flat_weight_table(x) for x in (a, b))
             mismatch = int(np.count_nonzero(wa != wb))
             out.append(
                 Verdict(

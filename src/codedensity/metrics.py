@@ -312,17 +312,17 @@ def _hold_table_size(space: AmbientSpace, limit: int) -> None:
         raise GuardExceeded("weight table entries", space.size, limit)
 
 
-def _flat_weight_table(space: AmbientSpace, limit: int) -> np.ndarray:
+def _flat_weight_table(space: AmbientSpace) -> np.ndarray:
     """Weight of every word of the space, as an array indexed by the word
     index of :func:`_word_columns`, the one index a word has.
 
-    The table has one entry per word of the space, so its size is held to
-    ``limit``: the enumeration guard for linear jobs, ``ORACLE_SPACE`` for
-    the volume oracle and the reduction check.  The subset count passes the
-    word count itself, since its guard on C(N-1, S-1) already bounds N.  No
-    such space has a diameter past 255, so the table is uint8.
+    The table has one entry per word of the space, and every caller holds
+    its size first: linear jobs to the enumeration guard with
+    :func:`_hold_table_size`, the volume oracle and the reduction check to
+    ``ORACLE_SPACE``, and the subset count through its guard on
+    C(N-1, S-1), which already bounds N.  No such space has a diameter past
+    255, so the table is uint8.
     """
-    _hold_table_size(space, limit)
     indices = np.arange(space.size, dtype=np.min_scalar_type(space.size - 1))
     return _weights(space, _word_columns(space, indices))
 
@@ -386,7 +386,7 @@ def _weight_distribution(space: AmbientSpace) -> tuple[int, ...]:
         raise GuardExceeded("volume oracle space size", space.size, ORACLE_SPACE)
     if space.metric != HAMMING:
         space.requires_prime_q()
-    table = _flat_weight_table(space, ORACLE_SPACE)
+    table = _flat_weight_table(space)
     return tuple(int(c) for c in np.bincount(table, minlength=space.diameter + 1))
 
 

@@ -310,18 +310,19 @@ def test_criterion_9_stream_determinism(monkeypatch):
     started = time.time()
     space = AmbientSpace(2, 1, 2, 2, "hamming")
     spec = CodeFamilySpec(1, 2, dim=1)
-    # spy on the scorer: the batch sizes show that each partition is real
+    # spy on the scorer: the batch sizes show that each batching is real
     sizes: list[int] = []
     score = harness._min_weights
     monkeypatch.setattr(
         harness, "_min_weights", lambda bases, *rest: sizes.append(len(bases)) or score(bases, *rest)
     )
     blobs, batches = set(), set()
-    for streams in (1, 3, 4, 7):  # 1000 trials: 3 and 7 do not divide it
+    for batch in (256, 100, 7, 1):  # 1000 trials: 256 and 7 do not divide it
+        monkeypatch.setattr(harness, "_TRIAL_BATCH", batch)
         sizes.clear()
-        report = estimate_density(space, spec, trials=1000, seed=DEFAULT_SEED, worker_streams=streams)
+        report = estimate_density(space, spec, trials=1000, seed=DEFAULT_SEED)
         blobs.add(json.dumps(report.payload(), sort_keys=True, indent=2))
         batches.add(tuple(sizes))
     assert len(blobs) == 1
     assert len(batches) == 4
-    _report(9, "worker streams cannot change a report", started)
+    _report(9, "how trials are batched cannot change a report", started)

@@ -146,6 +146,10 @@ def test_scenario_validation():
         Scenario("sumrank", "q", "extremal", 2, ell=1, n=3, s=1, t=2)  # t does not divide n
     with pytest.raises(ValueError):
         Scenario("sumrank", "q", "extremal", 2, ell=1, n=6, s=1, t=2, eta=2)  # n != eta*t
+    for metric in ("hamming", "rank"):  # blocks only in sum-rank, with n fixed or growing
+        for growing, fixed in (("q", {"n": 4}), ("n", {"q": 2})):
+            with pytest.raises(ValueError, match="only meaningful for the sum-rank metric"):
+                Scenario(metric, growing, "extremal", 2, ell=1, s=1, t=2, **fixed)
 
 
 @pytest.mark.parametrize("coeff", [Fraction(-1), Fraction(0)])

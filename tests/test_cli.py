@@ -231,27 +231,45 @@ def test_probe_csv(capsys):
     assert len(lines) == 4
 
 
-def test_estimate_stream_invariant_json(capsys):
+def test_estimate_json_is_reproducible(capsys):
     argv = [
         "estimate", "--metric", "hamming", "--q", "2", "--ell", "1", "--s", "2",
         "--n", "2", "--k", "1", "--d", "2", "--trials", "300", "--seed", "9",
     ]
-    _, out1, _ = run_cli(capsys, *argv, "--streams", "1")
-    _, out4, _ = run_cli(capsys, *argv, "--streams", "4")
-    doc1, doc4 = json.loads(out1), json.loads(out4)
-    assert doc1["result"] == doc4["result"]
-    assert json.dumps(doc1["result"], sort_keys=True) == json.dumps(doc4["result"], sort_keys=True)
-    assert doc1["config"]["streams"] == 1 and doc4["config"]["streams"] == 4
-    assert doc1["seed"] == 9
+    _, out1, _ = run_cli(capsys, *argv)
+    _, out2, _ = run_cli(capsys, *argv)
+    assert out1 == out2
+    doc = json.loads(out1)
+    assert doc["seed"] == 9 and "streams" not in doc["config"]
 
 
-def test_estimate_rejects_more_streams_than_trials(capsys):
+def test_estimate_has_no_streams_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*_ESTIMATE, "--streams", "4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("metric", ["hamming", "rank"])
+def test_space_command_with_t_outside_sumrank_exits_two(capsys, metric):
+    # the block count is refused, not dropped for the t = 1 space
     code, out, err = run_cli(
-        capsys, "estimate", "--metric", "hamming", "--q", "2", "--ell", "1", "--s", "2",
-        "--n", "2", "--k", "1", "--d", "2", "--trials", "10", "--streams", "1000000000",
+        capsys, "volume", "--metric", metric, "--q", "2", "--s", "1", "--n", "4",
+        "--t", "2", "--radius", "1",
     )
-    assert code == 2
-    assert out == "" and "worker_streams" in err
+    assert code == 2 and out == ""
+    assert "t is only meaningful for the sum-rank metric" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "probe"])
+def test_classify_with_t_outside_sumrank_exits_two(capsys, command):
+    probes = ["--probes", "5,7"] if command == "probe" else []
+    code, out, err = run_cli(
+        capsys, command, "--family", "mds", "--growing", "q", "--ell", "1",
+        "--n", "4", "--s", "2", "--d", "2", "--t", "2", *probes,
+    )
+    assert code == 2 and out == ""
+    assert "t is only meaningful for the sum-rank metric" in err
 
 
 def test_verify_micro_passes(capsys):

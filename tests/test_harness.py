@@ -625,55 +625,6 @@ def _trial_batches(monkeypatch):
     return batches
 
 
-def _partition(trials: int, streams: int, batch: int = 256):
-    # contiguous blocks, each cut into batches of its own
-    bounds = [b * trials // streams for b in range(streams + 1)]
-    return [
-        (start, min(start + batch, stop))
-        for lo, stop in zip(bounds, bounds[1:])
-        for start in range(lo, stop, batch)
-    ]
-
-
-def test_estimate_density_stream_invariance(monkeypatch):
-    import json
-
-    from codedensity import harness
-
-    batches = _trial_batches(monkeypatch)
-    drawn, spied = [], harness.trial_generator
-    monkeypatch.setattr(
-        harness, "trial_generator", lambda seed, i, reuse=None: drawn.append(i) or spied(seed, i, reuse)
-    )
-    linear = AmbientSpace(2, 1, 2, 2, "rank"), CodeFamilySpec(1, 2, dim=2)
-    nonlinear = AmbientSpace(3, 1, 1, 2, "hamming"), CodeFamilySpec(0, 2, size=3)
-    for space, spec in (linear, nonlinear):
-        reports, seen = {}, {}
-        for streams in (1, 3, 4, 7):  # 401 trials: no partition divides evenly
-            batches.clear()
-            drawn.clear()
-            reports[streams] = estimate_density(space, spec, trials=401, seed=77, worker_streams=streams)
-            seen[streams] = list(batches)
-            assert drawn == list(range(401)), (spec, streams)  # each trial keyed once, in order
-        one = reports[1]
-        for streams, report in reports.items():
-            assert report.worker_streams == streams
-            assert report.successes == one.successes
-            assert json.dumps(report.payload(), sort_keys=True) == json.dumps(one.payload(), sort_keys=True)
-            # the partitions are real: each cuts the trials into its own batches
-            assert seen[streams] == _partition(401, streams)
-        assert len({tuple(b) for b in seen.values()}) == 4
-
-
-def test_estimate_density_rejects_more_streams_than_trials():
-    space = AmbientSpace(2, 1, 2, 2, "hamming")
-    for spec in (CodeFamilySpec(1, 2, dim=1), CodeFamilySpec(0, 2, size=2)):
-        for streams in (11, 10**9, 0):
-            with pytest.raises(ValueError, match="worker_streams"):
-                estimate_density(space, spec, trials=10, worker_streams=streams)
-        assert estimate_density(space, spec, trials=10, worker_streams=10).trials == 10
-
-
 # (space, linearity) pairs over F_2, F_3, F_4 and F_9
 _RANK_TEST_SPACES = (
     (AmbientSpace(2, 1, 2, 2, "hamming"), 1),
@@ -696,7 +647,7 @@ def test_scorer_reads_zero_exactly_on_rank_deficient_draws():
         tower = harness.space_tower(space, ell)
         ns = space.n * tower.s
         for k in range(1, ns + 1):
-            score, _ = harness._scorer(space, tower, k, Guards())
+            score, _ = harness._scorer(space, tower, k)
             draws = rng.integers(0, tower.subfield_order, size=(300, k, ns))
             deficient = [len(fields.rref(rows.tolist(), tower)[0]) < k for rows in draws]
             weights = score(draws)
@@ -748,11 +699,11 @@ def test_normalized_words_give_the_full_span_minimum():
     for space, ell in _PROJECTIVE_TEST_SPACES:
         tower = harness.space_tower(space, ell)
         p, ns, order = tower.p, space.n * tower.s, tower.subfield_order
-        table = _flat_weight_table(space, space.size)
+        table = _flat_weight_table(space)
         products = [[tower.k_mul(p**u, p**v) for v in range(ell)] for u in range(ell)]
         unit_mul = harness._index_span(products, p, ell)
         for k in range(1, ns + 1):
-            score, _ = harness._scorer(space, tower, k, Guards())
+            score, _ = harness._scorer(space, tower, k)
             draws = rng.integers(0, order, size=(120, k, ns))
             for rows in draws[80:]:
                 last = [0] * ns
@@ -806,7 +757,6 @@ def test_batched_trials_match_one_trial_at_a_time(space, spec):
         want = _reference_successes(space, spec, 120, seed)
         assert spec.linearity or 0 < want < 120, seed  # a count that can go wrong either way
         assert estimate_density(space, spec, trials=120, seed=seed).successes == want, seed
-        assert estimate_density(space, spec, trials=120, seed=seed, worker_streams=7).successes == want
 
 
 def test_estimate_density_rejects_seeds_outside_64_bits():
@@ -965,7 +915,7 @@ def test_one_call_for_two_attempts_equals_two_calls(bound):
             assert once.integers(0, bound, 9).tolist() == twice.integers(0, bound, 9).tolist()
 
 
-def _one_matrix_per_call_successes(space, spec, trials, seed, worker_streams):
+def _one_matrix_per_call_successes(space, spec, trials, seed):
     # the reference: the linear trial loop with one generator call per
     # matrix; each zero-scored evaluated trial replays its first matrix in a
     # call of its own, and each redraw round stacks one new matrix a trial
@@ -973,7 +923,7 @@ def _one_matrix_per_call_successes(space, spec, trials, seed, worker_streams):
     from codedensity.fields import _draw_matrix
 
     tower = harness.space_tower(space, spec.linearity)
-    score, per_chunk = harness._scorer(space, tower, spec.dim, Guards())
+    score, per_chunk = harness._scorer(space, tower, spec.dim)
     k, ns = spec.dim, space.n * tower.s
     draw = lambda gen: _draw_matrix(gen, k, tower, space.n)
 
@@ -991,7 +941,7 @@ def _one_matrix_per_call_successes(space, spec, trials, seed, worker_streams):
 
     batch = min(per_chunk, harness._TRIAL_BATCH)
     first_draws = (tower.subfield_order, k * ns)
-    return harness._trial_successes(trials, seed, worker_streams, batch, score_batch, first_draws)
+    return harness._trial_successes(trials, seed, batch, score_batch, first_draws)
 
 
 # linear cases where many draws are rank-deficient: k = ns = 4 over F_2
@@ -1013,7 +963,7 @@ _SINGULAR_CASES = (
 def test_paired_redraws_match_one_matrix_per_call(monkeypatch, space, spec, batch, chunk):
     # every matrix the scorer sees, in order, and the successes agree with
     # the reference; small batches and chunks put several batches in a
-    # window and many windows in a block
+    # window and make many windows
     from codedensity import harness
 
     monkeypatch.setattr(harness, "_TRIAL_BATCH", batch)
@@ -1027,16 +977,13 @@ def test_paired_redraws_match_one_matrix_per_call(monkeypatch, space, spec, batc
 
     monkeypatch.setattr(harness, "_min_weights", scored)
     trials = 2200 if batch == 256 else 700  # past a window of 2048 trials at k = 1 over F_2
-    for streams in (1, 3, 4):
-        seen.clear()
-        want = _one_matrix_per_call_successes(space, spec, trials, 11, streams)
-        reference = list(seen)
-        seen.clear()
-        got = estimate_density(space, spec, trials=trials, seed=11, worker_streams=streams).successes
-        assert got == want, streams
-        assert len(seen) == len(reference), streams
-        for (a, wa), (b, wb) in zip(seen, reference):
-            assert np.array_equal(a, b) and np.array_equal(wa, wb), streams
+    want = _one_matrix_per_call_successes(space, spec, trials, 11)
+    reference = list(seen)
+    seen.clear()
+    assert estimate_density(space, spec, trials=trials, seed=11).successes == want
+    assert len(seen) == len(reference)
+    for (a, wa), (b, wb) in zip(seen, reference):
+        assert np.array_equal(a, b) and np.array_equal(wa, wb)
     redrawn = sum(int(np.count_nonzero(w == 0)) for _, w in seen)
     assert redrawn > trials // 200, (space, spec)
 
@@ -1079,7 +1026,7 @@ def test_each_zero_scored_attempt_makes_one_generator_call(monkeypatch):
         k = spec.dim
         events.clear()
         flagged.clear()
-        estimate_density(space, spec, trials=600, seed=2, worker_streams=3)
+        estimate_density(space, spec, trials=600, seed=2)
         batches, current = [], None
         for kind, value in events:
             if kind == "trial" and (current is None or current[1]):
@@ -1112,20 +1059,41 @@ def test_each_zero_scored_attempt_makes_one_generator_call(monkeypatch):
     assert totals["paired"] > 100 and totals["later"] > 100 and totals["flagged"] > 100
 
 
+def _partition(trials: int, batch: int):
+    # consecutive batches of at most ``batch`` trials
+    return [(start, min(start + batch, trials)) for start in range(0, trials, batch)]
+
+
 @pytest.mark.parametrize("batch", [1, 3])
 def test_trial_batch_size_does_not_change_successes(monkeypatch, batch):
+    # a smaller batch cuts the trials into batches of its own, linear and
+    # nonlinear, and keys each trial once, in order, yet gives the same
+    # successes and payload bytes
+    import json
+
     from codedensity import harness
 
     cases = ((_REDRAW_SPACE, _REDRAW_SPEC), (_SUBSET_SPACE, _SUBSET_SPEC))
-    runs = lambda streams: [
-        [estimate_density(space, spec, trials=50, seed=s, worker_streams=streams).successes for s in (0, 9)]
-        for space, spec in cases
-    ]
-    want = runs(1)
-    assert want == [[14, 17], [18, 16]]
-    monkeypatch.setattr(harness, "_TRIAL_BATCH", batch)
-    for streams in (1, 7):
-        assert runs(streams) == want, streams
+    runs = lambda: [[estimate_density(space, spec, trials=50, seed=s).successes for s in (0, 9)] for space, spec in cases]
+    batches = _trial_batches(monkeypatch)
+    drawn, spied = [], harness.trial_generator
+    monkeypatch.setattr(
+        harness, "trial_generator", lambda seed, i, reuse=None: drawn.append(i) or spied(seed, i, reuse)
+    )
+    linear = AmbientSpace(2, 1, 2, 2, "rank"), CodeFamilySpec(1, 2, dim=2)
+    nonlinear = AmbientSpace(3, 1, 1, 2, "hamming"), CodeFamilySpec(0, 2, size=3)
+    payloads = {}
+    for size in (harness._TRIAL_BATCH, batch):
+        monkeypatch.setattr(harness, "_TRIAL_BATCH", size)
+        assert runs() == [[14, 17], [18, 16]], size
+        for space, spec in (linear, nonlinear):
+            batches.clear()
+            drawn.clear()
+            report = estimate_density(space, spec, trials=401, seed=77)
+            assert drawn == list(range(401)), (spec, size)  # each trial keyed once, in order
+            assert batches == _partition(401, size), (spec, size)
+            payloads.setdefault(spec, set()).add(json.dumps(report.payload(), sort_keys=True))
+    assert all(len(blobs) == 1 for blobs in payloads.values())
 
 
 # the benchmark's criterion-8 case: 4 first draws a trial, 256 trials a
@@ -1151,8 +1119,8 @@ def _window_spy(monkeypatch):
 
 
 def test_first_draws_are_evaluated_once_per_window(monkeypatch):
-    # a window is a run of whole batches of one block, below the trial
-    # count, of at most _CHUNK_WORDS values unless it is a single batch
+    # a window is a run of whole batches, below the trial count, of at most
+    # _CHUNK_WORDS values unless it is a single batch
     from codedensity import harness
 
     windows = _window_spy(monkeypatch)
@@ -1166,17 +1134,15 @@ def test_first_draws_are_evaluated_once_per_window(monkeypatch):
     ]
     multi = Counter()
     for space, spec in cases:
-        for trials, streams in ((10001, 1), (10001, 3), (2000, 7), (257, 3), (1, 1)):
+        for trials in (10001, 2000, 257, 1):
             if space.m == 4 and trials > 2000:
                 continue
             windows.clear()
             batches.clear()
-            estimate_density(space, spec, trials=trials, seed=21, worker_streams=streams)
-            blocks = [(b * trials // streams, (b + 1) * trials // streams) for b in range(streams)]
+            estimate_density(space, spec, trials=trials, seed=21)
             assert [i for ids, _, _ in windows for i in ids] == list(range(trials))
             starts, stops = {a for a, _ in batches}, {b for _, b in batches}
             for ids, count, _ in windows:
-                assert any(lo <= ids.start and ids.stop <= hi for lo, hi in blocks), (spec, ids)
                 assert ids.start in starts and ids.stop in stops, (spec, ids)
                 if len(ids) * count > harness._CHUNK_WORDS:
                     assert (ids.start, ids.stop) in batches, (spec, ids)
@@ -1219,13 +1185,12 @@ def test_windows_leave_successes_unchanged(monkeypatch):
 
     cases = ((_CRIT8_SPACE, _CRIT8_SPEC), (_REDRAW_SPACE, _REDRAW_SPEC), (_SUBSET_SPACE, _SUBSET_SPEC))
     counts = (1, 255, 257, 10001)
-    run = lambda space, spec, trials, streams=1: estimate_density(
-        space, spec, trials=trials, seed=8, worker_streams=streams
-    ).successes
-    got = {
-        trials: [{run(space, spec, trials, k) for k in (1, 3, 7) if k <= trials} for space, spec in cases]
-        for trials in counts
-    }
+
+    def run(space, spec, trials, batch=256):
+        monkeypatch.setattr(harness, "_TRIAL_BATCH", batch)
+        return estimate_density(space, spec, trials=trials, seed=8).successes
+
+    got = {trials: [{run(space, spec, trials, b) for b in (256, 100, 7)} for space, spec in cases] for trials in counts}
     evaluate = harness._philox_bounded
 
     def flag_all(seed, trial_ids, bounds, count):
@@ -1636,7 +1601,7 @@ def test_weight_table_matches_metric_weight(q, metric, t):
     for ell, s in ((1, 2), (2, 1)):
         space = AmbientSpace(q, ell, s, 2, metric, t=t)
         tower = space_tower(space, ell)
-        table = _flat_weight_table(space, space.size)
+        table = _flat_weight_table(space)
         assert table.dtype == np.uint8 and table.shape == (space.size,)
         for v in range(space.size):
             assert table[v] == weight(space, codeword_from_int(v, tower, space.n)), (space, v)
@@ -1660,8 +1625,8 @@ def test_one_wrong_table_entry_changes_a_histogram(monkeypatch):
     table_of = harness._flat_weight_table
 
     def one_wrong_entry(index):
-        def wrong(space, limit):
-            table = table_of(space, limit)
+        def wrong(space):
+            table = table_of(space)
             table[index] = 0
             return table
 
@@ -1673,19 +1638,6 @@ def test_one_wrong_table_entry_changes_a_histogram(monkeypatch):
     assert sum(c for _, c in got) == sum(c for _, c in want)
     monkeypatch.setattr(harness, "_flat_weight_table", one_wrong_entry(5))
     assert harness.linear_distance_histogram.__wrapped__(space, 2, 1) == want
-
-
-def test_scorer_holds_the_table_to_the_guard_before_building_it(monkeypatch):
-    from codedensity import harness, metrics
-
-    def no_table(*args):
-        raise AssertionError("weight table built before the guard was checked")
-
-    monkeypatch.setattr(metrics, "_word_columns", no_table)
-    space = AmbientSpace(2, 2, 1, 2, "hamming")  # 16 words
-    with pytest.raises(GuardExceeded) as err:
-        harness._scorer(space, harness.space_tower(space, 2), 1, Guards(enumeration=15))
-    assert (err.value.what, err.value.count) == ("weight table entries", 16)
 
 
 def test_chunked_scoring_matches_one_code_per_chunk(monkeypatch):
@@ -1906,8 +1858,8 @@ def test_reduction_check_counts_pointwise_mismatches(monkeypatch):
 
     table_of = harness._flat_weight_table
 
-    def one_wrong_hamming_weight(space, limit):
-        table = table_of(space, limit)
+    def one_wrong_hamming_weight(space):
+        table = table_of(space)
         if space.metric == "hamming":
             table[5] += 1
         return table

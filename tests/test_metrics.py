@@ -275,7 +275,7 @@ def _check_table_against_weight(space: AmbientSpace) -> None:
     # the table, entry by entry, and the oracle's distribution, against the
     # scalar weight of codeword_from_int(v), the word of index v
     tower = build_tower(space.q, 1, space.m)
-    table = _flat_weight_table(space, space.size)
+    table = _flat_weight_table(space)
     scalar = [weight(space, codeword_from_int(v, tower, space.n)) for v in range(space.size)]
     assert table.tolist() == scalar, space
     counts = [0] * (space.diameter + 1)
