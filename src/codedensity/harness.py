@@ -42,21 +42,28 @@ that size.
 A word has one index, the integer whose j-th base-q^m digit is the word's
 j-th coordinate, and ``metrics._flat_weight_table`` is indexed by it.
 Exhaustive linear histograms and linear Monte Carlo trials share one exact
-scorer: bases are stacked into numpy integer arrays, and each code is
-scored by one word per projective point, the combinations of its rows whose
-last nonzero middle-field coefficient is 1, since a nonzero middle-field
-multiple of a word has the same weight in all three metrics.  Those words
-are expanded in the packed middle-field encoding and their weights read
-from the table at that encoding's index.  It indexes other words than the
-word index does, but per coordinate the two differ by one invertible
-F_p-linear map of its m base-p digits, which keeps every weight, so the
-table serves both encodings as it is.  A linear trial's drawn matrix goes
-to the scorer as drawn, with no row reduction, since a code's minimum
-weight depends only on its row space.  A draw of rank
-below k has a normalized combination of its rows equal to the zero word and
-scores 0, which no code of dimension k does, so such draws are found by the
-scorer and redrawn from the trial's own stream, as ``fields.sample_subspace``
-redraws them.  The reduction check compares two weight tables entry by entry.
+scorer of two steps.  The per-row step expands each row into its ell
+F_p-generators kappa_u * row; the span step scores each code by one word
+per projective point, the combinations of its rows whose last nonzero
+middle-field coefficient is 1, since a nonzero middle-field multiple of a
+word has the same weight in all three metrics.  A Monte Carlo batch's drawn
+matrices are one numpy array, and every row of it is expanded.  An
+exhaustive chunk of consecutive RREF bases holds few distinct rows, since
+the bases of a pivot profile are a Cartesian product of per-row choices:
+a per-chunk row table numbers them, each basis becomes k row numbers, and
+only the table's rows are expanded, once each, before the codes gather
+their generators by number.  Words are expanded in the packed middle-field
+encoding and their weights read from the table at that encoding's index.
+It indexes other words than the word index does, but per coordinate the
+two differ by one invertible F_p-linear map of its m base-p digits, which
+keeps every weight, so the table serves both encodings as it is.  A
+linear trial's drawn matrix goes to the scorer as drawn, with no row
+reduction, since a code's minimum weight depends only on its row space.  A
+draw of rank below k has a normalized combination of its rows equal to the
+zero word and scores 0, which no code of dimension k does, so such draws
+are found by the scorer and redrawn from the trial's own stream, as
+``fields.sample_subspace`` redraws them.  The reduction check compares two
+weight tables entry by entry.
 Nonlinear codes drawn by the Monte Carlo trials have one scorer,
 ``_subset_min_weights``: it splits word indices with
 ``metrics._word_columns`` and weighs the pair differences of a whole batch
@@ -86,6 +93,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -263,42 +271,62 @@ def _fp_span(gens: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _min_weights(
-    bases: np.ndarray, tower: FieldTower, table: np.ndarray, unit_mul: np.ndarray
-) -> np.ndarray:
-    """Minimum weight over the nonzero codewords of each code spanned by a
-    (B, k, ns) stack of middle-field bases.
+def _row_generators(rows: np.ndarray, tower: FieldTower, unit_mul: np.ndarray) -> np.ndarray:
+    """The ell F_p-generators kappa_u * row of each row of an (R, ns) array
+    of middle-field vectors, in the packed middle-field encoding: bit masks
+    of shape (R, ell) when p = 2, base-p digit arrays of shape
+    (R, ell, ns*ell) otherwise.
 
     ``unit_mul[u, x]`` is the index of kappa_u * x, where kappa_u (index p^u)
-    runs over the F_p-basis of the middle field and kappa_0 = 1.  Scaling a
-    word by a nonzero middle-field element keeps its weight in all three
-    metrics, so each code is scored by one word per projective point: the
-    (p^(k*ell) - 1)/(p^ell - 1) combinations whose last nonzero coefficient
-    is 1.  Those ending at row r form the coset row_r + span(rows < r).  The
-    F_p-span of the (k-1)*ell generators kappa_u * row_r, r < k - 1, is built
-    once by ``_fp_span``; its first p^(r*ell) entries are span(rows < r), and
-    the next p^(r*ell) are that span plus kappa_0 * row_r = row_r, the coset
-    of row r, so only the last row's coset is formed.  A stack of rank below
-    k has a normalized combination equal to the zero word, so it scores 0.
-    Weights are gathered from ``table``.
+    runs over the F_p-basis of the middle field and kappa_0 = 1.
     """
     p, ell = tower.p, tower.ell
-    n_codes, k, ns = bases.shape
-    scaled = np.take(unit_mul, bases.transpose(2, 0, 1), axis=1)  # (ell, ns, B, k)
+    n_rows, ns = rows.shape
+    scaled = np.take(unit_mul, rows.T, axis=1)  # (ell, ns, R)
     if p == 2:
-        gens = (scaled << (np.arange(ns) * ell)[:, None, None]).sum(axis=1)
-        gens = gens.transpose(1, 2, 0).reshape(n_codes, k * ell)
-    else:
-        digits = np.arange(tower.subfield_order)[:, None] // p ** np.arange(ell) % p
-        gens = digits.astype(_digit_dtype(p))[scaled].transpose(2, 3, 0, 1, 4)
-        gens = gens.reshape(n_codes, k * ell, ns * ell)
+        return (scaled << (np.arange(ns) * ell)[:, None]).sum(axis=1).T
+    digits = np.arange(tower.subfield_order)[:, None] // p ** np.arange(ell) % p
+    return digits.astype(_digit_dtype(p))[scaled].transpose(2, 0, 1, 3).reshape(n_rows, ell, ns * ell)
+
+
+def _span_min_weights(gens: np.ndarray, p: int, table: np.ndarray) -> np.ndarray:
+    """Minimum weight over the nonzero codewords of each of B codes, given
+    the ``_row_generators`` of its k rows as a (B, k, ell) or
+    (B, k, ell, ns*ell) array.
+
+    Scaling a word by a nonzero middle-field element keeps its weight in
+    all three metrics, so each code is scored by one word per projective
+    point: the (p^(k*ell) - 1)/(p^ell - 1) combinations whose last nonzero
+    coefficient is 1.  Those ending at row r form the coset
+    row_r + span(rows < r).  The F_p-span of the (k-1)*ell generators
+    kappa_u * row_r, r < k - 1, is built once by ``_fp_span``; its first
+    p^(r*ell) entries are span(rows < r), and the next p^(r*ell) are that
+    span plus kappa_0 * row_r = row_r, the coset of row r, so only the last
+    row's coset is formed.  Rows of rank below k have a normalized
+    combination equal to the zero word, so they score 0.  Weights are
+    gathered from ``table``.
+    """
+    n_codes, k, ell = gens.shape[:3]
+    gens = gens.reshape(n_codes, k * ell, *gens.shape[3:])
     span = _fp_span(gens[:, : (k - 1) * ell], p)
     lead = gens[:, (k - 1) * ell, None]
     words = [span[:, size : 2 * size] for size in p ** (ell * np.arange(k - 1))]
     words = np.concatenate([*words, span ^ lead if p == 2 else (span + lead) % p], axis=1)
     if p != 2:
-        words = words @ p ** np.arange(ns * ell, dtype=np.int64)
+        words = words @ p ** np.arange(words.shape[2], dtype=np.int64)
     return table[words].min(axis=1)
+
+
+def _min_weights(
+    bases: np.ndarray, tower: FieldTower, table: np.ndarray, unit_mul: np.ndarray
+) -> np.ndarray:
+    """Minimum weight over the nonzero codewords of each code spanned by a
+    (B, k, ns) stack of middle-field bases: ``_row_generators`` of every
+    row, then ``_span_min_weights``.  A stack of rank below k scores 0.
+    """
+    n_codes, k, ns = bases.shape
+    gens = _row_generators(bases.reshape(-1, ns), tower, unit_mul)
+    return _span_min_weights(gens.reshape(n_codes, k, *gens.shape[1:]), tower.p, table)
 
 
 def _index_span(gens: list, p: int, width: int) -> np.ndarray:
@@ -313,10 +341,10 @@ def _index_span(gens: list, p: int, width: int) -> np.ndarray:
     return _fp_span(digits, p) @ p ** np.arange(width)
 
 
-def _scorer(space: AmbientSpace, tower: FieldTower, k: int) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-    """``_min_weights`` bound to the space's weight table and to the unit
-    products; and the most k-row matrices it should score at once, about
-    _CHUNK_WORDS normalized words.
+def _scorer(space: AmbientSpace, tower: FieldTower, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The space's weight table and the unit products ``unit_mul`` that
+    ``_min_weights`` and its two steps take, and the most k-row matrices to
+    score at once, about _CHUNK_WORDS normalized words.
 
     The table is indexed by word, and the scorer reads it at the packed
     encoding sum_i vec[i] * p^(ell*i) instead, though the two index
@@ -333,7 +361,15 @@ def _scorer(space: AmbientSpace, tower: FieldTower, k: int) -> tuple[Callable[[n
     products = [[tower.k_mul(p**u, p**v) for v in range(ell)] for u in range(ell)]
     unit_mul = _index_span(products, p, ell)
     per_chunk = max(1, _CHUNK_WORDS * (p**ell - 1) // (p ** (k * ell) - 1))
-    return (lambda bases: _min_weights(bases, tower, table, unit_mul)), per_chunk
+    return table, unit_mul, per_chunk
+
+
+class _RowIds(dict):
+    """Numbers the keys it is asked for in first-seen order, from 0."""
+
+    def __missing__(self, row: tuple[int, ...]) -> int:
+        self[row] = row_id = len(self)
+        return row_id
 
 
 def _code_min_weights(
@@ -343,14 +379,28 @@ def _code_min_weights(
     bases: Iterable[SubspaceBasis],
 ) -> Iterator[np.ndarray]:
     """Minimum weights of the k-dimensional codes ``bases`` span, scored in
-    chunks of at most _CHUNK_WORDS codewords; bases are consumed lazily."""
-    score, per_chunk = _scorer(space, tower, k)
+    chunks of at most _CHUNK_WORDS codewords; bases are consumed lazily,
+    one chunk at a time.
+
+    Within a chunk, each distinct row is expanded once.  The bases of a
+    pivot profile are a Cartesian product of per-row choices, so a chunk of
+    consecutive bases holds few distinct rows, each in many row slots.  A
+    per-chunk row table numbers them in first-seen order; each basis becomes
+    k row numbers, ``_row_generators`` runs on the table's rows alone, and
+    ``_span_min_weights`` takes every basis's generators gathered by number.
+    The table is dropped with its chunk."""
+    table, unit_mul, per_chunk = _scorer(space, tower, k)
     ns = space.n * tower.s
     bases = iter(bases)
-    while chunk := [basis.rows for basis in itertools.islice(bases, per_chunk)]:
-        cells = itertools.chain.from_iterable(itertools.chain.from_iterable(chunk))
-        stack = np.fromiter(cells, np.int64, count=len(chunk) * k * ns)
-        yield score(stack.reshape(len(chunk), k, ns))
+    while True:
+        row_ids = _RowIds()
+        slots = itertools.chain.from_iterable(map(itemgetter(0), itertools.islice(bases, per_chunk)))
+        ids = np.fromiter(map(row_ids.__getitem__, slots), np.intp)
+        if not ids.size:
+            return
+        rows = np.fromiter(itertools.chain.from_iterable(row_ids), np.int64, count=len(row_ids) * ns)
+        gens = _row_generators(rows.reshape(-1, ns), tower, unit_mul)
+        yield _span_min_weights(gens[ids.reshape(-1, k)], tower.p, table)
 
 
 @contextmanager
@@ -450,7 +500,8 @@ def _linear_successes(
     _check_linearity(space, spec.linearity)
     _hold_table_size(space, guards.enumeration)
     tower = space_tower(space, spec.linearity)
-    score, per_chunk = _scorer(space, tower, spec.dim)
+    table, unit_mul, per_chunk = _scorer(space, tower, spec.dim)
+    score = lambda bases: _min_weights(bases, tower, table, unit_mul)
     k, ns = spec.dim, space.n * tower.s
     draw = lambda gen: _draw_matrix(gen, k, tower, space.n)
 

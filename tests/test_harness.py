@@ -647,10 +647,10 @@ def test_scorer_reads_zero_exactly_on_rank_deficient_draws():
         tower = harness.space_tower(space, ell)
         ns = space.n * tower.s
         for k in range(1, ns + 1):
-            score, _ = harness._scorer(space, tower, k)
+            table, unit_mul, _ = harness._scorer(space, tower, k)
             draws = rng.integers(0, tower.subfield_order, size=(300, k, ns))
             deficient = [len(fields.rref(rows.tolist(), tower)[0]) < k for rows in draws]
-            weights = score(draws)
+            weights = harness._min_weights(draws, tower, table, unit_mul)
             assert [bool(w == 0) for w in weights] == deficient, (space, ell, k)
             assert 0 < sum(deficient) < len(draws) or k == 1, (space, ell, k)
 
@@ -703,14 +703,14 @@ def test_normalized_words_give_the_full_span_minimum():
         products = [[tower.k_mul(p**u, p**v) for v in range(ell)] for u in range(ell)]
         unit_mul = harness._index_span(products, p, ell)
         for k in range(1, ns + 1):
-            score, _ = harness._scorer(space, tower, k)
+            scorer_table, scorer_units, _ = harness._scorer(space, tower, k)
             draws = rng.integers(0, order, size=(120, k, ns))
             for rows in draws[80:]:
                 last = [0] * ns
                 for coeff, row in zip(rng.integers(0, order, size=k - 1), rows):
                     last = [tower.k_add(a, tower.k_mul(int(coeff), int(x))) for a, x in zip(last, row)]
                 rows[-1] = last
-            got = score(draws)
+            got = harness._min_weights(draws, tower, scorer_table, scorer_units)
             assert got.tolist() == _full_span_min_weights(draws, tower, table, unit_mul).tolist(), (space, k)
             assert not got[80:].any() and got[:80].any(), (space, k)
 
@@ -923,7 +923,8 @@ def _one_matrix_per_call_successes(space, spec, trials, seed):
     from codedensity.fields import _draw_matrix
 
     tower = harness.space_tower(space, spec.linearity)
-    score, per_chunk = harness._scorer(space, tower, spec.dim)
+    table, unit_mul, per_chunk = harness._scorer(space, tower, spec.dim)
+    score = lambda bases: harness._min_weights(bases, tower, table, unit_mul)
     k, ns = spec.dim, space.n * tower.s
     draw = lambda gen: _draw_matrix(gen, k, tower, space.n)
 
@@ -1548,6 +1549,90 @@ def test_fast_min_weight_agrees_with_public_min_distance():
             assert len(fast) == len(bases)
             for basis, got in zip(bases, fast):
                 assert got == min_distance(basis, space, tower=tower), (space, k, basis)
+
+
+def _stacked_code_min_weights(space, tower, k, bases):
+    """``_code_min_weights`` as it stood before its per-chunk row table:
+    the k*ns cells of every basis of a chunk are flattened into one
+    (chunk, k, ns) stack and scored by ``_min_weights``.  The reference
+    for the row-table path."""
+    from codedensity import harness
+
+    table, unit_mul, per_chunk = harness._scorer(space, tower, k)
+    for top in range(0, len(bases), per_chunk):
+        chunk = bases[top : top + per_chunk]
+        stack = np.array([basis.rows for basis in chunk], dtype=np.int64)
+        yield harness._min_weights(stack, tower, table, unit_mul)
+
+
+# one (space, linearity) pair for each (p, ell), with every metric over
+# F_2 and over F_3
+_ROW_TABLE_TEST_SPACES = (
+    (AmbientSpace(2, 1, 2, 3, "hamming"), 1),
+    (AmbientSpace(2, 2, 2, 2, "rank"), 2),
+    (AmbientSpace(2, 3, 1, 3, "sumrank", t=3), 3),
+    (AmbientSpace(3, 1, 2, 2, "sumrank", t=2), 1),
+    (AmbientSpace(3, 2, 1, 3, "hamming"), 2),
+    (AmbientSpace(3, 3, 1, 2, "rank"), 3),
+)
+
+
+@pytest.mark.parametrize("chunk", [1, 64, 1 << 13])
+def test_row_table_matches_the_stacked_scorer(monkeypatch, chunk):
+    # each chunk's distinct rows are expanded once and gathered by number;
+    # chunk by chunk the weights must equal those of the flattened stack,
+    # and the per-row step must see exactly the chunk's distinct rows, once
+    from codedensity import harness
+    from codedensity.fields import enumerate_subspaces
+
+    monkeypatch.setattr(harness, "_CHUNK_WORDS", chunk)
+    expanded, expand = [], harness._row_generators
+    spy = lambda rows, *rest: expanded.append(rows.copy()) or expand(rows, *rest)
+    for space, ell in _ROW_TABLE_TEST_SPACES:
+        tower = harness.space_tower(space, ell)
+        for k in range(1, min(space.n * tower.s, 3) + 1):
+            bases = list(enumerate_subspaces(k, tower, space.n))
+            want = list(_stacked_code_min_weights(space, tower, k, bases))
+            expanded.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(harness, "_row_generators", spy)
+                got = list(harness._code_min_weights(space, tower, k, bases))
+            assert [w.tolist() for w in got] == [w.tolist() for w in want], (space, k)
+            assert len(expanded) == len(got), (space, k)
+            top = 0
+            for weights, rows in zip(got, expanded):
+                distinct = {row for basis in bases[top : top + len(weights)] for row in basis.rows}
+                assert sorted(map(tuple, rows.tolist())) == sorted(distinct), (space, k, top)
+                top += len(weights)
+            assert top == len(bases)
+
+
+@pytest.mark.parametrize("chunk", [64, 1 << 13])
+def test_code_min_weights_pulls_at_most_one_chunk_ahead(monkeypatch, chunk):
+    # an instrumented source: at every pull, the bases taken but not yet
+    # scored fit in one chunk, and the first chunk is scored before the
+    # source runs dry
+    from codedensity import harness
+    from codedensity.fields import enumerate_subspaces
+
+    monkeypatch.setattr(harness, "_CHUNK_WORDS", chunk)
+    space = AmbientSpace(2, 1, 2, 4, "hamming")
+    tower, k = harness.space_tower(space, 1), 2
+    per_chunk = harness._scorer(space, tower, k)[2]
+    pulled, scored, ahead = [0], [0], []
+
+    def source():
+        for basis in enumerate_subspaces(k, tower, space.n):
+            pulled[0] += 1
+            ahead.append(pulled[0] - scored[0])
+            yield basis
+
+    first_yield = None
+    for weights in harness._code_min_weights(space, tower, k, source()):
+        first_yield = pulled[0] if first_yield is None else first_yield
+        scored[0] += len(weights)
+    assert pulled[0] == scored[0] == 10795
+    assert max(ahead) == first_yield == per_chunk < 10795
 
 
 def test_scorer_needs_no_middle_field_tables():
