@@ -180,11 +180,7 @@ def _template_space(sc: Scenario, ell_for_m: int) -> AmbientSpace:
     q = sc.q if sc.q is not None else 2
     n = sc.n if sc.n is not None else max(sc.d, sc.t, 1) * sc.t
     s = sc.s if sc.s is not None else 1
-    ell = ell_for_m
-    t = sc.t
-    if n % t:
-        n = t * -(-n // t)
-    return AmbientSpace(q, ell, s, n, sc.metric, t=t)
+    return AmbientSpace(q, ell_for_m, s, n, sc.metric, t=sc.t)
 
 
 def _exponential(sc: Scenario, slope: Fraction, intercept: Fraction) -> GrowthProfile:
@@ -570,17 +566,14 @@ def _specialized_nonlinear(sc: Scenario) -> Classification | None:
             return Classification(SPARSE, "nonlinear MDS sparsity")
         return None
     if sc.metric == RANK:
-        m = sc.s * (1 if sc.ell == 0 else sc.ell)
+        m = sc.s  # ell = 0 here, and the space's m is s
         if sc.growing == "q" and m >= 2 and sc.n >= 2 and d <= min(sc.n, m):
             return Classification(SPARSE, "nonlinear MRD sparsity")
         if sc.growing == "n" and m >= 2 and d <= m:
             return Classification(SPARSE, "nonlinear MRD sparsity")
         return None
-    if sc.growing == "q":
-        eta = sc.n // sc.t
-        m = sc.s * (1 if sc.ell == 0 else sc.ell)
-        if d <= sc.t * min(m, eta):
-            return Classification(SPARSE, "nonlinear MSRD sparsity")
+    if sc.growing == "q" and d <= sc.t * min(sc.s, sc.n // sc.t):
+        return Classification(SPARSE, "nonlinear MSRD sparsity")
     return None
 
 

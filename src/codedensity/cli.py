@@ -1,9 +1,10 @@
 """Command-line front door.
 
-Data goes to stdout (or --output), logs to stderr.  JSON documents carry the
-tool version, the fully resolved configuration, and the seed, and serialize
-exact rationals as "numerator/denominator" strings (decimal rendering only on
---approx).  Delimited output is RFC-4180 CSV preceded by `#` metadata lines.
+Data goes to stdout (or --output), error messages to stderr.  JSON documents
+carry the tool version, the fully resolved configuration, and the seed, and
+serialize exact rationals as "numerator/denominator" strings (decimal
+rendering only on --approx).  Delimited output is RFC-4180 CSV preceded by
+`#` metadata lines.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
 3 guard violation.  Its message carries the offending count, exact or, where
@@ -140,25 +141,16 @@ def _add_space_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metric", choices=_METRICS, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--s", type=int)
-    p.add_argument("--m", type=int, help="alternative to --s; m = ell*s")
+    p.add_argument("--s", type=int, required=True, help="m = ell*s")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, default=1, help="sum-rank block count")
     p.add_argument("--output", "-o", default=None)
 
 
 def _space_from(args) -> AmbientSpace:
-    ell = args.ell
-    if ell < 1:
-        raise ValueError(f"--ell must be positive, got {ell}")
-    s = args.s
-    if s is None:
-        if args.m is None:
-            raise ValueError("provide --s or --m")
-        if args.m % ell:
-            raise ValueError(f"--m {args.m} is not a multiple of --ell {ell}")
-        s = args.m // ell
-    return AmbientSpace(args.q, ell, s, args.n, args.metric, t=args.t)
+    if args.ell < 1:
+        raise ValueError(f"--ell must be positive, got {args.ell}")
+    return AmbientSpace(args.q, args.ell, args.s, args.n, args.metric, t=args.t)
 
 
 def _family_from(args) -> CodeFamilySpec:
@@ -241,6 +233,8 @@ def _cmd_volume(args, guards: Guards) -> int:
 
 def _cmd_bound(args, guards: Guards) -> int:
     space = _space_within(args)
+    if args.kind != "density-bracket" and (args.S is not None or args.k is not None):
+        raise ValueError(f"--kind {args.kind} takes no --S or --k")
     if args.kind == "singleton":
         result = {"max_cardinality": singleton_max(space, args.d)}
     elif args.kind == "gv":
@@ -272,65 +266,36 @@ def _cmd_bound(args, guards: Guards) -> int:
 
 
 def _scenario_from(args) -> Scenario:
-    family_map = {"mds": "hamming", "mrd": "rank", "msrd": "sumrank"}
-    if args.family in family_map:
-        metric = family_map[args.family]
-        family = "extremal"
+    """The scenario the options name, each passed unchanged to its own
+    field, so that ``Scenario`` refuses what it refuses, such as a value for
+    the growing parameter.  A custom family is a dimension family when given
+    ``--k-*`` options and a cardinality family when given ``--S-*`` ones."""
+    options = {
+        "dim_slope": args.k_slope,
+        "dim_intercept": args.k_intercept,
+        "card_coeff": args.S_coeff,
+        "card_slope": args.S_slope,
+        "card_intercept": args.S_intercept,
+    }
+    shape = {field: val for field, val in options.items() if val is not None}
+    kinds = {field.split("_")[0] for field in shape}
+    if args.family == "custom":
+        if len(kinds) != 1:
+            raise ValueError("a custom family takes either --k-* (dimension) or --S-* (cardinality) options")
+        family = "dimension" if kinds == {"dim"} else "cardinality"
+    elif shape:
+        raise ValueError(f"--k-* and --S-* options describe custom families, not --family {args.family}")
     else:
-        if args.metric is None:
-            raise ValueError(f"--metric is required for family {args.family}")
-        metric = args.metric
-        family = args.family if args.family == "gv" else None
-        if family is None:
-            if args.k is not None or args.k_slope is not None:
-                family = "dimension"
-            elif args.S_coeff is not None or args.S is not None:
-                family = "cardinality"
-            else:
-                raise ValueError("custom families need --k/--k-slope or --S/--S-coeff")
-    growing = args.growing
-    ell = args.ell
-    if growing == "ell":
-        if ell not in (None, 0):
-            raise ValueError("--ell must be omitted when it is the growing parameter")
-        ell = None
-    elif ell is None:
-        ell = 1
-    s = args.s
-    if s is None and args.m is not None and growing != "s":
-        div = 1 if not ell else ell
-        if args.m % div:
-            raise ValueError(f"--m {args.m} is not a multiple of --ell {div}")
-        s = args.m // div
-    kwargs = {}
-    if family == "dimension":
-        if args.k is not None:
-            kwargs["dim_intercept"] = Fraction(args.k)
-        if args.k_slope is not None:
-            kwargs["dim_slope"] = args.k_slope
-        if args.k_intercept is not None:
-            kwargs["dim_intercept"] = args.k_intercept
-    if family == "cardinality":
-        if args.S is not None:
-            kwargs["card_coeff"] = Fraction(args.S)
-        if args.S_coeff is not None:
-            kwargs["card_coeff"] = args.S_coeff
-        if args.S_slope is not None:
-            kwargs["card_slope"] = args.S_slope
-        if args.S_intercept is not None:
-            kwargs["card_intercept"] = args.S_intercept
+        family = "gv" if args.family == "gv" else "extremal"
+    metric = {"mds": "hamming", "mrd": "rank", "msrd": "sumrank"}.get(args.family, args.metric)
+    if metric is None:
+        raise ValueError(f"--metric is required for family {args.family}")
+    if args.metric not in (None, metric):
+        raise ValueError(f"--family {args.family} is a {metric} family, not --metric {args.metric}")
+    ell = 1 if args.ell is None and args.growing != "ell" else args.ell
     return Scenario(
-        metric=metric,
-        growing=growing,
-        family=family,
-        d=args.d,
-        ell=ell,
-        q=args.q if growing != "q" else None,
-        n=args.n if growing != "n" else None,
-        s=s if growing != "s" else None,
-        t=args.t,
-        eta=args.eta,
-        **kwargs,
+        metric, args.growing, family, args.d, ell,
+        q=args.q, n=args.n, s=args.s, t=args.t, eta=args.eta, **shape,
     )
 
 
@@ -420,6 +385,8 @@ def _cmd_exact(args, guards: Guards) -> int:
 def _cmd_probe(args, guards: Guards) -> int:
     sc = _scenario_from(args)
     probes = [int(v) for v in args.probes.split(",") if v.strip()]
+    if not probes:
+        raise ValueError(f"--probes names no probe value: {args.probes!r}")
     rows = convergence_experiment(sc, probes)
     out_rows = [
         (r.probe, _fmt(r.rho, args.approx), _fmt(r.lower, args.approx), _fmt(r.upper, args.approx))
@@ -466,8 +433,11 @@ def _config_of(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix abbreviations, so that an unknown option such as --m is
+    # refused instead of read as --metric
     parser = argparse.ArgumentParser(
         prog="codedensity",
+        allow_abbrev=False,
         description="Exact density brackets, Singleton/GV bounds, and asymptotic "
         "classification for codes in the Hamming, rank, and sum-rank metrics.",
     )
@@ -476,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, func, help: str) -> argparse.ArgumentParser:
         """A subcommand whose handler main calls as func(args, guards)."""
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
         return p
 
@@ -511,15 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--ell", type=int, default=None)
         p.add_argument("--s", type=int, default=None)
-        p.add_argument("--m", type=int, default=None)
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--t", type=int, default=1)
         p.add_argument("--eta", type=int, default=None)
         p.add_argument("--d", type=int, required=True)
-        p.add_argument("--k", type=int, default=None)
         p.add_argument("--k-slope", type=_frac, default=None)
         p.add_argument("--k-intercept", type=_frac, default=None)
-        p.add_argument("--S", type=int, default=None)
         p.add_argument("--S-coeff", type=_frac, default=None)
         p.add_argument("--S-slope", type=_frac, default=None)
         p.add_argument("--S-intercept", type=_frac, default=None)

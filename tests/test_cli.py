@@ -5,16 +5,23 @@ from __future__ import annotations
 import json
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from codedensity import __version__
+from codedensity.classifier import Scenario, classify
 from codedensity.cli import main
 from codedensity.guards import ENV_GUARD
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of one run; the parser refuses an
+    argument by raising SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -68,7 +75,7 @@ def test_volume_oracle_ignores_the_enumeration_guard(capsys, monkeypatch):
 def test_classify_document_and_roundtrip(capsys):
     code, out, _ = run_cli(
         capsys, "classify", "--family", "msrd", "--growing", "q", "--ell", "1",
-        "--eta", "1", "--t", "10", "--d", "5", "--m", "1",
+        "--eta", "1", "--t", "10", "--d", "5", "--s", "1",
     )
     assert code == 0
     doc = json.loads(out)
@@ -76,6 +83,114 @@ def test_classify_document_and_roundtrip(capsys):
     assert doc["result"]["cross_check"]["agrees"] is True
     # parsing then re-serializing is byte-identical
     assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == out
+
+
+_MDS = ("--family", "mds", "--growing", "q", "--n", "4", "--s", "2", "--d", "2")
+_CUSTOM = ("--family", "custom", "--metric", "hamming", "--growing", "q", "--n", "3", "--s", "1", "--d", "2")
+_SPACE_ARGS = ("--metric", "hamming", "--q", "2", "--ell", "1", "--s", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ("volume", "--metric", "hamming", "--q", "2", "--s", "2", "--m", "5", "--n", "2",
+             "--radius", "1"),
+            "unrecognized arguments: --m 5",
+            id="m-beside-s",
+        ),
+        pytest.param(
+            ("classify", *_MDS, "--metric", "rank"),
+            "--family mds is a hamming family, not --metric rank",
+            id="extremal-family-metric-conflict",
+        ),
+        pytest.param(("classify", *_MDS, "--q", "5"), "q is the growing parameter", id="growing-q-given"),
+        pytest.param(
+            ("classify", "--family", "mrd", "--growing", "s", "--q", "2", "--n", "3", "--d", "2", "--s", "3"),
+            "s is the growing parameter",
+            id="growing-s-given",
+        ),
+        pytest.param(
+            ("classify", "--family", "mds", "--growing", "ell", "--ell", "0", "--q", "2", "--n", "4",
+             "--s", "1", "--d", "2"),
+            "ell is the growing parameter",
+            id="growing-ell-given-nonlinear",
+        ),
+        pytest.param(
+            ("classify", *_CUSTOM, "--k", "1", "--k-intercept", "2"),
+            "unrecognized arguments: --k 1",
+            id="k-beside-k-intercept",
+        ),
+        pytest.param(
+            ("classify", *_CUSTOM, "--ell", "0", "--S", "2", "--S-coeff", "3"),
+            "unrecognized arguments: --S 2",
+            id="S-beside-S-coeff",
+        ),
+        pytest.param(
+            ("classify", *_MDS, "--S-coeff", "2"),
+            "--k-* and --S-* options describe custom families, not --family mds",
+            id="shape-on-extremal",
+        ),
+        pytest.param(
+            ("probe", "--family", "gv", "--metric", "hamming", "--growing", "q", "--n", "3", "--s", "1",
+             "--d", "2", "--k-intercept", "1", "--probes", "2,3"),
+            "--k-* and --S-* options describe custom families, not --family gv",
+            id="shape-on-gv",
+        ),
+        pytest.param(
+            ("classify", *_CUSTOM, "--ell", "0", "--k-intercept", "1", "--S-coeff", "2"),
+            "a custom family takes either --k-* (dimension) or --S-* (cardinality) options",
+            id="custom-both-kinds",
+        ),
+        pytest.param(
+            ("classify", *_CUSTOM),
+            "a custom family takes either --k-* (dimension) or --S-* (cardinality) options",
+            id="custom-neither-kind",
+        ),
+        pytest.param(
+            ("bound", "--kind", "singleton", *_SPACE_ARGS, "--n", "3", "--d", "2", "--S", "3"),
+            "--kind singleton takes no --S or --k",
+            id="singleton-with-S",
+        ),
+        pytest.param(
+            ("bound", "--kind", "gv", *_SPACE_ARGS, "--n", "3", "--d", "2", "--k", "1"),
+            "--kind gv takes no --S or --k",
+            id="gv-with-k",
+        ),
+        pytest.param(
+            ("bound", "--kind", "kstar", *_SPACE_ARGS, "--n", "3", "--d", "2", "--S", "3"),
+            "--kind kstar takes no --S or --k",
+            id="kstar-with-S",
+        ),
+        pytest.param(("probe", *_MDS, "--probes", ","), "--probes names no probe value", id="probes-comma"),
+        pytest.param(("probe", *_MDS, "--probes", ""), "--probes names no probe value", id="probes-empty"),
+    ],
+)
+def test_options_that_would_be_rewritten_or_dropped_exit_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "shape, fields",
+    [
+        (("--k-intercept", "3"), {"family": "dimension", "ell": 1, "dim_intercept": Fraction(3)}),
+        (
+            ("--ell", "0", "--S-intercept", "2"),
+            {"family": "cardinality", "ell": 0, "card_intercept": Fraction(2)},
+        ),
+    ],
+)
+def test_custom_family_from_its_intercept_alone(capsys, shape, fields):
+    code, out, err = run_cli(capsys, "classify", *_CUSTOM, *shape)
+    assert code == 0, err
+    direct = classify(Scenario("hamming", "q", d=2, n=3, s=1, **fields))
+    result = json.loads(out)["result"]
+    assert (result["verdict"], result.get("upper_bound")) == (
+        direct.verdict,
+        None if direct.upper_bound is None else str(direct.upper_bound),
+    )
 
 
 def test_classify_not_dense_has_rational_upper(capsys):
@@ -306,9 +421,10 @@ def test_invalid_arguments_exit_two(capsys):
 def test_unsupported_nonlinear_asymptotics_exit_two(capsys, family):
     # the library raises UnsupportedAsymptotics; the CLI reports it as an
     # invalid request, with no traceback
+    shape = ("--S-coeff", "2") if family == "custom" else ()
     code, out, err = run_cli(
         capsys, "classify", "--family", family, "--metric", "hamming", "--growing", "s",
-        "--ell", "0", "--n", "2", "--q", "2", "--d", "2", "--S", "2",
+        "--ell", "0", "--n", "2", "--q", "2", "--d", "2", *shape,
     )
     assert code == 2 and out == ""
     assert "error: nonlinear classification supports growing q and n" in err
@@ -543,9 +659,6 @@ def test_codeword_commands_need_a_prime_q(capsys, argv):
     assert "codeword-level operations need a prime q (towers over F_q); got q=4" in err
 
 
-_SPACE_ARGS = ("--metric", "hamming", "--q", "2", "--ell", "1", "--s", "1")
-
-
 @pytest.fixture
 def no_formula(monkeypatch):
     """Stub out the formulas behind the guarded commands, so that a missing
@@ -604,7 +717,7 @@ def _document_of(command, config, result):
     }
 
 
-_README_SPACE = {"ell": 1, "m": None, "n": 2, "q": 2, "s": 2, "t": 1}
+_README_SPACE = {"ell": 1, "n": 2, "q": 2, "s": 2, "t": 1}
 
 
 @pytest.mark.parametrize(
